@@ -1,5 +1,7 @@
 """Independent replay oracles shared by unit and acceptance tests."""
 
+import hashlib
+import os
 import random
 
 from murbsim.workload import TawLedger
@@ -79,3 +81,15 @@ def replay_classify(events):
         for i in pending.pop(client):
             classes[i] = "abandoned"
     return classes
+
+
+def digest_tree(root: str) -> str:
+    """sha256 over every file under `root`: names and bytes, in sorted order."""
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in sorted(os.walk(root)):
+        dirnames.sort()
+        for name in sorted(filenames):
+            h.update(name.encode())
+            with open(os.path.join(dirpath, name), "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()

@@ -5,15 +5,17 @@ criteria read the cached results. Run with `pytest tests/test_acceptance.py
 -v -s` to see the per-criterion lines as they complete.
 """
 
-import hashlib
+import json
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
 from murbsim.cluster import six_nines_budget
-from murbsim.config import Scenario, ScriptedMicroreboot, ScriptedRecovery, WorkloadConfig
+from murbsim.config import Scenario, ScriptedRecovery, WorkloadConfig
 from murbsim.harness import PRESETS, run_preset, run_scenario
 from murbsim.recoverymgr import detection_headroom, fp_headroom
 from murbsim.runtime import ComponentSpec, deploy, load_catalog
@@ -22,7 +24,7 @@ from murbsim.simcore import RngStream
 from murbsim.workload import sample_think_ms
 from murbsim.world import World
 
-from oracles import drive_ledger, random_trace, replay_classify
+from oracles import digest_tree, drive_ledger, random_trace, replay_classify
 
 _CACHE: dict[str, tuple[dict, float, str]] = {}
 
@@ -58,9 +60,9 @@ def test_criterion_01_recovery_time_ratio(tmp_path):
     s = Scenario(duration_ms=40_000, seed=1)
     s.policy.enabled = False
     s.workload = WorkloadConfig(clients_per_node=20)
-    s.scripted_microreboots = [ScriptedMicroreboot(5_000, "BrowseCategories"),
-                               ScriptedMicroreboot(10_000, "Item")]
-    s.scripted_recoveries = [ScriptedRecovery(15_000, "restart_process")]
+    s.scripted_recoveries = [ScriptedRecovery(5_000, "murb_group", "BrowseCategories"),
+                             ScriptedRecovery(10_000, "murb_group", "Item"),
+                             ScriptedRecovery(15_000, "restart_process")]
     summary = run_scenario(s, str(tmp_path / "c1"))
     reported = {(e["level"], e["target"]): e["duration_ms"]
                 for e in summary["recovery_log"]}
@@ -197,17 +199,6 @@ def test_criterion_10_oracle_equivalence():
                      "recovery groups equal reverse reachability on 1000 digraphs")
 
 
-def _digest_tree(root: str) -> str:
-    h = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
-        for name in sorted(filenames):
-            h.update(name.encode())
-            with open(os.path.join(dirpath, name), "rb") as fh:
-                h.update(fh.read())
-    return h.hexdigest()
-
-
 def test_criterion_11_determinism(preset_root, tmp_path_factory):
     rerun_root = str(tmp_path_factory.mktemp("rerun"))
     mismatched = []
@@ -215,7 +206,7 @@ def test_criterion_11_determinism(preset_root, tmp_path_factory):
         _, _, first_dir = preset(name, preset_root)
         second_dir = os.path.join(rerun_root, name)
         run_preset(name, second_dir, seed=1, parallel=False)
-        if _digest_tree(first_dir) != _digest_tree(second_dir):
+        if digest_tree(first_dir) != digest_tree(second_dir):
             mismatched.append(name)
     report(11, not mismatched,
            f"all {len(PRESETS)} presets byte-identical across same-seed reruns" +
@@ -244,3 +235,41 @@ def test_criterion_12_workload_calibration():
     report(12, ok, f"category mix within +/-2 points; throughput "
                    f"{throughput:.1f} req/s in 72.09+/-10%; think mean "
                    f"{mean / 1000:.2f}s (max {max(draws) / 1000:.0f}s)")
+
+
+# -- golden digests -----------------------------------------------------------
+# tests/golden/preset_digests.json holds one sha256 per preset output tree at
+# seed 1 (scripts/preset_digests.py writes it). These tests fail when a change
+# moves any output byte, which a same-code rerun (criterion 11) cannot see.
+
+_TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+_GOLDEN = os.path.join(_TESTS_DIR, "golden", "preset_digests.json")
+
+
+def golden_digest(name: str) -> str | None:
+    with open(_GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh).get(name)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_golden_preset_digest(name, preset_root):
+    _, _, out_dir = preset(name, preset_root)
+    assert digest_tree(out_dir) == golden_digest(name), \
+        f"preset {name} output differs from {_GOLDEN}"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_golden_digest_under_fixed_hash_seed(hash_seed, tmp_path):
+    out_dir = str(tmp_path / "fig5b")
+    code = ("import sys\n"
+            "from murbsim.harness import run_preset\n"
+            "from oracles import digest_tree\n"
+            "run_preset('fig5b', sys.argv[1], seed=1, parallel=False)\n"
+            "print(digest_tree(sys.argv[1]))\n")
+    src = os.path.join(os.path.dirname(_TESTS_DIR), "src")
+    path = os.pathsep.join(p for p in (src, _TESTS_DIR, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code, out_dir], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == golden_digest("fig5b")
