@@ -7,7 +7,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from murbsim.config import Scenario, ScriptedMicroreboot, WorkloadConfig  # noqa: E402
+from murbsim.config import Scenario, ScriptedRecovery, WorkloadConfig  # noqa: E402
 from murbsim.world import World  # noqa: E402
 
 
@@ -28,7 +28,7 @@ def main() -> int:
         if members in seen:
             continue
         seen.add(members)
-        s.scripted_microreboots.append(ScriptedMicroreboot(at, name))
+        s.scripted_recoveries.append(ScriptedRecovery(at, "murb_group", name))
         at += 10_000
     s.duration_ms = at + 30_000
 

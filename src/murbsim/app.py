@@ -44,27 +44,6 @@ class OpType:
         return self.session_touch in (SESSION_READ, SESSION_UPDATE, SESSION_DELETE)
 
 
-@dataclass(frozen=True)
-class Response:
-    op_name: str
-    outcome: str                      # ok | retry_after | error:<class>
-    body_fingerprint: str
-    latency_ms: int
-    node: int = -1
-    client_id: int = -1
-    request_id: int = -1
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome == "ok"
-
-    @property
-    def error_class(self) -> str | None:
-        if self.outcome.startswith("error:"):
-            return self.outcome.split(":", 1)[1]
-        return None
-
-
 def canonical_fingerprint(op_name: str, session_key: str, variant: str = "") -> str:
     digest = hashlib.blake2b(
         f"{op_name}|{session_key}|{variant}".encode(), digest_size=8
@@ -180,12 +159,6 @@ class AppCatalog:
             if o.name not in matrix.index:
                 raise OpCatalogError(f"op {o.name} missing from transition matrix")
 
-    def components_used(self) -> set[str]:
-        used: set[str] = set()
-        for o in self.op_list:
-            used.update(o.path)
-        return used
-
     def validate_against(self, component_names: set[str]) -> None:
         for o in self.op_list:
             for comp in o.path:
@@ -209,10 +182,6 @@ def load_app_catalog(ops_path: str = "", matrix_path: str = "") -> AppCatalog:
     matrix = parse_matrix(matrix_text)
     matrix.check_stochastic()
     return AppCatalog(parse_ops(ops_text), matrix)
-
-
-def op_catalog() -> list[OpType]:
-    return load_app_catalog().op_list
 
 
 def stationary_distribution(matrix: TransitionMatrix, iterations: int = 2_000,

@@ -92,15 +92,6 @@ class ScriptedRecovery:
 
 
 @dataclass
-class ScriptedMicroreboot:
-    """Direct microreboot of a component's recovery group (no fault needed)."""
-
-    at_ms: int
-    target: str
-    node: int = 0
-
-
-@dataclass
 class Scenario:
     duration_ms: int = 60_000
     seed: int = 1
@@ -112,7 +103,6 @@ class Scenario:
     rejuvenation: RejuvenationConfig = field(default_factory=RejuvenationConfig)
     faults: list[FaultConfig] = field(default_factory=list)
     scripted_recoveries: list[ScriptedRecovery] = field(default_factory=list)
-    scripted_microreboots: list[ScriptedMicroreboot] = field(default_factory=list)
     catalog_path: str = ""                # empty: use the bundled demo catalog
     ops_path: str = ""
     matrix_path: str = ""

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .app import Response, canonical_fingerprint
-
 FAULTY_CONNECTION = "connection"
 FAULTY_HTTP = "http_error"
 FAULTY_KEYWORD = "keyword"
@@ -49,32 +47,18 @@ class DetectorProfile:
             raise ValueError("FP/FN rates must lie in [0, 1]")
 
 
-def compare_responses(resp: Response, oracle_resp: Response | None) -> str | None:
-    """Diff against a fault-free rendering; timing fields are normalized away."""
-    if oracle_resp is None:
-        return None                                   # oracle unavailable: abstain
-    if resp.body_fingerprint != oracle_resp.body_fingerprint:
-        return FAULTY_DIVERGENCE
-    return None
+def classify_response(profile: DetectorProfile, outcome: str, divergent: bool,
+                      rng) -> str | None:
+    """Returns a failure class, or None for a response deemed healthy.
 
-
-def classify_response(profile: DetectorProfile, resp: Response, rng) -> str | None:
-    """Returns a failure class, or None for a response deemed healthy."""
+    `divergent` marks an ok response whose content differs from the fault-free
+    rendering; only the comparison detector sees that.
+    """
     verdict: str | None = None
-    err = resp.error_class
-    if err is not None:
-        verdict = _ERROR_TO_FAILURE.get(err, FAULTY_KEYWORD)
-    elif resp.ok and profile.kind == "comparison":
-        oracle = Response(
-            op_name=resp.op_name,
-            outcome="ok",
-            body_fingerprint=canonical_fingerprint(resp.op_name, str(resp.client_id)),
-            latency_ms=0,
-        )
-        verdict = compare_responses(resp, oracle)
-    # A retry_after outcome is masked, not failed; noise does not apply to it.
-    if resp.outcome == "retry_after":
-        return None
+    if outcome.startswith("error:"):
+        verdict = _ERROR_TO_FAILURE.get(outcome[len("error:"):], FAULTY_KEYWORD)
+    elif divergent and profile.kind == "comparison":
+        verdict = FAULTY_DIVERGENCE
     if verdict is None:
         if profile.fp_rate > 0.0 and rng.random() < profile.fp_rate:
             return FAULTY_KEYWORD

@@ -137,13 +137,12 @@ class RecoveryScope:
 
 
 class ArmedFault:
-    __slots__ = ("spec", "active", "armed", "manual_flagged")
+    __slots__ = ("spec", "active", "armed")
 
     def __init__(self, spec: FaultSpec):
         self.spec = spec
         self.armed = False            # becomes True at inject_at
         self.active = False           # symptoms being generated
-        self.manual_flagged = False
 
 
 def _covers_web(scope: RecoveryScope) -> bool:
@@ -230,7 +229,5 @@ class FaultPlan:
             if is_cured(armed.spec, scope, prior):
                 if armed.spec.fault_class not in LEAK_CLASSES:
                     armed.active = False
-                if armed.spec.profile.requires_manual_data_repair:
-                    armed.manual_flagged = True
                 cured.append(armed)
         return cured

@@ -12,12 +12,13 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 
 from .cluster import six_nines_budget
 from .config import (ClusterConfig, DetectorConfig, FaultConfig, PolicyConfig,
-                     RejuvenationConfig, Scenario, ScriptedMicroreboot,
-                     ScriptedRecovery, StoreConfig, WorkloadConfig)
+                     RejuvenationConfig, Scenario, ScriptedRecovery, StoreConfig,
+                     WorkloadConfig)
 from .recoverymgr import detection_headroom, fp_headroom
 from .workload import latency_stats
 from .world import World
@@ -43,6 +44,18 @@ _SECTION_TO_FIELD = {
     "rejuvenation": "rejuvenation",
 }
 
+# Repeatable sections, each adding one event: (config class, Scenario list,
+# file keys that differ from the field name, fixed fields, required keys).
+# [murb] is shorthand for [recovery] with level murb_group.
+_EVENT_SECTIONS = {
+    "fault": (FaultConfig, "faults", {"inject_at_ms": "at", "fault_class": "class"},
+              {}, ("at", "class")),
+    "recovery": (ScriptedRecovery, "scripted_recoveries", {"at_ms": "at"},
+                 {}, ("at", "level")),
+    "murb": (ScriptedRecovery, "scripted_recoveries", {"at_ms": "at"},
+             {"level": "murb_group"}, ("at", "target")),
+}
+
 
 def _coerce(value: str, target_type, lineno: int):
     try:
@@ -64,41 +77,20 @@ def _coerce(value: str, target_type, lineno: int):
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     section = None
-    pending: dict[str, str] | None = None
-    pending_kind = ""
+    pending: dict[str, object] | None = None     # fields of the open event section
+    pending_keys: dict[str, tuple[str, type]] = {}
     pending_line = 0
 
     def flush_pending() -> None:
         nonlocal pending
         if pending is None:
             return
-        try:
-            if pending_kind == "fault":
-                scenario.faults.append(FaultConfig(
-                    inject_at_ms=int(pending["at"]),
-                    fault_class=pending["class"],
-                    target=pending.get("target", ""),
-                    mode=pending.get("mode", ""),
-                    node=int(pending.get("node", 0)),
-                    bytes_per_invoke=int(pending.get("bytes_per_invoke", 0)),
-                    fail_probability=float(pending.get("fail_probability", 1.0)),
-                ))
-            elif pending_kind == "murb":
-                scenario.scripted_microreboots.append(ScriptedMicroreboot(
-                    at_ms=int(pending["at"]),
-                    target=pending["target"],
-                    node=int(pending.get("node", 0)),
-                ))
-            elif pending_kind == "recovery":
-                scenario.scripted_recoveries.append(ScriptedRecovery(
-                    at_ms=int(pending["at"]),
-                    level=pending["level"],
-                    target=pending.get("target", ""),
-                    node=int(pending.get("node", 0)),
-                ))
-        except KeyError as exc:
-            raise ScenarioError(
-                f"line {pending_line}: [{pending_kind}] missing field {exc}") from None
+        cls, list_name, _, fixed, required = _EVENT_SECTIONS[section]
+        for key in required:
+            if pending_keys[key][0] not in pending:
+                raise ScenarioError(
+                    f"line {pending_line}: [{section}] missing field {key!r}")
+        getattr(scenario, list_name).append(cls(**pending, **fixed))
         pending = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -110,10 +102,13 @@ def parse_scenario(text: str) -> Scenario:
             name = line[1:-1]
             if name in _SECTION_TO_FIELD:
                 section = name
-            elif name in ("fault", "murb", "recovery"):
+            elif name in _EVENT_SECTIONS:
                 section = name
+                cls, _, renames, fixed, _ = _EVENT_SECTIONS[name]
+                types = typing.get_type_hints(cls)
                 pending = {}
-                pending_kind = name
+                pending_keys = {renames.get(f.name, f.name): (f.name, types[f.name])
+                                for f in dataclasses.fields(cls) if f.name not in fixed}
                 pending_line = lineno
             else:
                 raise ScenarioError(f"line {lineno}: unknown section [{name}]")
@@ -123,7 +118,10 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: expected 'key value'")
         key, value = parts
         if pending is not None:
-            pending[key] = value
+            if key not in pending_keys:
+                raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
+            field_name, field_type = pending_keys[key]
+            pending[field_name] = _coerce(value, field_type, lineno)
             continue
         if section is None:
             raise ScenarioError(f"line {lineno}: key outside any section")
@@ -188,10 +186,11 @@ def export_summary(world: World) -> dict:
                        if r.outcome == "error:session_lost")
 
     # Attribute failed work to fault-injection incidents by action resolution time.
+    # World numbers the faults of scenario.faults from 1, in list order.
     incidents = []
-    faults = sorted(scenario.faults, key=lambda f: f.inject_at_ms)
-    for i, fc in enumerate(faults):
-        window_end = faults[i + 1].inject_at_ms if i + 1 < len(faults) else 1 << 62
+    faults = sorted(enumerate(scenario.faults, start=1), key=lambda f: f[1].inject_at_ms)
+    for i, (fault_id, fc) in enumerate(faults):
+        window_end = faults[i + 1][1].inject_at_ms if i + 1 < len(faults) else 1 << 62
         bad_actions = [a for a in ledger.actions.values()
                        if a.status == "bad" and fc.inject_at_ms <= a.resolved_at < window_end]
         failed_requests = sum(len(a.requests) for a in bad_actions)
@@ -217,7 +216,7 @@ def export_summary(world: World) -> dict:
             "failed_actions": len(bad_actions),
             "post_recovery_session_lost": post_loss,
             "recovery_actions": recoveries,
-            "sessions_at_inject": world.fault_session_counts.get(fc.inject_at_ms, -1),
+            "sessions_at_inject": world.fault_session_counts.get(fault_id, -1),
         })
 
     episodes = [{
@@ -631,7 +630,7 @@ def preset_table6(seed: int) -> list[tuple[str, Scenario]]:
     at = 60_000
     for target in _TABLE6_TARGETS:
         for _ in range(_TABLE6_TRIALS):
-            murbs.append(ScriptedMicroreboot(at_ms=at, target=target))
+            murbs.append(ScriptedRecovery(at, "murb_group", target))
             at += 10_000
     duration = at + 30_000
     runs = []
@@ -642,7 +641,7 @@ def preset_table6(seed: int) -> list[tuple[str, Scenario]]:
         s.duration_ms = duration
         s.cluster = ClusterConfig(retries=retries, drain_delay_ms=drain)
         s.policy = PolicyConfig(enabled=False)
-        s.scripted_microreboots = list(murbs)
+        s.scripted_recoveries = list(murbs)
         runs.append((name, s))
     return runs
 

@@ -18,7 +18,6 @@ from .detect import FAULTY_APP_CHECK, FailureReport
 from .faultlib import LEVELS
 from .runtime import KIND_WEB
 
-LADDER = LEVELS
 
 @dataclass
 class RecoveryAction:
@@ -199,8 +198,7 @@ class RecoveryManager:
             self._finish_episode(episode, action.level, cured=True)
             return
         action.result = "persisted"
-        idx = LADDER.index(action.level)
-        next_level = LADDER[idx + 1]
+        next_level = LEVELS[LEVELS.index(action.level) + 1]
         members: frozenset[str] = frozenset()
         if next_level == "murb_web":
             registry = self.world.nodes[episode.node].registry
@@ -221,7 +219,6 @@ class RecoveryManager:
         del self.active[episode.node]
         if self._use_failover():
             self.world.lb.set_failover(episode.node, False)
-        self.world.episode_finished(episode)
 
 
 class RejuvenationService:

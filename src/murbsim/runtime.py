@@ -69,10 +69,6 @@ class RecoveryGroup:
     anchor: str
     members: frozenset[str]
 
-    @property
-    def cost_key(self) -> frozenset[str]:
-        return self.members
-
 
 @dataclass
 class GroupOverride:
@@ -160,11 +156,6 @@ class Registry:
             return Lookup(WRONG, state.binding_arg)
         return Lookup(BOUND)
 
-    def sentinel_remaining(self, name: str, now: int) -> int:
-        state = self.states[name]
-        rebind_at = state.binding_arg if isinstance(state.binding_arg, int) else now
-        return max(0, rebind_at - now)
-
     def bind_sentinel(self, members: frozenset[str], rebind_at: int) -> None:
         for m in members:
             st = self.states[m]
@@ -207,9 +198,6 @@ class Registry:
             st.binding_arg = others[0] if others else None
         else:
             raise ValueError(f"unknown corruption mode {mode}")
-
-    def microrebooting_members(self) -> set[str]:
-        return {n for n, st in self.states.items() if st.status == "microrebooting"}
 
 
 class HeapLedger:
@@ -343,7 +331,3 @@ def load_catalog(path: str = "") -> tuple[list[ComponentSpec], list[GroupOverrid
 
 def deploy(specs: list[ComponentSpec], overrides: list[GroupOverride] | None = None) -> Registry:
     return Registry(specs, overrides or [])
-
-
-def compute_recovery_group(registry: Registry, anchor: str) -> RecoveryGroup:
-    return registry.recovery_group(anchor)

@@ -135,7 +135,3 @@ class RngStream:
             else:
                 hi = mid
         return lo
-
-
-def fork_rng(parent: RngStream, label: str) -> RngStream:
-    return parent.fork(label)

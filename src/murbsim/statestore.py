@@ -12,7 +12,7 @@ Three stores with different survivability:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 READ_OK = "ok"
 READ_MISSING = "missing"
@@ -29,7 +29,6 @@ class SessionRecord:
     payload: bytes
     lease_expires_at: int
     checksum: int
-    home_store: str
 
 
 class SessionStore:
@@ -53,7 +52,6 @@ class SessionStore:
             payload=payload,
             lease_expires_at=now + self.lease_ms,
             checksum=checksum(payload),
-            home_store=self.kind,
         )
 
     def read(self, key: str, now: int) -> tuple[str, bytes | None]:
@@ -165,23 +163,3 @@ class TransactionalStore:
 
     def tainted_rows(self) -> list[str]:
         return sorted(k for k, r in self.rows.items() if r.tainted)
-
-
-@dataclass
-class StoreProfile:
-    kind: str
-    access_latency_ms: int
-    survives_murb: bool
-    survives_process_restart: bool
-    survives_node_reboot: bool
-
-
-def store_profile(store: SessionStore) -> StoreProfile:
-    external = store.kind == "external"
-    return StoreProfile(
-        kind=store.kind,
-        access_latency_ms=store.access_latency_ms,
-        survives_murb=True,
-        survives_process_restart=external,
-        survives_node_reboot=external,
-    )

@@ -173,7 +173,7 @@ class Client:
 
     __slots__ = ("client_id", "chain_state", "logged_in", "session_id",
                  "session_seq", "rng_transition", "rng_think", "action",
-                 "outstanding", "stopped")
+                 "stopped")
 
     def __init__(self, client_id: int, rng_root):
         self.client_id = client_id
@@ -185,7 +185,6 @@ class Client:
         self.rng_transition = stream.fork("transition")
         self.rng_think = stream.fork("think")
         self.action: Action | None = None
-        self.outstanding = False
         self.stopped = False
 
     def next_op_name(self, catalog: AppCatalog) -> str:

@@ -10,7 +10,7 @@ after the configured crash+init cost.
 from __future__ import annotations
 
 from . import runtime
-from .app import AppCatalog, OpType, Response, canonical_fingerprint, load_app_catalog
+from .app import AppCatalog, OpType, canonical_fingerprint, load_app_catalog
 from .cluster import LoadBalancer, Node, handle_sentinel
 from .config import Scenario
 from .detect import DetectorProfile, FailureReport, ReportChannel, classify_response
@@ -116,8 +116,7 @@ class World:
         self.action_log: list[dict] = []
         self.recovery_completions: list[tuple[int, int]] = []   # (time, node)
         self.last_release_by_holder: dict[str, int] = {}
-        self.fault_session_counts: dict[int, int] = {}          # inject time -> sessions on node
-        self._finished = False
+        self.fault_session_counts: dict[int, int] = {}          # fault id -> sessions on its node
 
         for fc in scenario.faults:
             spec = FaultSpec(
@@ -132,8 +131,6 @@ class World:
             )
             armed = self.fault_plan.register(spec)
             self.loop.schedule(spec.inject_at, lambda a=armed: self._arm_fault(a))
-        for sm in scenario.scripted_microreboots:
-            self.loop.schedule(sm.at_ms, lambda s=sm: self._scripted_murb(s))
         for sr in scenario.scripted_recoveries:
             self.loop.schedule(sr.at_ms, lambda s=sr: self._scripted_recovery(s))
 
@@ -155,7 +152,6 @@ class World:
         for client in self.clients:
             if client.action is not None and client.action.status == "pending":
                 self.ledger.abandon(client.action, duration)
-        self._finished = True
 
     def _schedule_gc(self) -> None:
         if self.loop.now + _GC_SWEEP_MS >= self.scenario.duration_ms:
@@ -455,17 +451,8 @@ class World:
         self.ledger.record_outcome(ctx.record, outcome, now,
                                    op.is_commit_point and outcome == OK)
 
-        variant = "divergent" if (outcome == OK and ctx.divergent) else ""
-        resp = Response(
-            op_name=op.name,
-            outcome=outcome,
-            body_fingerprint=canonical_fingerprint(op.name, str(client.client_id), variant),
-            latency_ms=now - ctx.record.issued_at,
-            node=ctx.node_id,
-            client_id=client.client_id,
-            request_id=ctx.record.request_id,
-        )
-        failure_class = classify_response(self.detector, resp, self._detector_rng)
+        failure_class = classify_response(self.detector, outcome, ctx.divergent,
+                                          self._detector_rng)
         if failure_class is not None:
             report = FailureReport(op.name, failure_class, now, client.client_id,
                                    ctx.node_id)
@@ -507,7 +494,7 @@ class World:
         armed.armed = True
         armed.active = True
         node = self.nodes[spec.node]
-        self.fault_session_counts[spec.inject_at] = sum(
+        self.fault_session_counts[spec.fault_id] = sum(
             1 for n in self.lb.affinity.values() if n == spec.node)
         if spec.fault_class == "corrupt_registry_entry":
             node.registry.corrupt_binding(spec.target, spec.mode)
@@ -560,11 +547,19 @@ class World:
     def murb(self, node_id: int, members: frozenset[str], on_complete=None,
              reason: str = "direct") -> None:
         node = self.nodes[node_id]
-        for op in self._active_murbs[node_id]:
-            if op.members & members:
-                if on_complete is not None:
-                    op.on_complete.append(on_complete)
-                return
+        active = self._active_murbs[node_id]
+        covering = next((op for op in active if members <= op.members), None)
+        if covering is not None:
+            if on_complete is not None:
+                covering.on_complete.append(on_complete)
+            return
+        overlapping = next((op for op in active if op.members & members), None)
+        if overlapping is not None:
+            # Members outside the running microreboot still need their own;
+            # start it once the overlapping one has rebound.
+            overlapping.on_complete.append(
+                lambda: self.murb(node_id, members, on_complete, reason))
+            return
         crash, init = node.registry.group_cost(members)
         drain = self.scenario.cluster.drain_delay_ms
         label = self._group_label(node, members)
@@ -675,11 +670,6 @@ class World:
         if on_complete is not None:
             on_complete()
 
-    def _scripted_murb(self, sm) -> None:
-        node = self.nodes[sm.node]
-        members = node.registry.groups[sm.target].members
-        self.murb(sm.node, members, reason="scripted")
-
     def _scripted_recovery(self, sr) -> None:
         members: frozenset[str] = frozenset()
         node = self.nodes[sr.node]
@@ -687,9 +677,6 @@ class World:
             anchor = sr.target or node.registry.web_component
             members = node.registry.groups[anchor].members
         self.execute_recovery(sr.node, sr.level, members, None, reason="scripted")
-
-    def episode_finished(self, episode) -> None:
-        pass                                  # hook for harness-level accounting
 
     def log_action(self, t: int, node: int, level: str, target: str,
                    duration: int, reason: str) -> None:

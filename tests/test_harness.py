@@ -4,8 +4,8 @@ import os
 import pytest
 
 from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
-                            PolicyConfig, Scenario, ScriptedMicroreboot,
-                            ScriptedRecovery, StoreConfig, WorkloadConfig)
+                            PolicyConfig, Scenario, ScriptedRecovery,
+                            StoreConfig, WorkloadConfig)
 from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, main,
                              parse_scenario, run_scenario, write_outputs)
@@ -20,6 +20,10 @@ def run_world(scenario):
 
 def quiet_policy():
     return PolicyConfig(enabled=False)
+
+
+def murb(at_ms, target):
+    return ScriptedRecovery(at_ms, "murb_group", target)
 
 
 class TestScenarioParsing:
@@ -52,12 +56,20 @@ level restart_process
         assert s.cluster.nodes == 2 and s.cluster.failover is True
         assert s.detector.kind == "comparison" and s.detector.fp_rate == 0.25
         assert s.faults[0].fault_class == "transient_exception"
-        assert s.scripted_microreboots[0].target == "BrowseCategories"
-        assert s.scripted_recoveries[0].level == "restart_process"
+        assert s.scripted_recoveries == [
+            ScriptedRecovery(2000, "murb_group", "BrowseCategories"),
+            ScriptedRecovery(3000, "restart_process")]
 
     def test_unknown_key_reports_line(self):
-        with pytest.raises(ScenarioError, match="line 3"):
-            parse_scenario("[cluster]\nnodes 2\nbogus 7\n")
+        for text, line in [
+            ("[cluster]\nnodes 2\nbogus 7\n", 3),
+            ("[fault]\nat 100\nclass transient_exception\nfail_probabilty 0.5\n", 4),
+            ("[recovery]\nat 100\nlevel restart_process\nnode first\n", 4),
+            ("[murb]\nat soon\ntarget Item\n", 2),
+            ("[murb]\nat 100\nlevel restart_process\n", 3),
+        ]:
+            with pytest.raises(ScenarioError, match=f"^line {line}: "):
+                parse_scenario(text)
 
     def test_missing_fault_field_reports_line(self):
         with pytest.raises(ScenarioError, match="class"):
@@ -72,7 +84,7 @@ class TestMicrorebootMachinery:
     def test_browse_categories_window_exactly_411(self):
         s = Scenario(duration_ms=30_000, seed=1, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=50)
-        s.scripted_microreboots = [ScriptedMicroreboot(10_000, "BrowseCategories")]
+        s.scripted_recoveries = [murb(10_000, "BrowseCategories")]
         w = run_world(s)
         entry = [a for a in w.action_log if a["target"] == "BrowseCategories"][0]
         assert entry["duration_ms"] == 411
@@ -82,7 +94,7 @@ class TestMicrorebootMachinery:
     def test_entity_group_window_exactly_825(self):
         s = Scenario(duration_ms=30_000, seed=1, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=50)
-        s.scripted_microreboots = [ScriptedMicroreboot(10_000, "Item")]
+        s.scripted_recoveries = [murb(10_000, "Item")]
         w = run_world(s)
         entry = [a for a in w.action_log if a["target"] == "EntityGroup"][0]
         assert entry["duration_ms"] == 825
@@ -91,28 +103,51 @@ class TestMicrorebootMachinery:
     def test_overlapping_requests_coalesce(self):
         s = Scenario(duration_ms=30_000, seed=1, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=10)
-        s.scripted_microreboots = [
-            ScriptedMicroreboot(10_000, "Item"),
-            ScriptedMicroreboot(10_100, "User"),    # same recovery group
-            ScriptedMicroreboot(10_200, "Bid"),
+        s.scripted_recoveries = [
+            murb(10_000, "Item"),
+            murb(10_100, "User"),    # same recovery group
+            murb(10_200, "Bid"),
         ]
         w = run_world(s)
         windows = [a for a in w.action_log if a["level"] == "murb_group"]
         assert len(windows) == 1
         assert w.nodes[0].registry.states["Item"].instance_pool_epoch == 1
 
+    def test_overlap_reboots_members_outside_the_running_murb(self):
+        # {ViewItem} is rebooting when {ViewItem, AboutMe} is asked for:
+        # AboutMe must not ride along on the narrower microreboot.
+        s = Scenario(duration_ms=10_000, seed=1, policy=quiet_policy())
+        s.workload = WorkloadConfig(clients_per_node=0)
+        w = World(s)
+        done = []
+        w.loop.schedule(1_000, lambda: w.murb(0, frozenset({"ViewItem"}),
+                                              lambda: done.append(("a", w.loop.now))))
+        wide = frozenset({"ViewItem", "AboutMe"})
+        w.loop.schedule(1_001, lambda: w.murb(0, wide,
+                                              lambda: done.append(("b", w.loop.now))))
+        # a request covered by a running microreboot joins it
+        w.loop.schedule(1_002, lambda: w.murb(0, frozenset({"ViewItem"}),
+                                              lambda: done.append(("c", w.loop.now))))
+        w.loop.run_until(10_000)
+        states = w.nodes[0].registry.states
+        wide_ms = sum(w.nodes[0].registry.group_cost(wide))
+        assert done == [("a", 1_446), ("c", 1_446), ("b", 1_446 + wide_ms)]
+        assert states["ViewItem"].instance_pool_epoch == 2
+        assert states["AboutMe"].instance_pool_epoch == 1
+        assert [(a["time_ms"], a["target"]) for a in w.action_log] == \
+            [(1_000, "ViewItem"), (1_446, "AboutMe,ViewItem")]
+
     def test_epoch_bumps_per_microreboot(self):
         s = Scenario(duration_ms=30_000, seed=1, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=10)
-        s.scripted_microreboots = [ScriptedMicroreboot(5_000, "ViewItem"),
-                                   ScriptedMicroreboot(15_000, "ViewItem")]
+        s.scripted_recoveries = [murb(5_000, "ViewItem"), murb(15_000, "ViewItem")]
         w = run_world(s)
         assert w.nodes[0].registry.states["ViewItem"].instance_pool_epoch == 2
 
     def test_inflight_aborts_match_replay_oracle(self):
         s = Scenario(duration_ms=60_000, seed=6, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=400)
-        s.scripted_microreboots = [ScriptedMicroreboot(30_000, "Item")]
+        s.scripted_recoveries = [murb(30_000, "Item")]
         w = run_world(s)
         members = w.nodes[0].registry.groups["Item"].members
         ops = w.catalog.ops
@@ -128,7 +163,7 @@ class TestMicrorebootMachinery:
     def test_components_outside_group_untouched(self):
         s = Scenario(duration_ms=30_000, seed=1, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=10)
-        s.scripted_microreboots = [ScriptedMicroreboot(10_000, "Item")]
+        s.scripted_recoveries = [murb(10_000, "Item")]
         w = World(s)
         w.loop.run_until(10_400)    # mid-window
         registry = w.nodes[0].registry
@@ -216,7 +251,7 @@ class TestMaskingAndSessions:
         s = Scenario(duration_ms=80_000, seed=8, policy=quiet_policy())
         s.cluster = ClusterConfig(retries=True)
         s.workload = WorkloadConfig(clients_per_node=300)
-        s.scripted_microreboots = [ScriptedMicroreboot(40_000, "ViewItem")]
+        s.scripted_recoveries = [murb(40_000, "ViewItem")]
         w = run_world(s)
         retried = [r for r in w.ledger.requests
                    if r.op_name == "ViewItem" and 40_000 <= r.issued_at < 40_446
@@ -228,7 +263,7 @@ class TestMaskingAndSessions:
         s = Scenario(duration_ms=80_000, seed=8, policy=quiet_policy())
         s.cluster = ClusterConfig(retries=True)
         s.workload = WorkloadConfig(clients_per_node=300)
-        s.scripted_microreboots = [ScriptedMicroreboot(40_000, "Item")]
+        s.scripted_recoveries = [murb(40_000, "Item")]
         w = run_world(s)
         window_fails = [r for r in w.ledger.requests
                         if 40_000 <= r.issued_at < 40_825
@@ -238,7 +273,7 @@ class TestMaskingAndSessions:
     def test_write_during_unrelated_murb_succeeds(self):
         s = Scenario(duration_ms=80_000, seed=8, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=300)
-        s.scripted_microreboots = [ScriptedMicroreboot(40_000, "OldItem")]
+        s.scripted_recoveries = [murb(40_000, "OldItem")]
         w = run_world(s)
         ok_sessioned = [r for r in w.ledger.requests
                         if 40_000 <= r.issued_at < 40_529 and r.outcome == "ok"
@@ -272,13 +307,19 @@ class TestMaskingAndSessions:
         w = World(s)
         w.loop.run_until(6_000)
         from murbsim.workload import Client
-        from murbsim.app import canonical_fingerprint
         client = Client(0, w.rng)
         w.run_single_request(client, "Login")
         rec = w.run_single_request(client, "ViewItem")
         assert rec.outcome == "ok"    # looks valid, but the content is wrong
         # the fast detector cannot see it; the divergence shows up on comparison
         assert w.channel.sent == 0
+
+        w.detector.kind = "comparison"
+        seen = []
+        w.channel.sink = seen.append
+        rec = w.run_single_request(client, "ViewItem")
+        assert rec.outcome == "ok"
+        assert [(r.op_name, r.failure_class) for r in seen] == [("ViewItem", "divergence")]
 
     def test_leak_accounting_exact(self):
         s = Scenario(duration_ms=90_000, seed=7, policy=quiet_policy())
@@ -295,14 +336,24 @@ class TestMaskingAndSessions:
     def test_committed_rows_only_for_successful_requests(self):
         s = Scenario(duration_ms=120_000, seed=13, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=300)
-        s.scripted_microreboots = [ScriptedMicroreboot(40_000 + i * 8_000, "Item")
-                                   for i in range(5)]
+        s.scripted_recoveries = [murb(40_000 + i * 8_000, "Item")
+                                 for i in range(5)]
         w = run_world(s)
         outcome_by_id = {r.request_id: r.outcome for r in w.ledger.requests}
         assert w.tx_store.rows, "expected committed transactions"
         for row_key in w.tx_store.rows:
             request_id = int(row_key.rsplit(":", 1)[1])
             assert outcome_by_id[request_id] == "ok"
+
+    def test_same_time_faults_count_their_own_node_sessions(self):
+        s = Scenario(duration_ms=60_000, seed=2, policy=quiet_policy())
+        s.cluster = ClusterConfig(nodes=2)
+        s.workload = WorkloadConfig(clients_per_node=100)
+        s.faults = [FaultConfig(40_000, "transient_exception", "AboutMe", node=n,
+                                fail_probability=0.0) for n in (0, 1)]
+        w = run_world(s)
+        sessions = [i["sessions_at_inject"] for i in export_summary(w)["incidents"]]
+        assert sessions == [91, 86]
 
     def test_zero_fault_run_has_zero_failures(self, baseline_run):
         assert baseline_run.ledger.totals()["bad_requests"] == 0
@@ -387,8 +438,8 @@ class TestOutputs:
     def test_summary_durations_equal_cost_model(self, tmp_path):
         s = Scenario(duration_ms=40_000, seed=1, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=20)
-        s.scripted_microreboots = [ScriptedMicroreboot(10_000, "Item")]
-        s.scripted_recoveries = [ScriptedRecovery(20_000, "restart_process")]
+        s.scripted_recoveries = [murb(10_000, "Item"),
+                                 ScriptedRecovery(20_000, "restart_process")]
         summary = run_scenario(s, str(tmp_path))
         durations = {(e["level"], e["target"]): e["duration_ms"]
                      for e in summary["recovery_log"]}
@@ -398,8 +449,8 @@ class TestOutputs:
     def test_functional_groups_isolated_during_murb(self, tmp_path):
         s = Scenario(duration_ms=120_000, seed=4, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=500)
-        s.scripted_microreboots = [
-            ScriptedMicroreboot(30_000 + i * 5_000, "RegisterNewUser")
+        s.scripted_recoveries = [
+            murb(30_000 + i * 5_000, "RegisterNewUser")
             for i in range(10)]
         w = run_world(s)
         from murbsim.harness import functional_group_timeline
@@ -444,6 +495,12 @@ class TestCli:
 
     def test_bad_scenario_exit_code(self, tmp_path, capsys):
         scenario = tmp_path / "bad.txt"
-        scenario.write_text("[cluster]\nwat 1\n")
-        assert main(["run", "--scenario", str(scenario),
-                     "--out", str(tmp_path / "o")]) == 2
+        for text, line in [
+            ("[cluster]\nwat 1\n", 2),
+            ("[fault]\nat 100\nclass transient_exception\nfail_probabilty 0.5\n", 4),
+            ("[murb]\nat soon\ntarget Item\n", 2),
+        ]:
+            scenario.write_text(text)
+            assert main(["run", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "o")]) == 2
+            assert f"line {line}: " in capsys.readouterr().err

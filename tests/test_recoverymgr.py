@@ -4,8 +4,8 @@ import pytest
 
 from murbsim.config import FaultConfig, Scenario, WorkloadConfig
 from murbsim.detect import FailureReport
-from murbsim.recoverymgr import (LADDER, ScoreBoard, detection_headroom,
-                                 fp_headroom)
+from murbsim.faultlib import LEVELS
+from murbsim.recoverymgr import ScoreBoard, detection_headroom, fp_headroom
 from murbsim.world import World
 
 
@@ -105,7 +105,7 @@ class TestLadder:
         w = World(s)
         w.run()
         episode = w.rm.episodes[0]
-        assert episode.levels == list(LADDER[:len(episode.levels)])
+        assert episode.levels == list(LEVELS[:len(episode.levels)])
         assert episode.terminal_level == "restart_process"
         assert episode.cured
 

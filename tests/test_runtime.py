@@ -3,8 +3,7 @@ import random
 import pytest
 
 from murbsim.runtime import (CatalogError, ComponentSpec, DeployError, HeapLedger,
-                             compute_recovery_group, deploy, load_catalog,
-                             parse_catalog)
+                             deploy, load_catalog, parse_catalog)
 
 ENTITY_GROUP = {"Category", "Region", "User", "Item", "Bid"}
 
@@ -15,7 +14,7 @@ def spec(name, deps=(), kind="stateless", crash=10, init=400, footprint=1000):
 
 class TestDeploy:
     def test_demo_catalog_entity_group(self, registry):
-        group = compute_recovery_group(registry, "Item")
+        group = registry.recovery_group("Item")
         assert set(group.members) == ENTITY_GROUP
         # every member anchors the same group
         for member in ENTITY_GROUP:
@@ -52,7 +51,7 @@ class TestRecoveryGroups:
 
     def test_unknown_anchor(self, registry):
         with pytest.raises(DeployError):
-            compute_recovery_group(registry, "Nope")
+            registry.recovery_group("Nope")
 
     def test_random_digraphs_match_reverse_reachability(self):
         rng = random.Random(20240501)

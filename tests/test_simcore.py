@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from murbsim.simcore import EventLoop, RngStream, SimError, fork_rng
+from murbsim.simcore import EventLoop, RngStream, SimError
 
 
 def test_schedule_at_now_dispatches_first():
@@ -76,7 +76,7 @@ def test_same_seed_same_dispatch_trace():
 
 def test_fork_deterministic_and_label_sensitive():
     root = RngStream(99)
-    a1 = fork_rng(root, "think")
+    a1 = root.fork("think")
     a2 = root.fork("think")
     b = root.fork("transition")
     seq_a1 = [a1.random() for _ in range(5)]

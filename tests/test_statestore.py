@@ -3,7 +3,7 @@ import random
 from hypothesis import given, strategies as st
 
 from murbsim.statestore import (READ_DISCARDED, READ_MISSING, READ_OK,
-                                SessionStore, TransactionalStore, store_profile)
+                                SessionStore, TransactionalStore)
 
 
 def make_store(kind="external", latency=13, lease=1000, verify=True):
@@ -72,16 +72,6 @@ class TestSessionStore:
                     store.gc(now)
                     assert set(store.records) == \
                         {k for k, e in expiry.items() if e > now}
-
-
-class TestSurvivability:
-    def test_profile_matrix(self):
-        inproc = store_profile(make_store(kind="in_process", verify=False))
-        ext = store_profile(make_store(kind="external"))
-        assert inproc.survives_murb and not inproc.survives_process_restart
-        assert not inproc.survives_node_reboot
-        assert ext.survives_murb and ext.survives_process_restart
-        assert ext.survives_node_reboot
 
 
 class TestTransactionalStore:
