@@ -84,12 +84,16 @@ def replay_classify(events):
 
 
 def digest_tree(root: str) -> str:
-    """sha256 over every file under `root`: names and bytes, in sorted order."""
+    """sha256 over every file under `root`, in sorted order: its path relative
+    to `root`, a NUL separator, then its bytes. Renaming a directory or moving
+    a file therefore changes the digest."""
     h = hashlib.sha256()
     for dirpath, dirnames, filenames in sorted(os.walk(root)):
         dirnames.sort()
         for name in sorted(filenames):
-            h.update(name.encode())
-            with open(os.path.join(dirpath, name), "rb") as fh:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            h.update(rel.encode() + b"\0")
+            with open(path, "rb") as fh:
                 h.update(fh.read())
     return h.hexdigest()

@@ -273,3 +273,10 @@ def test_golden_digest_under_fixed_hash_seed(hash_seed, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == golden_digest("fig5b")
+
+
+def test_digest_tree_covers_directory_paths(tmp_path):
+    for root, run in (("a", "run1"), ("b", "runX")):
+        (tmp_path / root / run).mkdir(parents=True)
+        (tmp_path / root / run / "f.csv").write_bytes(b"second,good\n0,1\n")
+    assert digest_tree(str(tmp_path / "a")) != digest_tree(str(tmp_path / "b"))
