@@ -35,7 +35,7 @@ def main() -> int:
     world = World(s)
     world.run()
     print(f"{'target':24s} {'window_ms':>9s} {'failed_requests':>15s}")
-    bad = [r for r in world.ledger.requests if r.final_class == "bad"]
+    bad = [r for r in world.ledger.records() if r.final_class == "bad"]
     for entry in world.action_log:
         t0, t1 = entry["time_ms"], entry["time_ms"] + 10_000
         failed = sum(1 for r in bad if t0 <= r.issued_at < t1)

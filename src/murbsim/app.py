@@ -9,6 +9,7 @@ workload's request mix.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
 
@@ -118,7 +119,8 @@ class TransitionMatrix:
                 raise OpCatalogError(f"matrix row {s} is not a probability distribution")
 
     def sample(self, state: str, rng) -> str:
-        return self.states[rng.choice_index(self.cumulative[state])]
+        # The last cumulative entry is 1.0, so the index is always in range.
+        return self.states[bisect_left(self.cumulative[state], rng.random())]
 
 
 def parse_matrix(text: str) -> TransitionMatrix:

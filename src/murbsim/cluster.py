@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import partial
 
 from .runtime import HeapLedger, Registry
 from .statestore import SessionStore
@@ -32,7 +33,7 @@ class CpuQueue:
     def submit(self, service_ms: int, done) -> None:
         if self.busy + self.pinned < self.slots:
             self.busy += 1
-            self.loop.after(service_ms, lambda e=self.epoch: self._finish(e, done))
+            self.loop.after(service_ms, partial(self._finish, self.epoch, done))
         else:
             self.queue.append((service_ms, done))
 
@@ -40,14 +41,15 @@ class CpuQueue:
         if epoch != self.epoch:
             return
         self.busy -= 1
-        self._pump()
+        if self.queue:
+            self._pump()
         done()
 
     def _pump(self) -> None:
         while self.queue and self.busy + self.pinned < self.slots:
             service_ms, done = self.queue.popleft()
             self.busy += 1
-            self.loop.after(service_ms, lambda e=self.epoch, d=done: self._finish(e, d))
+            self.loop.after(service_ms, partial(self._finish, self.epoch, done))
 
     def pin_slot(self) -> None:
         self.pinned += 1
@@ -74,7 +76,7 @@ class Node:
         self.registry = registry
         self.heap = heap
         self.in_process_store = in_process_store
-        self.status = NODE_UP
+        self.status = NODE_UP             # also sets `up`
         self.worker_capacity = workers
         self.workers_busy = 0
         self.worker_queue: deque = deque()
@@ -84,8 +86,13 @@ class Node:
         self.pumping = False              # re-entrancy guard for the worker queue
 
     @property
-    def up(self) -> bool:
-        return self.status == NODE_UP
+    def status(self) -> str:
+        return self._status
+
+    @status.setter
+    def status(self, value: str) -> None:
+        self._status = value
+        self.up = value == NODE_UP
 
     def reset_processing(self) -> None:
         self.workers_busy = 0
@@ -113,14 +120,13 @@ class LoadBalancer:
 
     def route(self, session_id: str | None) -> int | None:
         """Pick the serving node; None when nothing can take the request."""
+        home = self.affinity.get(session_id) if session_id else None
+        if home is not None and self.nodes[home].up and home not in self.failover_set:
+            return home
         eligible = self._eligible()
         if not eligible:
             return None
-        if session_id and session_id in self.affinity:
-            home = self.affinity[session_id]
-            node = self.nodes[home]
-            if node.up and home not in self.failover_set:
-                return home
+        if home is not None:
             temp = self.rehome.get(session_id)
             if temp is not None and temp in eligible:
                 return temp

@@ -13,14 +13,16 @@ import json
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left, bisect_right
 
 from .cluster import six_nines_budget
 from .config import (ClusterConfig, DetectorConfig, FaultConfig, PolicyConfig,
                      RejuvenationConfig, Scenario, ScriptedRecovery, StoreConfig,
                      WorkloadConfig)
+from .faultlib import LEVELS
 from .recoverymgr import detection_headroom, fp_headroom
-from .workload import latency_stats
+from .runtime import load_catalog
+from .workload import BAD, latency_stats
 from .world import World
 
 TAW_HEADER = "second,good_requests,bad_requests,good_actions,bad_actions"
@@ -56,6 +58,9 @@ _EVENT_SECTIONS = {
              {"level": "murb_group"}, ("at", "target")),
 }
 
+# Every recovery level but the hand-off to a human is an action the world runs.
+_SCRIPTED_LEVELS = tuple(level for level in LEVELS if level != "escalate_human")
+
 
 def _coerce(value: str, target_type, lineno: int):
     try:
@@ -80,6 +85,7 @@ def parse_scenario(text: str) -> Scenario:
     pending: dict[str, object] | None = None     # fields of the open event section
     pending_keys: dict[str, tuple[str, type]] = {}
     pending_line = 0
+    recovery_lines: list[tuple[int, str]] = []   # (line, section) per scripted recovery
 
     def flush_pending() -> None:
         nonlocal pending
@@ -91,6 +97,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(
                     f"line {pending_line}: [{section}] missing field {key!r}")
         getattr(scenario, list_name).append(cls(**pending, **fixed))
+        if list_name == "scripted_recoveries":
+            recovery_lines.append((pending_line, section))
         pending = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -142,7 +150,27 @@ def parse_scenario(text: str) -> Scenario:
             current = getattr(target, key)
             setattr(target, key, _coerce(value, type(current), lineno))
     flush_pending()
+    _check_scripted_recoveries(scenario, recovery_lines)
     return scenario
+
+
+def _check_scripted_recoveries(scenario: Scenario,
+                               lines: list[tuple[int, str]]) -> None:
+    """Reject a level, node or target the world could not act on, so a bad
+    event fails here rather than when the simulation reaches it."""
+    components = None
+    for (lineno, section), sr in zip(lines, scenario.scripted_recoveries):
+        where = f"line {lineno}: [{section}]"
+        if sr.level not in _SCRIPTED_LEVELS:
+            raise ScenarioError(f"{where} unknown level {sr.level!r}")
+        if not 0 <= sr.node < scenario.cluster.nodes:
+            raise ScenarioError(f"{where} node {sr.node} outside the cluster "
+                                f"of {scenario.cluster.nodes}")
+        if sr.target and sr.level in ("murb_group", "murb_web"):
+            if components is None:
+                components = {spec.name for spec in load_catalog(scenario.catalog_path)[0]}
+            if sr.target not in components:
+                raise ScenarioError(f"{where} unknown target component {sr.target!r}")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -167,12 +195,71 @@ def functional_group_timeline(world: World) -> dict[str, list[tuple[int, int]]]:
     failures spanning [issue, completion]."""
     raw: dict[str, list[tuple[int, int]]] = {}
     ops = world.catalog.ops
-    for req in world.ledger.requests:
-        if req.completed_at < 0 or req.outcome == "ok":
+    ledger = world.ledger
+    for op_name, issued, done, outcome in zip(ledger.op_name, ledger.issued_at,
+                                              ledger.completed_at, ledger.outcome):
+        if done < 0 or outcome == "ok":
             continue
-        group = ops[req.op_name].functional_group
-        raw.setdefault(group, []).append((req.issued_at, req.completed_at))
+        group = ops[op_name].functional_group
+        raw.setdefault(group, []).append((issued, done))
     return {g: _merge_intervals(v) for g, v in sorted(raw.items())}
+
+
+def _incidents(world: World) -> list[dict]:
+    """Failed work attributed to fault-injection incidents, in one pass.
+
+    Fault k's window runs from its inject time to the next fault's; of faults
+    injected together only the last has a non-empty window. A bad action
+    counts in the window of its resolution time. A session-lost request counts
+    in the window of its completion, once the first recovery completed after
+    that window's inject.
+    """
+    # World numbers the faults of scenario.faults from 1, in list order.
+    faults = sorted(enumerate(world.scenario.faults, start=1),
+                    key=lambda f: f[1].inject_at_ms)
+    if not faults:
+        return []
+    starts = [fc.inject_at_ms for _, fc in faults]
+    ends = starts[1:] + [1 << 62]
+
+    def window(t: int) -> int:
+        return bisect_right(starts, t) - 1       # -1: before the first inject
+
+    ledger = world.ledger
+    status, resolved = ledger.action_status, ledger.action_resolved_at
+    failed_actions, failed_requests, issued_in_window, post_loss = (
+        [0] * len(faults) for _ in range(4))
+    for action, size in enumerate(ledger.action_size):
+        if status[action] == BAD and (k := window(resolved[action])) >= 0:
+            failed_actions[k] += 1
+            failed_requests[k] += size
+    completions = sorted(t for t, _ in world.recovery_completions) + [1 << 62]
+    first_done = [completions[bisect_left(completions, s)] for s in starts]
+    for issued, done, action, outcome in zip(ledger.issued_at, ledger.completed_at,
+                                             ledger.action_of, ledger.outcome):
+        if status[action] == BAD and (k := window(resolved[action])) >= 0 \
+                and starts[k] <= issued < ends[k]:
+            issued_in_window[k] += 1
+        if outcome == "error:session_lost" and (k := window(done)) >= 0 \
+                and done >= first_done[k]:
+            post_loss[k] += 1
+    recoveries: list[list[dict]] = [[] for _ in faults]
+    for entry in world.action_log:
+        if (k := window(entry["time_ms"])) >= 0:
+            recoveries[k].append(entry)
+
+    return [{
+        "inject_ms": fc.inject_at_ms,
+        "fault_class": fc.fault_class,
+        "target": fc.target,
+        "mode": fc.mode,
+        "failed_requests": failed_requests[k],
+        "failed_requests_issued_in_window": issued_in_window[k],
+        "failed_actions": failed_actions[k],
+        "post_recovery_session_lost": post_loss[k],
+        "recovery_actions": recoveries[k],
+        "sessions_at_inject": world.fault_session_counts.get(fault_id, -1),
+    } for k, (fault_id, fc) in enumerate(faults)]
 
 
 def export_summary(world: World) -> dict:
@@ -182,42 +269,8 @@ def export_summary(world: World) -> dict:
     duration_s = scenario.duration_ms / 1000.0
     stats = latency_stats(ledger)
 
-    session_lost = sum(1 for r in ledger.requests
-                       if r.outcome == "error:session_lost")
-
-    # Attribute failed work to fault-injection incidents by action resolution time.
-    # World numbers the faults of scenario.faults from 1, in list order.
-    incidents = []
-    faults = sorted(enumerate(scenario.faults, start=1), key=lambda f: f[1].inject_at_ms)
-    for i, (fault_id, fc) in enumerate(faults):
-        window_end = faults[i + 1][1].inject_at_ms if i + 1 < len(faults) else 1 << 62
-        bad_actions = [a for a in ledger.actions.values()
-                       if a.status == "bad" and fc.inject_at_ms <= a.resolved_at < window_end]
-        failed_requests = sum(len(a.requests) for a in bad_actions)
-        failed_issued_in_window = sum(
-            1 for a in bad_actions for r in a.requests
-            if fc.inject_at_ms <= r.issued_at < window_end)
-        recoveries = [a for a in world.action_log
-                      if fc.inject_at_ms <= a["time_ms"] < window_end]
-        first_done = min((t for t, _ in world.recovery_completions
-                          if t >= fc.inject_at_ms), default=None)
-        post_loss = 0
-        if first_done is not None:
-            post_loss = sum(1 for r in ledger.requests
-                            if r.outcome == "error:session_lost"
-                            and first_done <= r.completed_at < window_end)
-        incidents.append({
-            "inject_ms": fc.inject_at_ms,
-            "fault_class": fc.fault_class,
-            "target": fc.target,
-            "mode": fc.mode,
-            "failed_requests": failed_requests,
-            "failed_requests_issued_in_window": failed_issued_in_window,
-            "failed_actions": len(bad_actions),
-            "post_recovery_session_lost": post_loss,
-            "recovery_actions": recoveries,
-            "sessions_at_inject": world.fault_session_counts.get(fault_id, -1),
-        })
+    session_lost = ledger.outcome.count("error:session_lost")
+    incidents = _incidents(world)
 
     episodes = [{
         "node": e.node,
@@ -286,11 +339,14 @@ def write_outputs(world: World, out_dir: str) -> dict:
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
 
+    ledger = world.ledger
     with open(os.path.join(out_dir, "latency.csv"), "w", encoding="utf-8") as fh:
         fh.write(LATENCY_HEADER + "\n")
-        for req in world.ledger.requests:
-            fh.write(f"{req.request_id},{req.op_name},{req.issued_at},"
-                     f"{req.latency_ms},{req.outcome}\n")
+        for request_id, (op_name, issued, done, outcome) in enumerate(zip(
+                ledger.op_name, ledger.issued_at, ledger.completed_at,
+                ledger.outcome), start=1):
+            latency = done - issued if done >= 0 else -1
+            fh.write(f"{request_id},{op_name},{issued},{latency},{outcome}\n")
 
     results = {}
     for episode in world.rm.episodes:
@@ -701,6 +757,9 @@ def run_preset(name: str, out_dir: str, seed: int = 1,
     jobs = [(run_name, scenario, out_dir) for run_name, scenario in runs]
     results: dict[str, dict] = {}
     if parallel and len(jobs) > 1:
+        # Imported here: the pool module costs every world's start-up otherwise.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(len(jobs), os.cpu_count() or 2)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for run_name, summary in pool.map(_run_one, jobs):

@@ -107,6 +107,8 @@ class Registry:
         self.specs: dict[str, ComponentSpec] = {s.name: s for s in specs}
         self.order: list[str] = names                      # catalog order
         self.states: dict[str, ComponentState] = {n: ComponentState() for n in names}
+        # Components whose lookup is not BOUND; the binding methods keep it.
+        self.impaired: set[str] = set()
         self.overrides = {o.members: o for o in overrides}
         self._dependents = self._reverse_edges()
         self.groups: dict[str, RecoveryGroup] = {
@@ -156,12 +158,20 @@ class Registry:
             return Lookup(WRONG, state.binding_arg)
         return Lookup(BOUND)
 
+    def _sync_impaired(self, name: str) -> None:
+        st = self.states[name]
+        if st.binding == BOUND and st.status != "stopped":
+            self.impaired.discard(name)
+        else:
+            self.impaired.add(name)
+
     def bind_sentinel(self, members: frozenset[str], rebind_at: int) -> None:
         for m in members:
             st = self.states[m]
             st.status = "microrebooting"
             st.binding = SENTINEL
             st.binding_arg = rebind_at
+        self.impaired.update(members)
 
     def rebind(self, members: frozenset[str]) -> None:
         for m in members:
@@ -170,12 +180,14 @@ class Registry:
             st.binding = BOUND
             st.binding_arg = None
             st.instance_pool_epoch += 1
+        self.impaired.difference_update(members)
 
     def stop_all(self) -> None:
         for st in self.states.values():
             st.status = "stopped"
             st.binding = NOT_BOUND
             st.binding_arg = None
+        self.impaired.update(self.states)
 
     def redeploy_all(self) -> None:
         for st in self.states.values():
@@ -183,6 +195,7 @@ class Registry:
             st.binding = BOUND
             st.binding_arg = None
             st.instance_pool_epoch = 0
+        self.impaired.clear()
 
     def corrupt_binding(self, name: str, mode: str) -> None:
         st = self.states[name]
@@ -198,6 +211,14 @@ class Registry:
             st.binding_arg = others[0] if others else None
         else:
             raise ValueError(f"unknown corruption mode {mode}")
+        self._sync_impaired(name)
+
+    def restore_binding(self, name: str) -> None:
+        """Undo a corrupted binding; a stopped component stays unbound."""
+        st = self.states[name]
+        st.binding = BOUND
+        st.binding_arg = None
+        self._sync_impaired(name)
 
 
 class HeapLedger:

@@ -104,34 +104,20 @@ class RngStream:
     sequences are independent of when (or how often) other forks happen.
     """
 
-    __slots__ = ("stream_id", "seed", "_rng")
+    __slots__ = ("stream_id", "seed", "_rng", "random")
 
     def __init__(self, seed: int, stream_id: str = "root"):
         self.stream_id = stream_id
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
         self._rng = random.Random(self.seed)
+        self.random = self._rng.random      # the generator's own bound method
 
     def fork(self, label: str) -> "RngStream":
         child_seed = _derive_seed(self.seed, label)
         return RngStream(child_seed, f"{self.stream_id}/{label}")
-
-    def random(self) -> float:
-        return self._rng.random()
 
     def randrange(self, n: int) -> int:
         return self._rng.randrange(n)
 
     def expovariate(self, mean: float) -> float:
         return self._rng.expovariate(1.0 / mean)
-
-    def choice_index(self, cumulative: list[float]) -> int:
-        """Index into a cumulative-probability table (last entry ~1.0)."""
-        x = self._rng.random()
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo

@@ -117,8 +117,6 @@ class TransactionalStore:
 
     def __init__(self) -> None:
         self.rows: dict[str, TxRecord] = {}
-        self.committed = 0
-        self.aborted = 0
 
     def begin(self, owner: str) -> Transaction:
         return Transaction(owner)
@@ -129,13 +127,11 @@ class TransactionalStore:
         for key, value in tx.writes:
             self.rows[key] = TxRecord(key, value, tainted=tx.taint)
         tx.state = TX_COMMITTED
-        self.committed += 1
         return TX_COMMITTED
 
     def abort(self, tx: Transaction) -> str:
         if tx.state == "open":
             tx.state = TX_ABORTED
-            self.aborted += 1
         return tx.state
 
     def execute(self, writes: list[tuple[str, bytes]], owner: str,

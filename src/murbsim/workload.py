@@ -9,6 +9,9 @@ open when a session ends without either outcome count toward neither tally.
 
 from __future__ import annotations
 
+from array import array
+from typing import Iterator, NamedTuple
+
 from .app import AppCatalog
 
 GOOD = "good"
@@ -17,142 +20,141 @@ PENDING = "pending"
 ABANDONED = "abandoned"
 
 
-class RequestRecord:
-    __slots__ = ("request_id", "client_id", "session_id", "action_id", "op_name",
-                 "issued_at", "completed_at", "outcome", "ttl_ms", "final_class",
-                 "latency_ms")
+class RequestView(NamedTuple):
+    """One request read back from the ledger: a copy, not a live record."""
 
-    def __init__(self, request_id: int, client_id: int, session_id: str,
-                 action_id: int, op_name: str, issued_at: int, ttl_ms: int):
-        self.request_id = request_id
-        self.client_id = client_id
-        self.session_id = session_id
-        self.action_id = action_id
-        self.op_name = op_name
-        self.issued_at = issued_at
-        self.completed_at = -1
-        self.outcome = ""
-        self.latency_ms = -1
-        self.ttl_ms = ttl_ms
-        self.final_class = PENDING
+    request_id: int          # 1-based, as in latency.csv
+    action: int              # action handle
+    op_name: str
+    issued_at: int
+    completed_at: int        # -1 while in flight
+    outcome: str             # "" while in flight
+    final_class: str
 
-
-class Action:
-    __slots__ = ("action_id", "client_id", "requests", "status", "resolved_at")
-
-    def __init__(self, action_id: int, client_id: int):
-        self.action_id = action_id
-        self.client_id = client_id
-        self.requests: list[RequestRecord] = []
-        self.status = PENDING
-        self.resolved_at = -1
+    @property
+    def latency_ms(self) -> int:
+        return self.completed_at - self.issued_at if self.completed_at >= 0 else -1
 
 
 class TawLedger:
-    """Per-second good/bad request and action tallies with retroactive
-    reclassification at action resolution."""
+    """Per-second good/bad request and action tallies, kept as columns.
+
+    Requests and actions are int handles into parallel columns, so no object
+    per request outlives its completion. A request only joins a pending
+    action, and resolving an action classifies all of its requests at once,
+    so a request's final class is its action's status, read when needed.
+    """
 
     def __init__(self) -> None:
-        self.requests: list[RequestRecord] = []
-        self.actions: dict[int, Action] = {}
-        self._next_request = 0
-        self._next_action = 0
+        # one entry per request
+        self.op_name: list[str] = []
+        self.issued_at = array("q")
+        self.completed_at = array("q")
+        self.outcome: list[str] = []
+        self.action_of = array("q")
+        # one entry per action
+        self.action_status: list[str] = []
+        self.action_resolved_at = array("q")
+        self.action_size = array("q")
 
-    def new_action(self, client_id: int) -> Action:
-        self._next_action += 1
-        action = Action(self._next_action, client_id)
-        self.actions[action.action_id] = action
-        return action
+    def new_action(self) -> int:
+        self.action_status.append(PENDING)
+        self.action_resolved_at.append(-1)
+        self.action_size.append(0)
+        return len(self.action_status) - 1
 
-    def new_request(self, client_id: int, session_id: str, action: Action,
-                    op_name: str, issued_at: int, ttl_ms: int) -> RequestRecord:
-        self._next_request += 1
-        req = RequestRecord(self._next_request, client_id, session_id,
-                            action.action_id, op_name, issued_at, ttl_ms)
-        self.requests.append(req)
-        action.requests.append(req)
-        return req
+    def new_request(self, action: int, op_name: str, issued_at: int) -> int:
+        if self.action_status[action] != PENDING:
+            raise RuntimeError(f"action {action} already resolved")
+        self.action_size[action] += 1
+        self.op_name.append(op_name)
+        self.issued_at.append(issued_at)
+        self.completed_at.append(-1)
+        self.outcome.append("")
+        self.action_of.append(action)
+        return len(self.action_of) - 1
 
-    def record_outcome(self, req: RequestRecord, outcome: str, completed_at: int,
+    def record_outcome(self, req: int, outcome: str, completed_at: int,
                        is_commit_point: bool) -> str:
         """Attach a completed request; returns the action's status afterwards."""
-        req.outcome = outcome
-        req.completed_at = completed_at
-        req.latency_ms = completed_at - req.issued_at
-        action = self.actions[req.action_id]
-        if action.status != PENDING:
-            raise RuntimeError(f"action {action.action_id} already resolved")
+        self.outcome[req] = outcome
+        self.completed_at[req] = completed_at
+        action = self.action_of[req]
+        status = self.action_status[action]
+        if status != PENDING:
+            raise RuntimeError(f"action {action} already resolved")
         if outcome != "ok":
-            self._resolve(action, BAD, completed_at)
+            status = BAD
         elif is_commit_point:
-            self._resolve(action, GOOD, completed_at)
-        return action.status
+            status = GOOD
+        else:
+            return status
+        self.action_status[action] = status
+        self.action_resolved_at[action] = completed_at
+        return status
 
-    def _resolve(self, action: Action, status: str, at: int) -> None:
-        action.status = status
-        action.resolved_at = at
-        for req in action.requests:
-            req.final_class = status
-
-    def abandon(self, action: Action, at: int) -> None:
+    def abandon(self, action: int, at: int) -> None:
         """Session ended with no commit attempt and no failure."""
-        if action.status == PENDING:
-            action.status = ABANDONED
-            action.resolved_at = at
-            for req in action.requests:
-                req.final_class = ABANDONED
+        if self.action_status[action] == PENDING:
+            self.action_status[action] = ABANDONED
+            self.action_resolved_at[action] = at
 
-    def unresolved_actions(self) -> list[Action]:
-        return [a for a in self.actions.values() if a.status == PENDING]
+    def record(self, req: int) -> RequestView:
+        action = self.action_of[req]
+        return RequestView(req + 1, action, self.op_name[req], self.issued_at[req],
+                           self.completed_at[req], self.outcome[req],
+                           self.action_status[action])
+
+    def records(self) -> Iterator[RequestView]:
+        """Every request in issue order, built lazily; for tests and scripts."""
+        return map(self.record, range(len(self.action_of)))
 
     def taw_series(self, duration_ms: int) -> list[tuple[int, int, int, int, int]]:
         """(second, good_requests, bad_requests, good_actions, bad_actions) rows."""
-        if self.unresolved_actions():
+        if PENDING in self.action_status:
             raise RuntimeError("ledger has unresolved actions; drain the run first")
-        completions = [r.completed_at for r in self.requests if r.completed_at >= 0]
-        if not completions and duration_ms == 0:
+        last_completion = max(self.completed_at, default=-1)
+        if last_completion < 0 and duration_ms == 0:
             return []
-        last_completion = max(completions, default=0)
-        seconds = max((duration_ms + 999) // 1000, (last_completion // 1000) + 1)
+        seconds = max((duration_ms + 999) // 1000, max(last_completion, 0) // 1000 + 1)
         rows = [[s, 0, 0, 0, 0] for s in range(seconds)]
-        for req in self.requests:
-            if req.completed_at < 0:
+        status = self.action_status
+        for done, action in zip(self.completed_at, self.action_of):
+            if done < 0:
                 continue
-            sec = req.completed_at // 1000
-            if req.final_class == GOOD:
-                rows[sec][1] += 1
-            elif req.final_class == BAD:
-                rows[sec][2] += 1
-        for action in self.actions.values():
-            if action.resolved_at < 0:
-                continue
-            sec = action.resolved_at // 1000
-            if action.status == GOOD:
-                rows[sec][3] += 1
-            elif action.status == BAD:
-                rows[sec][4] += 1
+            cls = status[action]
+            if cls == GOOD:
+                rows[done // 1000][1] += 1
+            elif cls == BAD:
+                rows[done // 1000][2] += 1
+        for cls, at in zip(status, self.action_resolved_at):
+            if cls == GOOD:
+                rows[at // 1000][3] += 1
+            elif cls == BAD:
+                rows[at // 1000][4] += 1
         return [tuple(r) for r in rows]
 
     def totals(self) -> dict[str, int]:
-        good = sum(1 for r in self.requests if r.final_class == GOOD)
-        bad = sum(1 for r in self.requests if r.final_class == BAD)
-        neither = sum(1 for r in self.requests if r.final_class == ABANDONED)
-        good_actions = sum(1 for a in self.actions.values() if a.status == GOOD)
-        bad_actions = sum(1 for a in self.actions.values() if a.status == BAD)
+        requests = {GOOD: 0, BAD: 0, ABANDONED: 0, PENDING: 0}
+        actions = dict(requests)
+        for cls, size in zip(self.action_status, self.action_size):
+            requests[cls] += size
+            actions[cls] += 1
         return {
-            "completed_requests": sum(1 for r in self.requests if r.completed_at >= 0),
-            "good_requests": good,
-            "bad_requests": bad,
-            "abandoned_requests": neither,
-            "good_actions": good_actions,
-            "bad_actions": bad_actions,
+            "completed_requests": len(self.completed_at) - self.completed_at.count(-1),
+            "good_requests": requests[GOOD],
+            "bad_requests": requests[BAD],
+            "abandoned_requests": requests[ABANDONED],
+            "good_actions": actions[GOOD],
+            "bad_actions": actions[BAD],
         }
 
 
 def latency_stats(ledger: TawLedger, threshold_ms: int = 8_000) -> dict[str, float]:
     """Latency statistics over completed, non-failed requests."""
-    lat = sorted(r.latency_ms for r in ledger.requests
-                 if r.completed_at >= 0 and r.outcome == "ok")
+    lat = sorted(done - issued for done, issued, outcome
+                 in zip(ledger.completed_at, ledger.issued_at, ledger.outcome)
+                 if done >= 0 and outcome == "ok")
     if not lat:
         return {"count": 0, "mean": 0.0, "p95": 0.0, "count_over_threshold": 0}
     p95 = lat[min(len(lat) - 1, max(0, (95 * len(lat) + 99) // 100 - 1))]
@@ -184,7 +186,7 @@ class Client:
         stream = rng_root.fork(f"client/{client_id}")
         self.rng_transition = stream.fork("transition")
         self.rng_think = stream.fork("think")
-        self.action: Action | None = None
+        self.action: int | None = None     # ledger handle of the open action
         self.stopped = False
 
     def next_op_name(self, catalog: AppCatalog) -> str:
@@ -198,7 +200,7 @@ class Client:
         return name
 
     def think_ms(self, mean_ms: int, max_ms: int) -> int:
-        return sample_think_ms(self.rng_think, mean_ms, max_ms)
+        return min(int(self.rng_think.expovariate(float(mean_ms))), max_ms)
 
     def begin_session(self) -> str:
         self.session_seq += 1

@@ -9,9 +9,11 @@ after the configured crash+init cost.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import runtime
 from .app import AppCatalog, OpType, canonical_fingerprint, load_app_catalog
-from .cluster import LoadBalancer, Node, handle_sentinel
+from .cluster import NODE_RESTARTING, NODE_UP, LoadBalancer, Node, handle_sentinel
 from .config import Scenario
 from .detect import DetectorProfile, FailureReport, ReportChannel, classify_response
 from .faultlib import ArmedFault, FaultPlan, FaultSpec, RecoveryScope
@@ -19,7 +21,7 @@ from .recoverymgr import RecoveryManager, RejuvenationService
 from .runtime import HeapLedger, load_catalog
 from .simcore import EventLoop, RngStream
 from .statestore import READ_DISCARDED, READ_MISSING, SessionStore, TransactionalStore
-from .workload import Client, TawLedger
+from .workload import PENDING, Client, RequestView, TawLedger
 
 OK = "ok"
 ERR_CONNECTION = "error:connection"
@@ -32,15 +34,17 @@ _GC_SWEEP_MS = 10_000
 
 
 class _ReqCtx:
-    __slots__ = ("record", "op", "client", "node_id", "path_set", "state",
+    """A request in flight; the ledger keeps what outlives its completion."""
+
+    __slots__ = ("req", "issued_at", "op", "client", "node_id", "state",
                  "retried", "divergent", "taint", "ttl_handle")
 
-    def __init__(self, record, op: OpType, client: Client):
-        self.record = record
+    def __init__(self, req: int, issued_at: int, op: OpType, client: Client):
+        self.req = req           # ledger handle
+        self.issued_at = issued_at
         self.op = op
         self.client = client
         self.node_id = -1
-        self.path_set = None
         self.state = "new"       # new | queued | active | parked | done
         self.retried = False
         self.divergent = False
@@ -83,6 +87,8 @@ class World:
                                            st.session_lease_ms, verify_checksums=True)
         self.tx_store = TransactionalStore()
         self.lb = LoadBalancer(self.nodes, self.rng.fork("lb"))
+        self._external_sessions = st.session_store == "external"
+        self._path_sets = {op.name: frozenset(op.path) for op in self.catalog.op_list}
 
         self.detector = DetectorProfile(
             kind=scenario.detector.kind,
@@ -130,9 +136,9 @@ class World:
                 fail_probability=fc.fail_probability,
             )
             armed = self.fault_plan.register(spec)
-            self.loop.schedule(spec.inject_at, lambda a=armed: self._arm_fault(a))
+            self.loop.schedule(spec.inject_at, partial(self._arm_fault, armed))
         for sr in scenario.scripted_recoveries:
-            self.loop.schedule(sr.at_ms, lambda s=sr: self._scripted_recovery(s))
+            self.loop.schedule(sr.at_ms, partial(self._scripted_recovery, sr))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -142,7 +148,7 @@ class World:
             first = client.think_ms(self.scenario.workload.think_mean_ms,
                                     self.scenario.workload.think_max_ms)
             self.loop.schedule(min(first, max(duration - 1, 0)),
-                               lambda c=client: self._client_tick(c))
+                               partial(self._client_tick, client))
         if self.scenario.rejuvenation.enabled:
             for node in self.nodes:
                 self._schedule_rejuvenation_poll(node.node_id)
@@ -150,7 +156,7 @@ class World:
         self.loop.run_until(duration)
         self.loop.drain()
         for client in self.clients:
-            if client.action is not None and client.action.status == "pending":
+            if client.action is not None:
                 self.ledger.abandon(client.action, duration)
 
     def _schedule_gc(self) -> None:
@@ -170,7 +176,7 @@ class World:
         poll = self.scenario.rejuvenation.poll_ms
         if self.loop.now + poll >= self.scenario.duration_ms:
             return
-        self.loop.after(poll, lambda: self._rejuvenation_poll(node_id))
+        self.loop.after(poll, partial(self._rejuvenation_poll, node_id))
 
     def _rejuvenation_poll(self, node_id: int) -> None:
         self.rejuvenators[node_id].tick(self.loop.now)
@@ -182,19 +188,21 @@ class World:
         if client.stopped or self.loop.now >= self.scenario.duration_ms:
             client.stopped = True
             return
-        op_name = client.next_op_name(self.catalog)
-        op = self.catalog.ops[op_name]
-        if client.action is None or client.action.status != "pending":
-            client.action = self.ledger.new_action(client.client_id)
-        record = self.ledger.new_request(
-            client.client_id, client.session_id, client.action, op_name,
-            self.loop.now, self.scenario.workload.request_ttl_ms)
-        ctx = _ReqCtx(record, op, client)
-        self._route_and_admit(ctx)
+        self._route_and_admit(self._issue(client, client.next_op_name(self.catalog)))
+
+    def _issue(self, client: Client, op_name: str) -> _ReqCtx:
+        """Enter a request in the ledger, in the client's open action."""
+        ledger = self.ledger
+        action = client.action
+        if action is None or ledger.action_status[action] != PENDING:
+            action = client.action = ledger.new_action()
+        now = self.loop.now
+        return _ReqCtx(ledger.new_request(action, op_name, now), now,
+                       self.catalog.ops[op_name], client)
 
     def _route_and_admit(self, ctx: _ReqCtx) -> None:
-        session = ctx.client.session_id if ctx.client.logged_in else None
-        node_id = self.lb.route(session)
+        client = ctx.client
+        node_id = self.lb.route(client.session_id if client.logged_in else None)
         if node_id is None:
             self._complete(ctx, ERR_CONNECTION)
             return
@@ -212,7 +220,7 @@ class World:
 
     def _release_worker(self, node: Node) -> None:
         node.workers_busy -= 1
-        if node.pumping:
+        if node.pumping or not node.worker_queue:
             return
         node.pumping = True
         try:
@@ -236,28 +244,30 @@ class World:
             return
         registry = node.registry
         op = ctx.op
-        for comp in op.path:
-            look = registry.lookup(comp)
-            if look.state == runtime.BOUND:
-                continue
-            if look.state == runtime.SENTINEL:
-                self._sentinel_hit(ctx, node, comp)
-                return
-            if look.state == runtime.NOT_BOUND:
-                self._fail_in_worker(ctx, node, ERR_UNAVAILABLE)
-                return
-            # wrong binding: an unusable target errs overtly, a plausible one
-            # silently serves the wrong content
-            if look.arg is None:
-                self._fail_in_worker(ctx, node, ERR_EXCEPTION)
-                return
-            ctx.divergent = True
+        impaired = registry.impaired
+        if impaired:
+            # Every component outside `impaired` looks up BOUND.
+            for comp in op.path:
+                if comp not in impaired:
+                    continue
+                look = registry.lookup(comp)
+                if look.state == runtime.SENTINEL:
+                    self._sentinel_hit(ctx, node, comp)
+                    return
+                if look.state == runtime.NOT_BOUND:
+                    self._fail_in_worker(ctx, node, ERR_UNAVAILABLE)
+                    return
+                # wrong binding: an unusable target errs overtly, a plausible
+                # one silently serves the wrong content
+                if look.arg is None:
+                    self._fail_in_worker(ctx, node, ERR_EXCEPTION)
+                    return
+                ctx.divergent = True
         hooks = self._fault_hooks[ctx.node_id]
         if hooks["any"] and not self._apply_fault_hooks(ctx, node, hooks):
             return
-        ctx.path_set = op.path if isinstance(op.path, frozenset) else frozenset(op.path)
-        node.inflight[ctx] = ctx.path_set
-        node.cpu.submit(op.service_ms_mean, lambda: self._cpu_done(ctx))
+        node.inflight[ctx] = self._path_sets[op.name]
+        node.cpu.submit(op.service_ms_mean, partial(self._cpu_done, ctx))
 
     def _sentinel_hit(self, ctx: _ReqCtx, node: Node, comp: str) -> None:
         cl = self.scenario.cluster
@@ -267,7 +277,7 @@ class World:
             ctx.retried = True
             self._release_worker(node)
             ctx.state = "new"
-            self.loop.after(delay, lambda: self._route_and_admit(ctx))
+            self.loop.after(delay, partial(self._route_and_admit, ctx))
         else:
             self._fail_in_worker(ctx, node, ERR_UNAVAILABLE)
 
@@ -346,9 +356,9 @@ class World:
                 armed.spec.fault_id not in self._pinned_faults:
             self._pinned_faults.add(armed.spec.fault_id)
             node.cpu.pin_slot()
-        deadline = ctx.record.issued_at + ctx.record.ttl_ms
+        deadline = ctx.issued_at + self.scenario.workload.request_ttl_ms
         ctx.ttl_handle = self.loop.schedule(
-            max(deadline, self.loop.now), lambda: self._ttl_abort(ctx))
+            max(deadline, self.loop.now), partial(self._ttl_abort, ctx))
 
     def _ttl_abort(self, ctx: _ReqCtx) -> None:
         if ctx.state != "parked":
@@ -380,21 +390,21 @@ class World:
                 if status in (READ_MISSING, READ_DISCARDED):
                     outcome = ERR_SESSION
                 else:
-                    hit = self._inproc_session_symptom(ctx, node, client.session_id)
+                    hit = self._inproc_session_symptom(ctx, client.session_id)
                     if hit is not None:
                         outcome = hit
                     elif touch == "update":
                         store_ms += store.access_latency_ms
                         store.write(client.session_id, payload, self.loop.now)
         if store_ms > 0:
-            self.loop.after(store_ms, lambda: self._finalize(ctx, outcome))
+            self.loop.after(store_ms, partial(self._finalize, ctx, outcome))
         else:
             self._finalize(ctx, outcome)
 
-    def _inproc_session_symptom(self, ctx: _ReqCtx, node: Node, key: str) -> str | None:
-        if self.scenario.stores.session_store != "in_process":
-            return None
+    def _inproc_session_symptom(self, ctx: _ReqCtx, key: str) -> str | None:
         hooks = self._fault_hooks[ctx.node_id]
+        if not hooks["any"] or self.scenario.stores.session_store != "in_process":
+            return None
         for armed in hooks["inproc_session"]:
             if armed.spec.target and armed.spec.target != key:
                 continue
@@ -409,7 +419,7 @@ class World:
             return                        # aborted while waiting on a store
         op = ctx.op
         if outcome == OK and op.tx_writes:
-            row = f"{op.name}:{ctx.record.request_id}"
+            row = f"{op.name}:{ctx.req + 1}"
             value = canonical_fingerprint(op.name, str(ctx.client.client_id)).encode()
             owner = op.path[1] if len(op.path) > 1 else op.path[0]
             self.tx_store.execute([(row, value)], owner=owner, taint=ctx.taint)
@@ -419,7 +429,7 @@ class World:
         self._complete(ctx, outcome)
 
     def _session_store(self, node: Node) -> SessionStore:
-        if self.scenario.stores.session_store == "external":
+        if self._external_sessions:
             return self.external_store
         return node.in_process_store
 
@@ -448,23 +458,27 @@ class World:
             self.lb.forget(client.session_id)
             client.end_session()
 
-        self.ledger.record_outcome(ctx.record, outcome, now,
+        self.ledger.record_outcome(ctx.req, outcome, now,
                                    op.is_commit_point and outcome == OK)
 
-        failure_class = classify_response(self.detector, outcome, ctx.divergent,
-                                          self._detector_rng)
-        if failure_class is not None:
-            report = FailureReport(op.name, failure_class, now, client.client_id,
-                                   ctx.node_id)
-            self.channel.report(report, self.detector.t_det_ms)
+        # A healthy, faithful response draws nothing unless false positives
+        # are configured, so the detector is skipped for it.
+        detector = self.detector
+        if outcome != OK or ctx.divergent or detector.fp_rate > 0.0:
+            failure_class = classify_response(detector, outcome, ctx.divergent,
+                                              self._detector_rng)
+            if failure_class is not None:
+                report = FailureReport(op.name, failure_class, now, client.client_id,
+                                       ctx.node_id)
+                self.channel.report(report, detector.t_det_ms)
 
         if not client.stopped:
             if now >= self.scenario.duration_ms:
                 client.stopped = True
             else:
-                think = client.think_ms(self.scenario.workload.think_mean_ms,
-                                        self.scenario.workload.think_max_ms)
-                self.loop.after(think, lambda: self._client_tick(client))
+                workload = self.scenario.workload
+                think = client.think_ms(workload.think_mean_ms, workload.think_max_ms)
+                self.loop.after(think, partial(self._client_tick, client))
 
     # -- fault arming ---------------------------------------------------------
 
@@ -512,9 +526,7 @@ class World:
         armed = self.fault_plan.clear(fault_id)
         spec = armed.spec
         if spec.fault_class == "corrupt_registry_entry":
-            st = self.nodes[spec.node].registry.states[spec.target]
-            st.binding = runtime.BOUND
-            st.binding_arg = None
+            self.nodes[spec.node].registry.restore_binding(spec.target)
         self._unpin_if_needed(armed)
         self._rebuild_fault_hooks()
 
@@ -558,7 +570,7 @@ class World:
             # Members outside the running microreboot still need their own;
             # start it once the overlapping one has rebound.
             overlapping.on_complete.append(
-                lambda: self.murb(node_id, members, on_complete, reason))
+                partial(self.murb, node_id, members, on_complete, reason))
             return
         crash, init = node.registry.group_cost(members)
         drain = self.scenario.cluster.drain_delay_ms
@@ -572,8 +584,8 @@ class World:
         node.registry.bind_sentinel(members, rebind_at)
         self.log_action(t0, node_id, "murb_web" if node.registry.web_component in members
                         else "murb_group", label, crash + init, reason)
-        self.loop.schedule(t0 + drain, lambda: self._murb_destroy(murb_op))
-        self.loop.schedule(rebind_at, lambda: self._murb_rebind(murb_op))
+        self.loop.schedule(t0 + drain, partial(self._murb_destroy, murb_op))
+        self.loop.schedule(rebind_at, partial(self._murb_rebind, murb_op))
 
     def _group_label(self, node: Node, members: frozenset[str]) -> str:
         for override in node.registry.overrides.values():
@@ -626,7 +638,7 @@ class World:
         self.log_action(t0, node_id, level, f"node{node_id}", cost, reason)
         err = ERR_UNAVAILABLE if level == "restart_application" else ERR_CONNECTION
         if level != "restart_application":
-            node.status = "restarting"     # before aborts, so pumped work fails fast
+            node.status = NODE_RESTARTING   # before aborts, so pumped work fails fast
         node.registry.stop_all()
         for ctx in list(node.inflight):
             node.inflight.pop(ctx, None)
@@ -653,12 +665,12 @@ class World:
                 self.lb.forget(sid)
         if level == "reboot_node":
             node.heap.os_leak_bytes = 0
-        self.loop.after(cost, lambda: self._restart_done(node_id, level, on_complete))
+        self.loop.after(cost, partial(self._restart_done, node_id, level, on_complete))
 
     def _restart_done(self, node_id: int, level: str, on_complete) -> None:
         node = self.nodes[node_id]
         node.registry.redeploy_all()
-        node.status = "up"
+        node.status = NODE_UP
         scope = RecoveryScope(level, frozenset(node.registry.specs), node_id,
                               includes_web=True)
         cured = self.fault_plan.apply_recovery(scope, self._recovery_history)
@@ -687,19 +699,14 @@ class World:
 
     # -- inspection helpers (tests, summaries) --------------------------------
 
-    def run_single_request(self, client: Client, op_name: str):
+    def run_single_request(self, client: Client, op_name: str) -> RequestView:
         """Drive one operation to completion; test helper, not the hot path."""
-        op = self.catalog.ops[op_name]
-        if client.action is None or client.action.status != "pending":
-            client.action = self.ledger.new_action(client.client_id)
-        record = self.ledger.new_request(
-            client.client_id, client.session_id, client.action, op_name,
-            self.loop.now, self.scenario.workload.request_ttl_ms)
-        ctx = _ReqCtx(record, op, client)
+        ctx = self._issue(client, op_name)
         client.stopped = True          # suppress the follow-up think event
         self._route_and_admit(ctx)
         guard = 0
-        while record.completed_at < 0 and self.loop.pending() and guard < 10_000:
+        while self.ledger.completed_at[ctx.req] < 0 and self.loop.pending() and \
+                guard < 10_000:
             self.loop.run_until(self.loop.now + 1_000)
             guard += 1
-        return record
+        return self.ledger.record(ctx.req)

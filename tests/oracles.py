@@ -31,7 +31,8 @@ def random_trace(seed: int, n_events: int, n_clients: int = 20):
 
 
 def drive_ledger(events):
-    """Feed a trace through the ledger the way the world does."""
+    """Feed a trace through the ledger the way the world does; returns the
+    ledger and the request handles in completion order."""
     ledger = TawLedger()
     open_actions = {}
     reqs = []
@@ -43,10 +44,9 @@ def drive_ledger(events):
             continue
         action = open_actions.get(client)
         if action is None:
-            action = ledger.new_action(client)
+            action = ledger.new_action()
             open_actions[client] = action
-        req = ledger.new_request(client, f"s{client}", action, "Op",
-                                 issued_at=max(t - 1, 0), ttl_ms=30_000)
+        req = ledger.new_request(action, "Op", issued_at=max(t - 1, 0))
         reqs.append(req)
         outcome = "error:exception" if kind == "fail" else "ok"
         status = ledger.record_outcome(req, outcome, t, kind == "ok_commit")

@@ -173,7 +173,7 @@ def test_criterion_10_oracle_equivalence():
         events = random_trace(seed, 10_000)
         ledger, reqs = drive_ledger(events)
         expected = replay_classify(events)
-        got = [r.final_class for r in reqs]
+        got = [ledger.record(r).final_class for r in reqs]
         assert got == expected, f"ledger mismatch at seed {seed}"
 
     rng = random.Random(0xC0FFEE)

@@ -71,6 +71,19 @@ level restart_process
             with pytest.raises(ScenarioError, match=f"^line {line}: "):
                 parse_scenario(text)
 
+    def test_scripted_recovery_checked_against_cluster_and_catalog(self):
+        for text, line, message in [
+            ("[murb]\nat 100\ntarget Nope\n", 1, "unknown target component 'Nope'"),
+            ("[recovery]\nat 100\nlevel murb_web\ntarget Nope\n", 1, "unknown target"),
+            ("[recovery]\nat 100\nlevel reboot\n", 1, "unknown level 'reboot'"),
+            ("[cluster]\nnodes 2\n[murb]\nat 100\ntarget Item\nnode 2\n", 3,
+             "node 2 outside the cluster of 2"),
+        ]:
+            with pytest.raises(ScenarioError, match=f"^line {line}: .*{message}"):
+                parse_scenario(text)
+        # a non-microreboot level ignores its target, as the world does
+        parse_scenario("[recovery]\nat 100\nlevel restart_process\ntarget Nope\n")
+
     def test_missing_fault_field_reports_line(self):
         with pytest.raises(ScenarioError, match="class"):
             parse_scenario("[fault]\nat 100\n")
@@ -152,7 +165,7 @@ class TestMicrorebootMachinery:
         members = w.nodes[0].registry.groups["Item"].members
         ops = w.catalog.ops
         t0 = 30_000
-        spanning = [r for r in w.ledger.requests
+        spanning = [r for r in w.ledger.records()
                     if r.issued_at < t0 <= r.completed_at]
         for r in spanning:
             if set(ops[r.op_name].path) & members:
@@ -189,7 +202,7 @@ class TestFullRestart:
         assert entry["duration_ms"] == 19_083
         assert w.recovery_completions == [(49_083, 0)]
         # in-process sessions did not survive; clients had to log back in
-        assert any(r.outcome == "error:session_lost" for r in w.ledger.requests)
+        assert any(r.outcome == "error:session_lost" for r in w.ledger.records())
 
     def test_application_restart_keeps_in_process_store(self):
         s = Scenario(duration_ms=60_000, seed=2, policy=quiet_policy())
@@ -198,7 +211,7 @@ class TestFullRestart:
         w = run_world(s)
         entry = [a for a in w.action_log if a["level"] == "restart_application"][0]
         assert entry["duration_ms"] == 7_699
-        assert not any(r.outcome == "error:session_lost" for r in w.ledger.requests)
+        assert not any(r.outcome == "error:session_lost" for r in w.ledger.records())
 
     def test_node_reboot_with_zero_boot_cost_equals_process_restart(self):
         outcomes = {}
@@ -253,7 +266,7 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=300)
         s.scripted_recoveries = [murb(40_000, "ViewItem")]
         w = run_world(s)
-        retried = [r for r in w.ledger.requests
+        retried = [r for r in w.ledger.records()
                    if r.op_name == "ViewItem" and 40_000 <= r.issued_at < 40_446
                    and r.outcome == "ok"]
         assert retried, "no masked request found in the window"
@@ -265,7 +278,7 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=300)
         s.scripted_recoveries = [murb(40_000, "Item")]
         w = run_world(s)
-        window_fails = [r for r in w.ledger.requests
+        window_fails = [r for r in w.ledger.records()
                         if 40_000 <= r.issued_at < 40_825
                         and r.outcome == "error:component_unavailable"]
         assert any(not w.catalog.ops[r.op_name].idempotent for r in window_fails)
@@ -275,7 +288,7 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=300)
         s.scripted_recoveries = [murb(40_000, "OldItem")]
         w = run_world(s)
-        ok_sessioned = [r for r in w.ledger.requests
+        ok_sessioned = [r for r in w.ledger.records()
                         if 40_000 <= r.issued_at < 40_529 and r.outcome == "ok"
                         and w.catalog.ops[r.op_name].session_touch == "update"]
         assert ok_sessioned
@@ -288,7 +301,7 @@ class TestMaskingAndSessions:
         s.policy = PolicyConfig(recovery_mode="restart")
         w = run_world(s)
         assert w.rm.episodes and w.rm.episodes[0].terminal_level == "restart_process"
-        assert not any(r.outcome == "error:session_lost" for r in w.ledger.requests)
+        assert not any(r.outcome == "error:session_lost" for r in w.ledger.records())
 
     def test_external_store_latency_delta(self):
         means = {}
@@ -329,7 +342,7 @@ class TestMaskingAndSessions:
         w = run_world(s)
         free_before = w.nodes[0].heap.capacity - w.nodes[0].heap.footprint_total
         invocations = sum(
-            1 for r in w.ledger.requests
+            1 for r in w.ledger.records()
             if r.issued_at >= 30_000 and "ViewItem" in w.catalog.ops[r.op_name].path)
         assert free_before - w.nodes[0].heap.free == 10_000 * invocations
 
@@ -339,7 +352,7 @@ class TestMaskingAndSessions:
         s.scripted_recoveries = [murb(40_000 + i * 8_000, "Item")
                                  for i in range(5)]
         w = run_world(s)
-        outcome_by_id = {r.request_id: r.outcome for r in w.ledger.requests}
+        outcome_by_id = {r.request_id: r.outcome for r in w.ledger.records()}
         assert w.tx_store.rows, "expected committed transactions"
         for row_key in w.tx_store.rows:
             request_id = int(row_key.rsplit(":", 1)[1])
@@ -364,7 +377,7 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=200)
         s.faults = [FaultConfig(20_000, "transient_exception", "ViewItem")]
         w = run_world(s)
-        failed = [r for r in w.ledger.requests if r.outcome != "ok"]
+        failed = [r for r in w.ledger.records() if r.outcome != "ok"]
         assert failed
         for r in failed:
             assert "ViewItem" in w.catalog.ops[r.op_name].path
@@ -393,7 +406,7 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=100)
         s.faults = [FaultConfig(30_000, "deadlock", "MakeBid")]
         w = run_world(s)
-        stuck = [r for r in w.ledger.requests if r.outcome == "error:ttl_expired"]
+        stuck = [r for r in w.ledger.records() if r.outcome == "error:ttl_expired"]
         assert stuck
         for r in stuck:
             assert r.completed_at == r.issued_at + 30_000
@@ -434,6 +447,45 @@ class TestOutputs:
             assert (tmp_path / name).exists(), name
         assert (tmp_path / "taw.csv").read_text().splitlines()[0] == TAW_HEADER
         assert (tmp_path / "timeline.csv").read_text().splitlines()[0] == TIMELINE_HEADER
+
+    def test_incidents_match_per_fault_scan(self):
+        # Two faults injected together (the first gets an empty window), and
+        # a third injected while clients still find the sessions a process
+        # restart lost, some before and some after its own recovery.
+        s = Scenario(duration_ms=90_000, seed=3)
+        s.workload = WorkloadConfig(clients_per_node=150)
+        s.faults = [FaultConfig(20_000, "transient_exception", "BrowseCategories"),
+                    FaultConfig(20_000, "transient_exception", "ViewItem"),
+                    FaultConfig(52_000, "transient_exception", "Item")]
+        s.scripted_recoveries = [ScriptedRecovery(30_000, "restart_process")]
+        w = run_world(s)
+        records = list(w.ledger.records())
+        actions: dict[int, list] = {}
+        for r in records:
+            actions.setdefault(r.action, []).append(r)
+        bad = {a: rs for a, rs in actions.items() if rs[0].final_class == "bad"}
+        starts = [f.inject_at_ms for f in s.faults] + [1 << 62]
+        expected = []
+        for start, end in zip(starts, starts[1:]):
+            in_window = [rs for a, rs in bad.items()
+                         if start <= w.ledger.action_resolved_at[a] < end]
+            first_done = min((t for t, _ in w.recovery_completions if t >= start),
+                             default=1 << 62)
+            expected.append((
+                sum(len(rs) for rs in in_window),
+                sum(1 for rs in in_window for r in rs if start <= r.issued_at < end),
+                len(in_window),
+                sum(1 for r in records if r.outcome == "error:session_lost"
+                    and first_done <= r.completed_at < end),
+                [e for e in w.action_log if start <= e["time_ms"] < end]))
+        got = [(i["failed_requests"], i["failed_requests_issued_in_window"],
+                i["failed_actions"], i["post_recovery_session_lost"],
+                i["recovery_actions"]) for i in export_summary(w)["incidents"]]
+        assert got == expected
+        assert got[0][0] == 0 and got[1][0] > 0 and got[2][0] > 0
+        lost = [r.completed_at for r in records if r.outcome == "error:session_lost"]
+        first_done = min(t for t, _ in w.recovery_completions if t >= 52_000)
+        assert got[2][3] > 0 and any(52_000 <= t < first_done for t in lost)
 
     def test_summary_durations_equal_cost_model(self, tmp_path):
         s = Scenario(duration_ms=40_000, seed=1, policy=quiet_policy())
@@ -499,6 +551,9 @@ class TestCli:
             ("[cluster]\nwat 1\n", 2),
             ("[fault]\nat 100\nclass transient_exception\nfail_probabilty 0.5\n", 4),
             ("[murb]\nat soon\ntarget Item\n", 2),
+            # once simulated to t=3000 and then a KeyError traceback
+            ("[scenario]\nduration_ms 5000\n[workload]\nclients_per_node 5\n"
+             "[murb]\nat 3000\ntarget Nope\n", 5),
         ]:
             scenario.write_text(text)
             assert main(["run", "--scenario", str(scenario),

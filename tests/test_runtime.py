@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from murbsim.runtime import (CatalogError, ComponentSpec, DeployError, HeapLedger,
                              deploy, load_catalog, parse_catalog)
@@ -115,6 +116,37 @@ class TestLookup:
 
     def test_unknown_name_not_bound(self, registry):
         assert registry.lookup("Nope").state == "not_bound"
+
+    def test_restore_binding_keeps_stopped_component_unbound(self, registry):
+        registry.stop_all()
+        registry.corrupt_binding("ViewItem", "wrong")
+        registry.restore_binding("ViewItem")
+        assert registry.lookup("ViewItem").state == "not_bound"
+        assert "ViewItem" in registry.impaired
+
+
+_DEMO_SPECS, _DEMO_OVERRIDES = load_catalog()
+_DEMO_NAMES = sorted(s.name for s in _DEMO_SPECS)
+_names = st.sampled_from(_DEMO_NAMES)
+_binding_ops = st.one_of(
+    st.tuples(st.just("bind_sentinel"), st.frozensets(_names, min_size=1), st.integers(0, 10**6)),
+    st.tuples(st.just("rebind"), st.frozensets(_names, min_size=1)),
+    st.tuples(st.just("stop_all")),
+    st.tuples(st.just("redeploy_all")),
+    st.tuples(st.just("corrupt_binding"), _names, st.sampled_from(["null", "invalid", "wrong"])),
+    st.tuples(st.just("restore_binding"), _names),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_binding_ops, max_size=30))
+def test_impaired_set_tracks_lookups(ops):
+    """Registry.impaired is exactly the set of components whose lookup is not
+    BOUND, after any sequence of binding changes."""
+    reg = deploy(_DEMO_SPECS, _DEMO_OVERRIDES)
+    for name, *args in ops:
+        getattr(reg, name)(*args)
+        assert reg.impaired == {n for n in reg.specs if reg.lookup(n).state != "bound"}
 
 
 class TestCatalogParsing:

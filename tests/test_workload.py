@@ -17,6 +17,13 @@ class TestThinkTime:
         assert max(draws) <= 70_000
 
 
+    def test_client_draws_match_helper(self):
+        client = Client(4, RngStream(3))
+        reference = RngStream(3).fork("client/4").fork("think")
+        assert [client.think_ms(7_000, 70_000) for _ in range(1_000)] == \
+            [sample_think_ms(reference, 7_000, 70_000) for _ in range(1_000)]
+
+
 class TestClientChain:
     def test_logout_leads_to_new_login(self):
         catalog = load_app_catalog()
@@ -63,11 +70,11 @@ class TestClientChain:
 class TestLedger:
     def test_commit_failure_reclassifies_earlier_seconds(self):
         ledger = TawLedger()
-        action = ledger.new_action(1)
+        action = ledger.new_action()
         for t_s in (5, 7):
-            req = ledger.new_request(1, "s", action, "Op", t_s * 1000 - 50, 30_000)
+            req = ledger.new_request(action, "Op", t_s * 1000 - 50)
             ledger.record_outcome(req, "ok", t_s * 1000, False)
-        req = ledger.new_request(1, "s", action, "Op", 8_950, 30_000)
+        req = ledger.new_request(action, "Op", 8_950)
         ledger.record_outcome(req, "error:exception", 9_000, True)
         rows = ledger.taw_series(10_000)
         by_second = {r[0]: r for r in rows}
@@ -78,9 +85,9 @@ class TestLedger:
 
     def test_all_ok_action_counts_good(self):
         ledger = TawLedger()
-        action = ledger.new_action(1)
+        action = ledger.new_action()
         for t_s in (1, 2, 3):
-            req = ledger.new_request(1, "s", action, "Op", t_s * 1000 - 10, 30_000)
+            req = ledger.new_request(action, "Op", t_s * 1000 - 10)
             ledger.record_outcome(req, "ok", t_s * 1000, t_s == 3)
         totals = ledger.totals()
         assert totals["good_requests"] == 3
@@ -88,8 +95,8 @@ class TestLedger:
 
     def test_abandoned_actions_count_nowhere(self):
         ledger = TawLedger()
-        action = ledger.new_action(1)
-        req = ledger.new_request(1, "s", action, "Op", 0, 30_000)
+        action = ledger.new_action()
+        req = ledger.new_request(action, "Op", 0)
         ledger.record_outcome(req, "ok", 100, False)
         ledger.abandon(action, 200)
         totals = ledger.totals()
@@ -98,18 +105,41 @@ class TestLedger:
 
     def test_series_requires_resolution(self):
         ledger = TawLedger()
-        action = ledger.new_action(1)
-        req = ledger.new_request(1, "s", action, "Op", 0, 30_000)
+        action = ledger.new_action()
+        req = ledger.new_request(action, "Op", 0)
         ledger.record_outcome(req, "ok", 100, False)
         with pytest.raises(RuntimeError):
             ledger.taw_series(1_000)
+
+    def test_request_cannot_join_resolved_action(self):
+        # A request's class is read from its action, which is sound only
+        # because no request joins an action after it resolved.
+        ledger = TawLedger()
+        action = ledger.new_action()
+        req = ledger.new_request(action, "Op", 0)
+        ledger.record_outcome(req, "ok", 100, True)
+        with pytest.raises(RuntimeError):
+            ledger.new_request(action, "Op", 200)
+        with pytest.raises(RuntimeError):
+            ledger.record_outcome(req, "ok", 300, True)
+
+    def test_record_view(self):
+        ledger = TawLedger()
+        action = ledger.new_action()
+        done = ledger.new_request(action, "Login", 40)
+        ledger.record_outcome(done, "ok", 55, False)
+        open_req = ledger.new_request(action, "ViewItem", 60)
+        assert ledger.record(done) == (1, action, "Login", 40, 55, "ok", "pending")
+        assert ledger.record(done).latency_ms == 15
+        assert ledger.record(open_req).latency_ms == -1
+        assert [r.request_id for r in ledger.records()] == [1, 2]
 
     def test_random_trace_matches_replay_oracle(self):
         for seed in range(30):
             events = random_trace(seed, 2_000)
             ledger, reqs = drive_ledger(events)
             expected = replay_classify(events)
-            assert [r.final_class for r in reqs] == expected
+            assert [ledger.record(r).final_class for r in reqs] == expected
 
     def test_conservation(self):
         events = random_trace(123, 5_000)
@@ -127,17 +157,21 @@ class TestLedger:
 def test_action_atomicity_property(seed, n_events):
     events = random_trace(seed, n_events, n_clients=5)
     ledger, _ = drive_ledger(events)
-    for action in ledger.actions.values():
-        classes = {r.final_class for r in action.requests}
-        assert len(classes) <= 1
+    classes: dict[int, set[str]] = {}
+    sizes: dict[int, int] = {}
+    for r in ledger.records():
+        classes.setdefault(r.action, set()).add(r.final_class)
+        sizes[r.action] = sizes.get(r.action, 0) + 1
+    assert all(len(c) == 1 for c in classes.values())
+    assert all(ledger.action_size[a] == n for a, n in sizes.items())
 
 
 class TestLatencyStats:
     def test_instant_requests_none_over_threshold(self):
         ledger = TawLedger()
-        action = ledger.new_action(1)
+        action = ledger.new_action()
         for i in range(10):
-            req = ledger.new_request(1, "s", action, "Op", i * 1000, 30_000)
+            req = ledger.new_request(action, "Op", i * 1000)
             ledger.record_outcome(req, "ok", i * 1000, False)
         stats = latency_stats(ledger)
         assert stats["count_over_threshold"] == 0
@@ -145,8 +179,8 @@ class TestLatencyStats:
 
     def test_failed_requests_excluded(self):
         ledger = TawLedger()
-        action = ledger.new_action(1)
-        req = ledger.new_request(1, "s", action, "Op", 0, 30_000)
+        action = ledger.new_action()
+        req = ledger.new_request(action, "Op", 0)
         ledger.record_outcome(req, "error:exception", 9_000, False)
         assert latency_stats(ledger)["count"] == 0
 
