@@ -16,7 +16,6 @@ class TestThinkTime:
         assert abs(mean - 7_000) / 7_000 < 0.05
         assert max(draws) <= 70_000
 
-
     def test_client_draws_match_helper(self):
         client = Client(4, RngStream(3))
         reference = RngStream(3).fork("client/4").fork("think")
