@@ -225,6 +225,31 @@ class TestFullRestart:
             outcomes[level] = (entry["duration_ms"], w.ledger.totals())
         assert outcomes["restart_process"] == outcomes["reboot_node"]
 
+    @pytest.mark.parametrize("level, duration_ms, outcome, os_leak_after", [
+        ("restart_application", 7_699, "error:component_unavailable", 5_000),
+        ("restart_process", 19_083, "error:connection", 5_000),
+        ("reboot_node", 79_083, "error:connection", 0),
+    ])
+    def test_level_cost_aborts_and_os_leak(self, level, duration_ms, outcome,
+                                           os_leak_after):
+        s = Scenario(duration_ms=60_000, seed=2, policy=quiet_policy())
+        s.workload = WorkloadConfig(clients_per_node=500)
+        w = World(s)
+        node = w.nodes[0]
+        node.heap.os_leak_bytes = 5_000
+        caught = []
+
+        def restart():
+            caught.extend(ctx.req for ctx in node.inflight)
+            w.full_restart(0, level)
+
+        w.loop.schedule(30_000, restart)
+        w.run()
+        assert caught
+        assert {w.ledger.record(r).outcome for r in caught} == {outcome}
+        assert [a["duration_ms"] for a in w.action_log] == [duration_ms]
+        assert node.heap.os_leak_bytes == os_leak_after
+
     def test_process_restart_equivalent_to_murb_all_plus_store_wipe(self):
         def state_fingerprint(w):
             reg = w.nodes[0].registry
