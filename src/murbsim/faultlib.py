@@ -1,51 +1,56 @@
-"""Fault injection: taxonomy, symptom generation hooks, cure semantics.
+"""Fault injection: the fault-class and recovery-level tables, cure semantics.
 
-Each fault class carries a minimum cure level as ground truth; the recovery
+`FAULT_CLASSES` and `RECOVERY_LEVELS` are the only places that spell out a
+fault class or a recovery level; everything else reads their records. Each
+fault class carries a minimum cure level as ground truth; the recovery
 machinery clears a fault only when an action of sufficient level covers the
-fault's target. Symptom generation itself happens inside request execution
-(world.py) by consulting the armed-fault index built here.
+fault's target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
-# Recovery levels in escalation order.
-LEVELS = ("murb_group", "murb_web", "restart_application",
-          "restart_process", "reboot_node", "escalate_human")
+# Outcomes that faults and recovery actions give requests.
+ERR_CONNECTION = "error:connection"
+ERR_UNAVAILABLE = "error:component_unavailable"
+ERR_EXCEPTION = "error:exception"
+
+
+@dataclass(frozen=True)
+class Level:
+    name: str
+    rank: int | None              # escalation order; None: a human takes over
+    microreboot: bool
+    cost_fields: tuple[str, ...]  # ClusterConfig fields summed for a restart's cost
+    abort_outcome: str            # what the requests it cuts off complete with
+
+
+MURB_GROUP = Level("murb_group", 1, True, (), ERR_UNAVAILABLE)
+MURB_WEB = Level("murb_web", 2, True, (), ERR_UNAVAILABLE)
+RESTART_APPLICATION = Level("restart_application", 3, False, ("app_restart_ms",), ERR_UNAVAILABLE)
+RESTART_PROCESS = Level("restart_process", 4, False, ("process_restart_ms",), ERR_CONNECTION)
+REBOOT_NODE = Level("reboot_node", 5, False, ("process_restart_ms", "os_boot_ms"), ERR_CONNECTION)
+ESCALATE_HUMAN = Level("escalate_human", None, False, (), "")
+
+# By name, in escalation order.
+RECOVERY_LEVELS = {lv.name: lv for lv in (MURB_GROUP, MURB_WEB, RESTART_APPLICATION,
+                                           RESTART_PROCESS, REBOOT_NODE, ESCALATE_HUMAN)}
+LEVELS = tuple(RECOVERY_LEVELS)
+
 
 # Cure levels (minimum scope that actually clears the fault).
 CURE_SELF = "self_clearing"
 CURE_COMPONENT = "component"
 CURE_COMPONENT_WEB = "component_and_web"
 CURE_WEB = "web"
-CURE_APPLICATION = "application"
 CURE_PROCESS = "process"
 CURE_NODE = "node"
 CURE_MANUAL = "manual"
 
-# Symptom visibility.
-OVERT = "overt"
-WRONG_VALUE = "wrong_value"
-SILENT_UNTIL_EXHAUSTION = "silent_until_exhaustion"
-
-CORRUPTION_CLASSES = frozenset({
-    "corrupt_primary_key", "corrupt_registry_entry", "corrupt_tx_map",
-    "corrupt_stateless_attr", "corrupt_inproc_session",
-    "corrupt_external_session", "corrupt_db_row",
-})
-
-LEAK_CLASSES = frozenset({
-    "app_memory_leak", "leak_outside_app_intra_process", "leak_outside_process",
-})
-
-_ACTION_RANK = {
-    "murb_group": 1,
-    "murb_web": 2,
-    "restart_application": 3,
-    "restart_process": 4,
-    "reboot_node": 5,
-}
+# Cure levels that any action of at least this rank meets.
+_MIN_RANK = {CURE_PROCESS: RESTART_PROCESS.rank, CURE_NODE: REBOOT_NODE.rank}
 
 
 class FaultError(Exception):
@@ -56,50 +61,164 @@ class FaultError(Exception):
 class CureProfile:
     min_cure_level: str
     requires_manual_data_repair: bool
-    symptom_visibility: str
+
+
+# -- request symptoms ----------------------------------------------------------
+# symptom(armed, ctx, node, rng) runs on a request at the fault's hook site. It
+# returns None to let the request go on, PARK to hang it until its TTL or a
+# reboot, or the error outcome the request fails with.
+
+PARK = "park"
+
+
+def _hang(armed, ctx, node, rng):
+    return PARK
+
+
+def _spin(armed, ctx, node, rng):
+    """A hang that also holds one CPU slot per fault until it is cured."""
+    if not armed.pinned:
+        armed.pinned = True
+        node.cpu.pin_slot()
+    return PARK
+
+
+def _throw(armed, ctx, node, rng):
+    p = armed.spec.fail_probability
+    if p >= 1.0 or rng.random() < p:
+        return ERR_EXCEPTION
+    return None
+
+
+def _leak_heap(armed, ctx, node, rng):
+    spec = armed.spec
+    node.heap.charge(spec.target, spec.bytes_per_invoke, resource_id=f"leak:{spec.fault_id}")
+    return ERR_EXCEPTION if node.heap.free <= 0 else None
+
+
+def _leak_unattributed(armed, ctx, node, rng):
+    spec = armed.spec
+    node.heap.charge("unattributed", spec.bytes_per_invoke,
+                     resource_id=f"leak:{spec.fault_id}", via_runtime=False)
+    return ERR_EXCEPTION if node.heap.free <= 0 else None
+
+
+def _leak_os(armed, ctx, node, rng):
+    heap = node.heap
+    heap.os_leak_bytes += armed.spec.bytes_per_invoke
+    return ERR_EXCEPTION if heap.os_leak_bytes >= heap.capacity else None
+
+
+def _corrupt_tx(armed, ctx, node, rng):
+    """Only writes touch the bad key or map: they fail, or commit wrong rows."""
+    if ctx.op.tx_writes:
+        if armed.spec.mode != "wrong":
+            return ERR_EXCEPTION
+        ctx.divergent = ctx.taint = True
+    return None
+
+
+def _corrupt_attr(armed, ctx, node, rng):
+    if armed.spec.mode == "wrong":
+        ctx.divergent = True
+        return None
+    armed.active = False      # the bad attribute is replaced after the first failing call
+    return ERR_EXCEPTION
+
+
+def _stale_row(armed, ctx, node, rng):
+    if not ctx.op.tx_writes:
+        ctx.divergent = True
+    return None
+
+
+def _corrupt_session(armed, ctx, node, rng):
+    if armed.spec.mode == "wrong":
+        ctx.divergent = True
+        return None
+    return ERR_EXCEPTION
+
+
+# -- one-shot effects when a fault is armed or cleared: effect(world, armed) ----
+
+def _corrupt_binding(world, armed) -> None:
+    spec = armed.spec
+    world.nodes[spec.node].registry.corrupt_binding(spec.target, spec.mode)
+
+
+def _restore_binding(world, armed) -> None:
+    spec = armed.spec
+    world.nodes[spec.node].registry.restore_binding(spec.target)
+
+
+def _corrupt_external(world, armed) -> None:
+    spec = armed.spec
+    store = world.external_store
+    # Empty target flips bits across the whole store.
+    for key in [spec.target] if spec.target else sorted(store.records):
+        store.corrupt(key, spec.mode or "invalid")
+    armed.active = False          # one-shot: checksums take it from here
+
+
+def _taint_row(world, armed) -> None:
+    world.tx_store.taint_row(f"row:{armed.spec.target}:{armed.spec.fault_id}")
+
+
+# Hook sites: where a class's symptom runs.
+SITE_COMPONENT = "component"  # requests whose path has the target component
+SITE_PROCESS = "process"      # every request its node starts
+SITE_SESSION = "session"      # in-process session reads of the target key ("" = all)
+
+
+@dataclass(frozen=True)
+class FaultClass:
+    name: str
+    profiles: dict[str, CureProfile]   # allowed modes ("" = none) -> ground truth
+    site: str | None = SITE_COMPONENT  # None: no per-request hook
+    symptom: Callable | None = None
+    leaks: bool = False                # a cure reclaims the leak; fresh code leaks on
+    on_arm: Callable | None = None
+    on_clear: Callable | None = None
+
+
+def _modes(overt: CureProfile, wrong: CureProfile) -> dict[str, CureProfile]:
+    return {"null": overt, "invalid": overt, "wrong": wrong}
+
+
+_COMPONENT = CureProfile(CURE_COMPONENT, False)
+_COMPONENT_MANUAL = CureProfile(CURE_COMPONENT, True)
+_SELF = CureProfile(CURE_SELF, False)
+_PROCESS = CureProfile(CURE_PROCESS, False)
+
+FAULT_CLASSES = {fc.name: fc for fc in (
+    FaultClass("deadlock", {"": _COMPONENT}, symptom=_hang),
+    FaultClass("infinite_loop", {"": _COMPONENT}, symptom=_spin),
+    FaultClass("transient_exception", {"": _COMPONENT}, symptom=_throw),
+    FaultClass("app_memory_leak", {"": _COMPONENT}, symptom=_leak_heap, leaks=True),
+    FaultClass("corrupt_primary_key", _modes(_COMPONENT, _COMPONENT_MANUAL), symptom=_corrupt_tx),
+    FaultClass("corrupt_registry_entry", _modes(_COMPONENT, _COMPONENT), on_arm=_corrupt_binding, on_clear=_restore_binding),
+    FaultClass("corrupt_tx_map", _modes(_COMPONENT, _COMPONENT_MANUAL), symptom=_corrupt_tx),
+    FaultClass("corrupt_stateless_attr", _modes(_SELF, CureProfile(CURE_COMPONENT_WEB, True)), symptom=_corrupt_attr),
+    FaultClass("corrupt_inproc_session", _modes(CureProfile(CURE_WEB, False), CureProfile(CURE_WEB, True)), SITE_SESSION, _corrupt_session),
+    # Checksums catch it on read and the record is discarded; no reboot.
+    FaultClass("corrupt_external_session", {"": _SELF, **_modes(_SELF, _SELF)}, None, on_arm=_corrupt_external),
+    FaultClass("corrupt_db_row", {"": CureProfile(CURE_MANUAL, True)}, symptom=_stale_row, on_arm=_taint_row),
+    FaultClass("leak_outside_app_intra_process", {"": _PROCESS}, SITE_PROCESS, _leak_unattributed, leaks=True),
+    FaultClass("leak_outside_process", {"": CureProfile(CURE_NODE, False)}, SITE_PROCESS, _leak_os, leaks=True),
+    FaultClass("process_memory_bitflip", {"": CureProfile(CURE_PROCESS, True)}, SITE_PROCESS, _throw),
+    FaultClass("bad_env", {"": _PROCESS}, SITE_PROCESS, _throw),
+)}
 
 
 def cure_profile(fault_class: str, mode: str = "") -> CureProfile:
-    """Ground-truth worst-case cure requirements per fault class and mode."""
-    c, m = fault_class, mode
-    if c in ("deadlock", "infinite_loop", "transient_exception"):
-        return CureProfile(CURE_COMPONENT, False, OVERT)
-    if c == "app_memory_leak":
-        return CureProfile(CURE_COMPONENT, False, SILENT_UNTIL_EXHAUSTION)
-    if c == "corrupt_primary_key":
-        if m == "wrong":
-            return CureProfile(CURE_COMPONENT, True, WRONG_VALUE)
-        return CureProfile(CURE_COMPONENT, False, OVERT)
-    if c == "corrupt_registry_entry":
-        if m == "wrong":
-            return CureProfile(CURE_COMPONENT, False, WRONG_VALUE)
-        return CureProfile(CURE_COMPONENT, False, OVERT)
-    if c == "corrupt_tx_map":
-        if m == "wrong":
-            return CureProfile(CURE_COMPONENT, True, WRONG_VALUE)
-        return CureProfile(CURE_COMPONENT, False, OVERT)
-    if c == "corrupt_stateless_attr":
-        if m == "wrong":
-            return CureProfile(CURE_COMPONENT_WEB, True, WRONG_VALUE)
-        return CureProfile(CURE_SELF, False, OVERT)
-    if c == "corrupt_inproc_session":
-        if m == "wrong":
-            return CureProfile(CURE_WEB, True, WRONG_VALUE)
-        return CureProfile(CURE_WEB, False, OVERT)
-    if c == "corrupt_external_session":
-        # Checksums catch it on read and the record is discarded; no reboot.
-        return CureProfile(CURE_SELF, False, OVERT)
-    if c == "corrupt_db_row":
-        return CureProfile(CURE_MANUAL, True, WRONG_VALUE)
-    if c == "leak_outside_app_intra_process":
-        return CureProfile(CURE_PROCESS, False, SILENT_UNTIL_EXHAUSTION)
-    if c == "leak_outside_process":
-        return CureProfile(CURE_NODE, False, SILENT_UNTIL_EXHAUSTION)
-    if c == "process_memory_bitflip":
-        return CureProfile(CURE_PROCESS, True, OVERT)
-    if c == "bad_env":
-        return CureProfile(CURE_PROCESS, False, OVERT)
-    raise FaultError(f"unknown fault class {fault_class!r}")
+    """Ground-truth worst-case cure requirements; FaultError unless the class takes `mode`."""
+    fc = FAULT_CLASSES.get(fault_class)
+    if fc is None:
+        raise FaultError(f"unknown fault class {fault_class!r}")
+    if mode not in fc.profiles:
+        modes = " | ".join(m for m in fc.profiles if m) or "no"
+        raise FaultError(f"{fault_class} takes {modes} mode, not {mode!r}")
+    return fc.profiles[mode]
 
 
 @dataclass
@@ -112,18 +231,12 @@ class FaultSpec:
     inject_at: int
     bytes_per_invoke: int = 0
     fail_probability: float = 1.0
+    kind: FaultClass = field(init=False, repr=False, compare=False)
+    profile: CureProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        is_corruption = self.fault_class in CORRUPTION_CLASSES
-        if is_corruption and self.fault_class not in (
-                "corrupt_external_session", "corrupt_db_row") and not self.mode:
-            raise FaultError(f"{self.fault_class} requires a corruption mode")
-        if not is_corruption and self.mode:
-            raise FaultError(f"{self.fault_class} takes no corruption mode")
-
-    @property
-    def profile(self) -> CureProfile:
-        return cure_profile(self.fault_class, self.mode)
+        self.profile = cure_profile(self.fault_class, self.mode)
+        self.kind = FAULT_CLASSES[self.fault_class]
 
 
 @dataclass
@@ -137,16 +250,17 @@ class RecoveryScope:
 
 
 class ArmedFault:
-    __slots__ = ("spec", "active", "armed")
+    __slots__ = ("spec", "active", "armed", "pinned")
 
     def __init__(self, spec: FaultSpec):
         self.spec = spec
         self.armed = False            # becomes True at inject_at
         self.active = False           # symptoms being generated
+        self.pinned = False           # holds a CPU slot (infinite loop)
 
 
 def _covers_web(scope: RecoveryScope) -> bool:
-    return _ACTION_RANK.get(scope.level, 0) == 2 or scope.includes_web
+    return scope.includes_web or scope.level == MURB_WEB.name
 
 
 def is_cured(spec: FaultSpec, scope: RecoveryScope,
@@ -156,37 +270,21 @@ def is_cured(spec: FaultSpec, scope: RecoveryScope,
     Component-scoped cure levels additionally require the action to cover the
     fault's target; manual faults are never cured by rebooting.
     """
-    profile = spec.profile
-    level = profile.min_cure_level
+    level = spec.profile.min_cure_level
     if level == CURE_SELF:
         return True
-    if level == CURE_MANUAL:
+    rank = RECOVERY_LEVELS[scope.level].rank
+    if level == CURE_MANUAL or rank is None:      # escalate_human recovers nothing
         return False
-    rank = _ACTION_RANK.get(scope.level)
-    if rank is None:                      # escalate_human recovers nothing
-        return False
-    if level == CURE_COMPONENT:
-        if rank > 1:
-            return True                   # any coarser scope covers every component
-        return spec.target in scope.components
-    if level == CURE_WEB:
-        if rank > 2:
-            return True
-        return _covers_web(scope) or any(_covers_web(s) for s in prior_scopes)
-    if level == CURE_COMPONENT_WEB:
-        if rank > 2:
-            return True
-        scopes = prior_scopes + (scope,)
-        target_done = any(spec.target in s.components for s in scopes)
-        web_done = any(_covers_web(s) for s in scopes)
-        return target_done and web_done
-    if level == CURE_APPLICATION:
-        return rank >= 3
-    if level == CURE_PROCESS:
-        return rank >= 4
-    if level == CURE_NODE:
-        return rank >= 5
-    raise FaultError(f"unknown cure level {level!r}")
+    if level in _MIN_RANK:
+        return rank >= _MIN_RANK[level]
+    if level == CURE_COMPONENT:                   # any coarser scope covers every component
+        return rank > MURB_GROUP.rank or spec.target in scope.components
+    if rank > MURB_WEB.rank:
+        return True
+    scopes = prior_scopes + (scope,)              # web, or component and web
+    web_done = any(_covers_web(s) for s in scopes)
+    return web_done and (level == CURE_WEB or any(spec.target in s.components for s in scopes))
 
 
 class FaultPlan:
@@ -194,16 +292,11 @@ class FaultPlan:
 
     def __init__(self) -> None:
         self.faults: dict[int, ArmedFault] = {}
-        self._next_id = 0
 
     def register(self, spec: FaultSpec) -> ArmedFault:
         armed = ArmedFault(spec)
         self.faults[spec.fault_id] = armed
         return armed
-
-    def new_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
 
     def clear(self, fault_id: int) -> ArmedFault:
         armed = self.faults.get(fault_id)
@@ -227,7 +320,7 @@ class FaultPlan:
             prior = tuple(history.get(armed.spec.fault_id, ()))
             history.setdefault(armed.spec.fault_id, []).append(scope)
             if is_cured(armed.spec, scope, prior):
-                if armed.spec.fault_class not in LEAK_CLASSES:
+                if not armed.spec.kind.leaks:
                     armed.active = False
                 cured.append(armed)
         return cured

@@ -19,7 +19,7 @@ from .cluster import six_nines_budget
 from .config import (ClusterConfig, DetectorConfig, FaultConfig, PolicyConfig,
                      RejuvenationConfig, Scenario, ScriptedRecovery, StoreConfig,
                      WorkloadConfig)
-from .faultlib import LEVELS
+from .faultlib import RECOVERY_LEVELS
 from .recoverymgr import detection_headroom, fp_headroom
 from .runtime import load_catalog
 from .workload import BAD, latency_stats
@@ -57,9 +57,6 @@ _EVENT_SECTIONS = {
     "murb": (ScriptedRecovery, "scripted_recoveries", {"at_ms": "at"},
              {"level": "murb_group"}, ("at", "target")),
 }
-
-# Every recovery level but the hand-off to a human is an action the world runs.
-_SCRIPTED_LEVELS = tuple(level for level in LEVELS if level != "escalate_human")
 
 
 def _coerce(value: str, target_type, lineno: int):
@@ -161,12 +158,13 @@ def _check_scripted_recoveries(scenario: Scenario,
     components = None
     for (lineno, section), sr in zip(lines, scenario.scripted_recoveries):
         where = f"line {lineno}: [{section}]"
-        if sr.level not in _SCRIPTED_LEVELS:
+        level = RECOVERY_LEVELS.get(sr.level)
+        if level is None or level.rank is None:      # a human is not a scripted action
             raise ScenarioError(f"{where} unknown level {sr.level!r}")
         if not 0 <= sr.node < scenario.cluster.nodes:
             raise ScenarioError(f"{where} node {sr.node} outside the cluster "
                                 f"of {scenario.cluster.nodes}")
-        if sr.target and sr.level in ("murb_group", "murb_web"):
+        if sr.target and level.microreboot:
             if components is None:
                 components = {spec.name for spec in load_catalog(scenario.catalog_path)[0]}
             if sr.target not in components:

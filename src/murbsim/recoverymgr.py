@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .config import PolicyConfig, RejuvenationConfig
 from .detect import FAULTY_APP_CHECK, FailureReport
-from .faultlib import LEVELS
+from .faultlib import LEVELS, RECOVERY_LEVELS
 from .runtime import KIND_WEB
 
 
@@ -153,20 +153,14 @@ class RecoveryManager:
 
     # -- the ladder -------------------------------------------------------
 
-    def _target_key(self, level: str, members: frozenset[str]) -> object:
-        if level in ("murb_group", "murb_web"):
-            return members
-        return level
-
     def _run_action(self, episode: Episode, level: str, members: frozenset[str]) -> None:
         now = self.world.loop.now
-        key = (episode.node, self._target_key(level, members))
+        record = RECOVERY_LEVELS[level]
+        # A microreboot's target is its group; a restart's is the whole node.
+        key = (episode.node, members if record.microreboot else level)
         history = self._recoveries.setdefault(key, [])
         recent = [t for t in history if t > now - self.policy.recurrence_period_ms]
-        if level != "escalate_human" and len(recent) >= self.policy.recurrence_limit:
-            self._finish_episode(episode, "escalate_human", cured=False)
-            return
-        if level == "escalate_human":
+        if record.rank is None or len(recent) >= self.policy.recurrence_limit:
             self._finish_episode(episode, "escalate_human", cured=False)
             return
         history.append(now)
@@ -200,7 +194,7 @@ class RecoveryManager:
         action.result = "persisted"
         next_level = LEVELS[LEVELS.index(action.level) + 1]
         members: frozenset[str] = frozenset()
-        if next_level == "murb_web":
+        if RECOVERY_LEVELS[next_level].microreboot:     # only the web's rung is above the first
             registry = self.world.nodes[episode.node].registry
             web = registry.web_component
             members = registry.groups[web].members if web else frozenset()
@@ -210,7 +204,7 @@ class RecoveryManager:
         episode.terminal_level = terminal
         episode.cured = cured
         episode.manual_repair_flagged = self.world.manual_repair_flagged(episode.node)
-        if terminal == "escalate_human":
+        if RECOVERY_LEVELS[terminal].rank is None:
             self.halted.add(episode.node)
             self.world.log_action(self.world.loop.now, episode.node,
                                   "escalate_human", "operator", 0, "handed_off")

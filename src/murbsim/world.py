@@ -16,7 +16,10 @@ from .app import AppCatalog, OpType, canonical_fingerprint, load_app_catalog
 from .cluster import NODE_RESTARTING, NODE_UP, LoadBalancer, Node, handle_sentinel
 from .config import Scenario
 from .detect import DetectorProfile, FailureReport, ReportChannel, classify_response
-from .faultlib import ArmedFault, FaultPlan, FaultSpec, RecoveryScope
+from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_UNAVAILABLE, MURB_GROUP,
+                       MURB_WEB, PARK, REBOOT_NODE, RECOVERY_LEVELS, RESTART_PROCESS,
+                       SITE_COMPONENT, SITE_PROCESS, SITE_SESSION, ArmedFault,
+                       FaultPlan, FaultSpec, RecoveryScope)
 from .recoverymgr import RecoveryManager, RejuvenationService
 from .runtime import HeapLedger, load_catalog
 from .simcore import EventLoop, RngStream
@@ -24,9 +27,6 @@ from .statestore import READ_DISCARDED, READ_MISSING, SessionStore, Transactiona
 from .workload import PENDING, Client, RequestView, TawLedger
 
 OK = "ok"
-ERR_CONNECTION = "error:connection"
-ERR_UNAVAILABLE = "error:component_unavailable"
-ERR_EXCEPTION = "error:exception"
 ERR_TTL = "error:ttl_expired"
 ERR_SESSION = "error:session_lost"
 
@@ -53,14 +53,14 @@ class _ReqCtx:
 
 
 class _MurbOp:
-    __slots__ = ("members", "node", "on_complete", "released", "label")
+    __slots__ = ("members", "node", "level", "on_complete", "released")
 
-    def __init__(self, members: frozenset[str], node: int, label: str):
+    def __init__(self, members: frozenset[str], node: int, level):
         self.members = members
         self.node = node
+        self.level = level
         self.on_complete: list = []
         self.released: dict[str, int] = {}
-        self.label = label
 
 
 class World:
@@ -111,9 +111,8 @@ class World:
 
         self.fault_plan = FaultPlan()
         self._fault_rng = self.rng.fork("faults")
-        self._fault_hooks: list[dict] = [self._empty_hooks() for _ in self.nodes]
+        self._rebuild_fault_hooks()
         self._recovery_history: dict[int, list[RecoveryScope]] = {}
-        self._pinned_faults: set[int] = set()
         self._active_murbs: list[list[_MurbOp]] = [[] for _ in self.nodes]
         self._recovery_busy: list[int] = [0 for _ in self.nodes]
 
@@ -124,17 +123,9 @@ class World:
         self.last_release_by_holder: dict[str, int] = {}
         self.fault_session_counts: dict[int, int] = {}          # fault id -> sessions on its node
 
-        for fc in scenario.faults:
-            spec = FaultSpec(
-                fault_id=self.fault_plan.new_id(),
-                fault_class=fc.fault_class,
-                target=fc.target,
-                mode=fc.mode,
-                node=fc.node,
-                inject_at=fc.inject_at_ms,
-                bytes_per_invoke=fc.bytes_per_invoke,
-                fail_probability=fc.fail_probability,
-            )
+        for fault_id, fc in enumerate(scenario.faults, start=1):
+            spec = FaultSpec(fault_id, fc.fault_class, fc.target, fc.mode, fc.node,
+                             fc.inject_at_ms, fc.bytes_per_invoke, fc.fail_probability)
             armed = self.fault_plan.register(spec)
             self.loop.schedule(spec.inject_at, partial(self._arm_fault, armed))
         for sr in scenario.scripted_recoveries:
@@ -287,78 +278,33 @@ class World:
 
     def _apply_fault_hooks(self, ctx: _ReqCtx, node: Node, hooks: dict) -> bool:
         """Evaluate armed faults against this request; False if it was consumed."""
-        op = ctx.op
+        rng = self._fault_rng
         by_comp = hooks["by_comp"]
-        for comp in op.path:
-            for armed in by_comp.get(comp, ()):
-                spec = armed.spec
-                cls = spec.fault_class
-                if cls in ("deadlock", "infinite_loop"):
-                    self._park(ctx, node, comp, armed)
-                    return False
-                if cls == "transient_exception":
-                    if spec.fail_probability >= 1.0 or \
-                            self._fault_rng.random() < spec.fail_probability:
-                        self._fail_in_worker(ctx, node, ERR_EXCEPTION)
-                        return False
-                elif cls == "app_memory_leak":
-                    node.heap.charge(spec.target, spec.bytes_per_invoke,
-                                     resource_id=f"leak:{spec.fault_id}")
-                    if node.heap.free <= 0:
-                        self._fail_in_worker(ctx, node, ERR_EXCEPTION)
-                        return False
-                elif cls in ("corrupt_tx_map", "corrupt_primary_key"):
-                    if op.tx_writes:
-                        if spec.mode == "wrong":
-                            ctx.divergent = True
-                            ctx.taint = True
-                        else:
-                            self._fail_in_worker(ctx, node, ERR_EXCEPTION)
-                            return False
-                elif cls == "corrupt_stateless_attr":
-                    if spec.mode == "wrong":
-                        ctx.divergent = True
-                    else:
-                        # the bad attribute is replaced after the first failing call
-                        armed.active = False
-                        self._rebuild_fault_hooks()
-                        self._fail_in_worker(ctx, node, ERR_EXCEPTION)
-                        return False
-                elif cls == "corrupt_db_row":
-                    if not op.tx_writes:
-                        ctx.divergent = True
-        for armed in hooks["process"]:
-            spec = armed.spec
-            cls = spec.fault_class
-            if cls == "leak_outside_app_intra_process":
-                node.heap.charge("unattributed", spec.bytes_per_invoke,
-                                 resource_id=f"leak:{spec.fault_id}",
-                                 via_runtime=False)
-                if node.heap.free <= 0:
-                    self._fail_in_worker(ctx, node, ERR_EXCEPTION)
-                    return False
-            elif cls == "leak_outside_process":
-                node.heap.os_leak_bytes += spec.bytes_per_invoke
-                if node.heap.os_leak_bytes >= node.heap.capacity:
-                    self._fail_in_worker(ctx, node, ERR_EXCEPTION)
-                    return False
-            elif cls in ("process_memory_bitflip", "bad_env"):
-                if spec.fail_probability >= 1.0 or \
-                        self._fault_rng.random() < spec.fail_probability:
-                    self._fail_in_worker(ctx, node, ERR_EXCEPTION)
-                    return False
+        for comp in ctx.op.path:
+            for symptom, armed in by_comp.get(comp, ()):
+                verdict = symptom(armed, ctx, node, rng)
+                if verdict is not None:
+                    return self._consume(ctx, node, comp, armed, verdict)
+        for symptom, armed in hooks[SITE_PROCESS]:
+            verdict = symptom(armed, ctx, node, rng)
+            if verdict is not None:
+                return self._consume(ctx, node, "", armed, verdict)
         return True
 
-    def _park(self, ctx: _ReqCtx, node: Node, comp: str, armed: ArmedFault) -> None:
-        ctx.state = "parked"
-        node.parked[ctx] = comp
-        if armed.spec.fault_class == "infinite_loop" and \
-                armed.spec.fault_id not in self._pinned_faults:
-            self._pinned_faults.add(armed.spec.fault_id)
-            node.cpu.pin_slot()
-        deadline = ctx.issued_at + self.scenario.workload.request_ttl_ms
-        ctx.ttl_handle = self.loop.schedule(
-            max(deadline, self.loop.now), partial(self._ttl_abort, ctx))
+    def _consume(self, ctx: _ReqCtx, node: Node, comp: str, armed: ArmedFault,
+                 verdict: str) -> bool:
+        """Hang or fail a request a symptom caught; False, for the hook loop."""
+        if verdict == PARK:
+            ctx.state = "parked"
+            node.parked[ctx] = comp
+            deadline = ctx.issued_at + self.scenario.workload.request_ttl_ms
+            ctx.ttl_handle = self.loop.schedule(
+                max(deadline, self.loop.now), partial(self._ttl_abort, ctx))
+        else:
+            if not armed.active:          # the symptom cleared its own fault
+                self._rebuild_fault_hooks()
+            self._fail_in_worker(ctx, node, verdict)
+        return False
 
     def _ttl_abort(self, ctx: _ReqCtx) -> None:
         if ctx.state != "parked":
@@ -405,13 +351,10 @@ class World:
         hooks = self._fault_hooks[ctx.node_id]
         if not hooks["any"] or self.scenario.stores.session_store != "in_process":
             return None
-        for armed in hooks["inproc_session"]:
+        for symptom, armed in hooks[SITE_SESSION]:
             if armed.spec.target and armed.spec.target != key:
                 continue
-            if armed.spec.mode == "wrong":
-                ctx.divergent = True
-                return None
-            return ERR_EXCEPTION
+            return symptom(armed, ctx, self.nodes[ctx.node_id], self._fault_rng)
         return None
 
     def _finalize(self, ctx: _ReqCtx, outcome: str) -> None:
@@ -482,57 +425,42 @@ class World:
 
     # -- fault arming ---------------------------------------------------------
 
-    def _empty_hooks(self) -> dict:
-        return {"any": False, "by_comp": {}, "process": [], "inproc_session": []}
-
     def _rebuild_fault_hooks(self) -> None:
-        self._fault_hooks = [self._empty_hooks() for _ in self.nodes]
+        """Index the symptom of each active fault by node and hook site."""
+        self._fault_hooks: list[dict] = [{"any": False, "by_comp": {}, SITE_PROCESS: [],
+                                          SITE_SESSION: []} for _ in self.nodes]
         for armed in self.fault_plan.faults.values():
-            if not armed.active:
+            kind = armed.spec.kind
+            if not armed.active or kind.symptom is None:
                 continue
             hooks = self._fault_hooks[armed.spec.node]
-            cls = armed.spec.fault_class
-            if cls in ("leak_outside_app_intra_process", "leak_outside_process",
-                       "process_memory_bitflip", "bad_env"):
-                hooks["process"].append(armed)
-            elif cls == "corrupt_inproc_session":
-                hooks["inproc_session"].append(armed)
-            elif cls in ("corrupt_external_session",):
-                continue
+            if kind.site == SITE_COMPONENT:
+                site = hooks["by_comp"].setdefault(armed.spec.target, [])
             else:
-                hooks["by_comp"].setdefault(armed.spec.target, []).append(armed)
+                site = hooks[kind.site]
+            site.append((kind.symptom, armed))
             hooks["any"] = True
 
     def _arm_fault(self, armed: ArmedFault) -> None:
         spec = armed.spec
         armed.armed = True
         armed.active = True
-        node = self.nodes[spec.node]
         self.fault_session_counts[spec.fault_id] = sum(
             1 for n in self.lb.affinity.values() if n == spec.node)
-        if spec.fault_class == "corrupt_registry_entry":
-            node.registry.corrupt_binding(spec.target, spec.mode)
-        elif spec.fault_class == "corrupt_external_session":
-            # Empty target flips bits across the whole store.
-            keys = [spec.target] if spec.target else sorted(self.external_store.records)
-            for key in keys:
-                self.external_store.corrupt(key, spec.mode or "invalid")
-            armed.active = False          # one-shot: checksums take it from here
-        elif spec.fault_class == "corrupt_db_row":
-            self.tx_store.taint_row(f"row:{spec.target}:{spec.fault_id}")
+        if spec.kind.on_arm is not None:
+            spec.kind.on_arm(self, armed)
         self._rebuild_fault_hooks()
 
     def clear_fault(self, fault_id: int) -> None:
         armed = self.fault_plan.clear(fault_id)
-        spec = armed.spec
-        if spec.fault_class == "corrupt_registry_entry":
-            self.nodes[spec.node].registry.restore_binding(spec.target)
+        if armed.spec.kind.on_clear is not None:
+            armed.spec.kind.on_clear(self, armed)
         self._unpin_if_needed(armed)
         self._rebuild_fault_hooks()
 
     def _unpin_if_needed(self, armed: ArmedFault) -> None:
-        if armed.spec.fault_id in self._pinned_faults:
-            self._pinned_faults.discard(armed.spec.fault_id)
+        if armed.pinned:
+            armed.pinned = False
             self.nodes[armed.spec.node].cpu.unpin_slot()
 
     def manual_repair_flagged(self, node: int) -> bool:
@@ -549,12 +477,13 @@ class World:
 
     def execute_recovery(self, node_id: int, level: str, members: frozenset[str],
                          on_complete, reason: str = "episode") -> None:
-        if level in ("murb_group", "murb_web"):
-            self.murb(node_id, members, on_complete, reason)
-        elif level in ("restart_application", "restart_process", "reboot_node"):
-            self.full_restart(node_id, level, on_complete, reason)
-        else:
+        record = RECOVERY_LEVELS.get(level)
+        if record is None or record.rank is None:
             raise ValueError(f"unknown recovery level {level!r}")
+        if record.microreboot:
+            self.murb(node_id, members, on_complete, reason)
+        else:
+            self.full_restart(node_id, level, on_complete, reason)
 
     def murb(self, node_id: int, members: frozenset[str], on_complete=None,
              reason: str = "direct") -> None:
@@ -575,15 +504,15 @@ class World:
         crash, init = node.registry.group_cost(members)
         drain = self.scenario.cluster.drain_delay_ms
         label = self._group_label(node, members)
-        murb_op = _MurbOp(members, node_id, label)
+        level = MURB_WEB if node.registry.web_component in members else MURB_GROUP
+        murb_op = _MurbOp(members, node_id, level)
         if on_complete is not None:
             murb_op.on_complete.append(on_complete)
         self._active_murbs[node_id].append(murb_op)
         t0 = self.loop.now
         rebind_at = t0 + drain + crash + init
         node.registry.bind_sentinel(members, rebind_at)
-        self.log_action(t0, node_id, "murb_web" if node.registry.web_component in members
-                        else "murb_group", label, crash + init, reason)
+        self.log_action(t0, node_id, level.name, label, crash + init, reason)
         self.loop.schedule(t0 + drain, partial(self._murb_destroy, murb_op))
         self.loop.schedule(rebind_at, partial(self._murb_rebind, murb_op))
 
@@ -593,32 +522,35 @@ class World:
                 return override.name
         return ",".join(sorted(members)) if len(members) > 1 else next(iter(members))
 
-    def _murb_destroy(self, murb_op: _MurbOp) -> None:
-        node = self.nodes[murb_op.node]
-        members = murb_op.members
+    def _abort(self, node: Node, members: frozenset[str], outcome: str) -> None:
+        """Cut off the requests in service or hung on any of `members`."""
         for ctx in [c for c, paths in node.inflight.items() if paths & members]:
             node.inflight.pop(ctx, None)
             self._release_worker(node)
-            self._complete(ctx, ERR_UNAVAILABLE)
+            self._complete(ctx, outcome)
         for ctx in [c for c, comp in node.parked.items() if comp in members]:
             node.parked.pop(ctx, None)
             self._release_worker(node)
-            self._complete(ctx, ERR_UNAVAILABLE)
-        murb_op.released = node.heap.release_holder(members)
+            self._complete(ctx, outcome)
 
-    def _murb_rebind(self, murb_op: _MurbOp) -> None:
-        node = self.nodes[murb_op.node]
-        node.registry.rebind(murb_op.members)
-        includes_web = node.registry.web_component in murb_op.members
-        level = "murb_web" if includes_web else "murb_group"
-        scope = RecoveryScope(level, murb_op.members, murb_op.node, includes_web)
+    def _recovered(self, scope: RecoveryScope) -> None:
         cured = self.fault_plan.apply_recovery(scope, self._recovery_history)
         for armed in cured:
             self._unpin_if_needed(armed)
         if cured:
             self._rebuild_fault_hooks()
+        self.recovery_completions.append((self.loop.now, scope.node))
+
+    def _murb_destroy(self, murb_op: _MurbOp) -> None:
+        node = self.nodes[murb_op.node]
+        self._abort(node, murb_op.members, murb_op.level.abort_outcome)
+        murb_op.released = node.heap.release_holder(murb_op.members)
+
+    def _murb_rebind(self, murb_op: _MurbOp) -> None:
+        self.nodes[murb_op.node].registry.rebind(murb_op.members)
+        self._recovered(RecoveryScope(murb_op.level.name, murb_op.members, murb_op.node,
+                                      includes_web=murb_op.level is MURB_WEB))
         self._active_murbs[murb_op.node].remove(murb_op)
-        self.recovery_completions.append((self.loop.now, murb_op.node))
         self.last_release_by_holder = murb_op.released
         for cb in murb_op.on_complete:
             cb()
@@ -626,44 +558,31 @@ class World:
     def full_restart(self, node_id: int, level: str, on_complete=None,
                      reason: str = "direct") -> None:
         node = self.nodes[node_id]
-        cl = self.scenario.cluster
-        if level == "restart_application":
-            cost = cl.app_restart_ms
-        elif level == "restart_process":
-            cost = cl.process_restart_ms
-        else:
-            cost = cl.process_restart_ms + cl.os_boot_ms
+        record = RECOVERY_LEVELS[level]
+        cost = sum(getattr(self.scenario.cluster, f) for f in record.cost_fields)
         self._recovery_busy[node_id] += 1
-        t0 = self.loop.now
-        self.log_action(t0, node_id, level, f"node{node_id}", cost, reason)
-        err = ERR_UNAVAILABLE if level == "restart_application" else ERR_CONNECTION
-        if level != "restart_application":
+        self.log_action(self.loop.now, node_id, level, f"node{node_id}", cost, reason)
+        err = record.abort_outcome
+        process_dies = record.rank >= RESTART_PROCESS.rank
+        if process_dies:
             node.status = NODE_RESTARTING   # before aborts, so pumped work fails fast
         node.registry.stop_all()
-        for ctx in list(node.inflight):
-            node.inflight.pop(ctx, None)
-            self._release_worker(node)
-            self._complete(ctx, err)
-        for ctx in list(node.parked):
-            node.parked.pop(ctx, None)
-            self._release_worker(node)
-            self._complete(ctx, err)
+        self._abort(node, frozenset(node.registry.specs), err)
         node.heap.release_all_app()
-        for fid in [f for f in self._pinned_faults
-                    if self.fault_plan.faults[f].spec.node == node_id]:
-            self._pinned_faults.discard(fid)
-            node.cpu.unpin_slot()
-        if level != "restart_application":
+        for armed in self.fault_plan.faults.values():
+            if armed.spec.node == node_id:
+                self._unpin_if_needed(armed)
+        if process_dies:
             for ctx in list(node.worker_queue):
                 if ctx.state == "queued":
-                    self._complete(ctx, ERR_CONNECTION)
+                    self._complete(ctx, err)
             node.reset_processing()
             node.in_process_store.clear()
             node.heap.release_unattributed()
             # sessions homed here are gone; the balancer should forget them
             for sid in [s for s, n in self.lb.affinity.items() if n == node_id]:
                 self.lb.forget(sid)
-        if level == "reboot_node":
+        if record.rank >= REBOOT_NODE.rank:
             node.heap.os_leak_bytes = 0
         self.loop.after(cost, partial(self._restart_done, node_id, level, on_complete))
 
@@ -671,21 +590,16 @@ class World:
         node = self.nodes[node_id]
         node.registry.redeploy_all()
         node.status = NODE_UP
-        scope = RecoveryScope(level, frozenset(node.registry.specs), node_id,
-                              includes_web=True)
-        cured = self.fault_plan.apply_recovery(scope, self._recovery_history)
-        for armed in cured:
-            self._unpin_if_needed(armed)
-        self._rebuild_fault_hooks()
+        self._recovered(RecoveryScope(level, frozenset(node.registry.specs), node_id,
+                                      includes_web=True))
         self._recovery_busy[node_id] -= 1
-        self.recovery_completions.append((self.loop.now, node_id))
         if on_complete is not None:
             on_complete()
 
     def _scripted_recovery(self, sr) -> None:
         members: frozenset[str] = frozenset()
         node = self.nodes[sr.node]
-        if sr.level in ("murb_group", "murb_web"):
+        if RECOVERY_LEVELS[sr.level].microreboot:
             anchor = sr.target or node.registry.web_component
             members = node.registry.groups[anchor].members
         self.execute_recovery(sr.node, sr.level, members, None, reason="scripted")

@@ -1,0 +1,69 @@
+"""The fault-class and recovery-level tables in faultlib are the only places
+that spell out those taxonomies. These tests keep string switches from
+coming back and tie the tables to their independent ground truth."""
+
+import ast
+import pathlib
+import re
+
+from murbsim.faultlib import FAULT_CLASSES, LEVELS
+from murbsim.harness import TABLE2_ROWS
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "murbsim"
+NAMES = frozenset(FAULT_CLASSES) | frozenset(LEVELS)
+_COMPARISONS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def _literals(node: ast.AST) -> set[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return set().union(*(_literals(e) for e in node.elts))
+    return set()
+
+
+def taxonomy_comparisons(source: str) -> list[tuple[int, str]]:
+    """(line, names) of each ==, !=, in or not in comparison that has the
+    string literal of a fault class or level name as an operand."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, _COMPARISONS) for op in node.ops):
+            names = set().union(*(_literals(x) for x in (node.left, *node.comparators)))
+            if names & NAMES:
+                found.append((node.lineno, ", ".join(sorted(names & NAMES))))
+    return found
+
+
+def test_scanner_flags_comparisons_not_arguments():
+    source = ('if cls == "deadlock": pass\n'
+              'if level in ("murb_group", "other"): pass\n'
+              'if "reboot_node" != level: pass\n'
+              'world.execute_recovery(0, "restart_process", members, None)\n'
+              'first = "murb_group" if mode == "murb" else "restart_process"\n')
+    assert taxonomy_comparisons(source) == [
+        (1, "deadlock"), (2, "murb_group"), (3, "reboot_node")]
+
+
+def test_no_class_or_level_string_comparisons_outside_faultlib():
+    hits = [f"{path.name}:{line}: {names}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "faultlib.py"
+            for line, names in taxonomy_comparisons(path.read_text(encoding="utf-8"))]
+    assert hits == []
+
+
+def test_table2_rows_cover_every_class_and_required_mode():
+    rows = {(cls, mode) for _name, cls, mode, *_ in TABLE2_ROWS}
+    missing = [name for name in FAULT_CLASSES if name not in {cls for cls, _ in rows}]
+    for name, fault_class in FAULT_CLASSES.items():
+        if "" not in fault_class.profiles:          # the class requires a mode
+            missing += [f"{name}/{mode}" for mode in fault_class.profiles
+                        if (name, mode) not in rows]
+    assert missing == []
+
+
+def test_readme_lists_exactly_the_fault_classes():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Fault classes:(.*?)\.\s", readme, re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(FAULT_CLASSES)
