@@ -7,6 +7,7 @@ only ever fill these structures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 
 @dataclass
@@ -34,7 +35,7 @@ class WorkloadConfig:
 
 @dataclass
 class StoreConfig:
-    session_store: str = "in_process"     # in_process | external
+    session_store: Literal["in_process", "external"] = "in_process"
     in_process_latency_ms: int = 0
     external_latency_ms: int = 13
     session_lease_ms: int = 1_800_000
@@ -42,7 +43,7 @@ class StoreConfig:
 
 @dataclass
 class DetectorConfig:
-    kind: str = "fast"                    # fast | comparison
+    kind: Literal["fast", "comparison"] = "fast"
     t_det_ms: int = 0
     fp_rate: float = 0.0
     fn_rate: float = 0.0
@@ -58,13 +59,14 @@ class PolicyConfig:
     observation_window_ms: int = 5_000
     recurrence_limit: int = 3             # same-target recoveries ...
     recurrence_period_ms: int = 600_000   # ... within this window escalate to a human
-    recovery_mode: str = "murb"           # murb: start ladder at group level; restart: jump to process restart
+    # murb: start the ladder at group level; restart: jump to process restart
+    recovery_mode: Literal["murb", "restart"] = "murb"
 
 
 @dataclass
 class RejuvenationConfig:
     enabled: bool = False
-    mode: str = "murb"                    # murb: rolling component reboots; restart: whole process
+    mode: Literal["murb", "restart"] = "murb"   # murb: rolling component reboots; restart: whole process
     poll_ms: int = 1_000
     alarm_bytes: int = 350_000_000
     sufficient_bytes: int = 800_000_000
@@ -75,10 +77,10 @@ class FaultConfig:
     inject_at_ms: int
     fault_class: str
     target: str = ""
-    mode: str = ""                        # null | invalid | wrong, for corruption classes
+    mode: str = ""                        # the modes of faultlib.FAULT_CLASSES[fault_class]
     node: int = 0
     bytes_per_invoke: int = 0             # leak classes
-    fail_probability: float = 1.0         # transient_exception / bitflip / bad_env
+    fail_probability: float = 1.0         # classes whose symptom throws
 
 
 @dataclass
@@ -86,7 +88,7 @@ class ScriptedRecovery:
     """Direct recovery action at a fixed time, bypassing diagnosis."""
 
     at_ms: int
-    level: str                            # murb_group | murb_web | restart_application | restart_process | reboot_node
+    level: str                            # a faultlib.RECOVERY_LEVELS name but escalate_human
     target: str = ""                      # component anchor for murb levels
     node: int = 0
 

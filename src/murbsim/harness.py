@@ -19,7 +19,8 @@ from .cluster import six_nines_budget
 from .config import (ClusterConfig, DetectorConfig, FaultConfig, PolicyConfig,
                      RejuvenationConfig, Scenario, ScriptedRecovery, StoreConfig,
                      WorkloadConfig)
-from .faultlib import RECOVERY_LEVELS
+from .faultlib import (FAULT_CLASSES, RECOVERY_LEVELS, SITE_COMPONENT, SITE_PROCESS,
+                       FaultError, cure_profile)
 from .recoverymgr import detection_headroom, fp_headroom
 from .runtime import load_catalog
 from .workload import BAD, latency_stats
@@ -71,6 +72,10 @@ def _coerce(value: str, target_type, lineno: int):
             return int(value)
         if target_type is float:
             return float(value)
+        if typing.get_origin(target_type) is typing.Literal:
+            allowed = typing.get_args(target_type)
+            if value not in allowed:
+                raise ValueError(f"expected {' | '.join(allowed)}, got {value!r}")
         return value
     except ValueError as exc:
         raise ScenarioError(f"line {lineno}: {exc}") from None
@@ -82,7 +87,7 @@ def parse_scenario(text: str) -> Scenario:
     pending: dict[str, object] | None = None     # fields of the open event section
     pending_keys: dict[str, tuple[str, type]] = {}
     pending_line = 0
-    recovery_lines: list[tuple[int, str]] = []   # (line, section) per scripted recovery
+    events: list[tuple[int, str, object]] = []   # (line, section, event) per event section
 
     def flush_pending() -> None:
         nonlocal pending
@@ -93,9 +98,9 @@ def parse_scenario(text: str) -> Scenario:
             if pending_keys[key][0] not in pending:
                 raise ScenarioError(
                     f"line {pending_line}: [{section}] missing field {key!r}")
-        getattr(scenario, list_name).append(cls(**pending, **fixed))
-        if list_name == "scripted_recoveries":
-            recovery_lines.append((pending_line, section))
+        event = cls(**pending, **fixed)
+        getattr(scenario, list_name).append(event)
+        events.append((pending_line, section, event))
         pending = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -141,34 +146,44 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r} in [scenario]")
         else:
             target = getattr(scenario, _SECTION_TO_FIELD[section])
-            field_types = {f.name: f.type for f in dataclasses.fields(target)}
+            field_types = typing.get_type_hints(type(target))
             if key not in field_types:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
-            current = getattr(target, key)
-            setattr(target, key, _coerce(value, type(current), lineno))
+            setattr(target, key, _coerce(value, field_types[key], lineno))
     flush_pending()
-    _check_scripted_recoveries(scenario, recovery_lines)
+    _check_events(scenario, events)
     return scenario
 
 
-def _check_scripted_recoveries(scenario: Scenario,
-                               lines: list[tuple[int, str]]) -> None:
-    """Reject a level, node or target the world could not act on, so a bad
-    event fails here rather than when the simulation reaches it."""
+def _check_events(scenario: Scenario, events: list[tuple[int, str, object]]) -> None:
+    """Reject a fault class, mode, level, node or target the world could not
+    act on, so a bad event fails here rather than when the simulation reaches it."""
     components = None
-    for (lineno, section), sr in zip(lines, scenario.scripted_recoveries):
+    for lineno, section, event in events:
         where = f"line {lineno}: [{section}]"
-        level = RECOVERY_LEVELS.get(sr.level)
-        if level is None or level.rank is None:      # a human is not a scripted action
-            raise ScenarioError(f"{where} unknown level {sr.level!r}")
-        if not 0 <= sr.node < scenario.cluster.nodes:
-            raise ScenarioError(f"{where} node {sr.node} outside the cluster "
+        if isinstance(event, FaultConfig):
+            try:
+                cure_profile(event.fault_class, event.mode)
+            except FaultError as exc:
+                raise ScenarioError(f"{where} {exc}") from None
+            site = FAULT_CLASSES[event.fault_class].site
+            if site == SITE_PROCESS and event.target:
+                raise ScenarioError(f"{where} {event.fault_class} takes no target")
+            names_component = site == SITE_COMPONENT     # else a session key or nothing
+        else:
+            level = RECOVERY_LEVELS.get(event.level)
+            if level is None or level.rank is None:      # a human is not a scripted action
+                raise ScenarioError(f"{where} unknown level {event.level!r}")
+            # an empty microreboot target means the web component
+            names_component = level.microreboot and event.target != ""
+        if not 0 <= event.node < scenario.cluster.nodes:
+            raise ScenarioError(f"{where} node {event.node} outside the cluster "
                                 f"of {scenario.cluster.nodes}")
-        if sr.target and level.microreboot:
+        if names_component:
             if components is None:
                 components = {spec.name for spec in load_catalog(scenario.catalog_path)[0]}
-            if sr.target not in components:
-                raise ScenarioError(f"{where} unknown target component {sr.target!r}")
+            if event.target not in components:
+                raise ScenarioError(f"{where} unknown target component {event.target!r}")
 
 
 def load_scenario(path: str) -> Scenario:

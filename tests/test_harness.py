@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -24,6 +25,9 @@ def quiet_policy():
 
 def murb(at_ms, target):
     return ScriptedRecovery(at_ms, "murb_group", target)
+
+
+FIVE_SECONDS = "[scenario]\nduration_ms 5000\n[workload]\nclients_per_node 5\n"
 
 
 class TestScenarioParsing:
@@ -83,6 +87,29 @@ level restart_process
                 parse_scenario(text)
         # a non-microreboot level ignores its target, as the world does
         parse_scenario("[recovery]\nat 100\nlevel restart_process\ntarget Nope\n")
+
+    def test_fault_checked_against_table_cluster_and_catalog(self):
+        for text, message in [
+            ("class gremlins\n", "unknown fault class 'gremlins'"),
+            ("class transient_exception\ntarget ViewItem\nmode null\n",
+             "transient_exception takes no mode, not 'null'"),
+            ("class corrupt_tx_map\ntarget Item\nmode bogus\n",
+             "corrupt_tx_map takes null | invalid | wrong mode, not 'bogus'"),
+            ("class corrupt_tx_map\ntarget Item\n", "corrupt_tx_map takes null | invalid | wrong mode, not ''"),
+            ("class corrupt_db_row\ntarget Item\nmode wrong\n", "corrupt_db_row takes no mode, not 'wrong'"),
+            ("class transient_exception\ntarget ViewItem\nnode 3\n", "node 3 outside the cluster of 1"),
+            ("class transient_exception\ntarget ViewItem\nnode -1\n", "node -1 outside the cluster of 1"),
+            ("class deadlock\ntarget Nope\n", "unknown target component 'Nope'"),
+            ("class deadlock\n", "unknown target component ''"),
+            ("class bad_env\ntarget Item\n", "bad_env takes no target"),
+        ]:
+            with pytest.raises(ScenarioError, match=f"^line 1: \\[fault\\] {re.escape(message)}$"):
+                parse_scenario("[fault]\nat 100\n" + text)
+        # session and process faults name a session key or nothing
+        parse_scenario("[fault]\nat 100\nclass corrupt_inproc_session\nmode wrong\n"
+                       "[fault]\nat 100\nclass corrupt_external_session\ntarget s1\n"
+                       "[fault]\nat 100\nclass corrupt_external_session\nmode null\n"
+                       "[fault]\nat 100\nclass bad_env\nfail_probability 0.5\n")
 
     def test_missing_fault_field_reports_line(self):
         with pytest.raises(ScenarioError, match="class"):
@@ -579,8 +606,35 @@ class TestCli:
             # once simulated to t=3000 and then a KeyError traceback
             ("[scenario]\nduration_ms 5000\n[workload]\nclients_per_node 5\n"
              "[murb]\nat 3000\ntarget Nope\n", 5),
+            # a FaultError traceback, exit 1
+            (FIVE_SECONDS + "[fault]\nat 3000\nclass gremlins\n", 5),
+            (FIVE_SECONDS + "[fault]\nat 3000\nclass transient_exception\n"
+             "target ViewItem\nmode null\n", 5),
+            # exit 0, run as an overt corruption
+            (FIVE_SECONDS + "[fault]\nat 3000\nclass corrupt_tx_map\ntarget Item\n"
+             "mode bogus\n", 5),
+            # an IndexError traceback at the inject time
+            (FIVE_SECONDS + "[fault]\nat 3000\nclass transient_exception\n"
+             "target ViewItem\nnode 3\n", 5),
+            # exit 0, no effect
+            (FIVE_SECONDS + "[fault]\nat 3000\nclass deadlock\ntarget Nope\n", 5),
         ]:
             scenario.write_text(text)
             assert main(["run", "--scenario", str(scenario),
                          "--out", str(tmp_path / "o")]) == 2
             assert f"line {line}: " in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()       # failed before the first event
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("detector", "kind", "comparision"),
+        ("stores", "session_store", "externl"),
+        ("policy", "recovery_mode", "restrat"),
+        ("rejuvenation", "mode", "restrat"),
+    ])
+    def test_misspelled_enum_value_exit_code(self, tmp_path, capsys, section, key, value):
+        scenario = tmp_path / "bad.txt"
+        scenario.write_text(f"{FIVE_SECONDS}[{section}]\n{key} {value}\n")
+        assert main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"line 6: expected " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
