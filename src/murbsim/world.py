@@ -19,7 +19,7 @@ from .detect import DetectorProfile, FailureReport, ReportChannel, classify_resp
 from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_UNAVAILABLE, MURB_GROUP,
                        MURB_WEB, PARK, REBOOT_NODE, RECOVERY_LEVELS, RESTART_PROCESS,
                        SITE_COMPONENT, SITE_PROCESS, SITE_SESSION, ArmedFault,
-                       FaultPlan, FaultSpec, RecoveryScope)
+                       FaultPlan, FaultSpec, Level, RecoveryScope)
 from .recoverymgr import RecoveryManager, RejuvenationService
 from .runtime import HeapLedger, load_catalog
 from .simcore import EventLoop, RngStream
@@ -55,7 +55,7 @@ class _ReqCtx:
 class _MurbOp:
     __slots__ = ("members", "node", "level", "on_complete", "released")
 
-    def __init__(self, members: frozenset[str], node: int, level):
+    def __init__(self, members: frozenset[str], node: int, level: Level):
         self.members = members
         self.node = node
         self.level = level
