@@ -23,7 +23,7 @@ def main() -> int:
     probe = World(s)
     registry = probe.nodes[0].registry
     seen, at = set(), 30_000
-    for name in registry.order:
+    for name in registry.specs:
         members = registry.groups[name].members
         if members in seen:
             continue

@@ -222,9 +222,8 @@ class RejuvenationService:
         self.world = world
         self.config = config
         self.node = node
-        registry = world.nodes[node].registry
-        self.candidates: list[str] = [
-            n for n in registry.order if registry.specs[n].kind != KIND_WEB]
+        specs = world.nodes[node].registry.specs
+        self.candidates: list[str] = [n for n in specs if specs[n].kind != KIND_WEB]
         self.released_by_component: dict[str, int] = {n: 0 for n in self.candidates}
         self.pass_active = False
         self.completed_passes = 0

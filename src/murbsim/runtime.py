@@ -54,16 +54,6 @@ class LeaseRecord:
     acquired_via_runtime: bool = True
 
 
-class ComponentState:
-    __slots__ = ("status", "binding", "binding_arg", "instance_pool_epoch")
-
-    def __init__(self) -> None:
-        self.status = "active"             # active | microrebooting | stopped
-        self.binding = BOUND
-        self.binding_arg: object = None    # sentinel: rebind time; wrong: target name or None
-        self.instance_pool_epoch = 0
-
-
 @dataclass(frozen=True)
 class RecoveryGroup:
     anchor: str
@@ -91,6 +81,12 @@ class Lookup:
         return f"Lookup({self.state}, {self.arg!r})"
 
 
+_BOUND = Lookup(BOUND)
+_NOT_BOUND = Lookup(NOT_BOUND)
+_SENTINEL = Lookup(SENTINEL)
+_STOPPED = Lookup(NOT_BOUND)    # corrupting or restoring a stopped binding leaves it unbound
+
+
 class Registry:
     """Per-node component registry and name service."""
 
@@ -104,11 +100,9 @@ class Registry:
             for dep in sorted(s.depends_on):
                 if dep not in known:
                     raise DeployError(f"{s.name} depends on unknown component {dep}")
-        self.specs: dict[str, ComponentSpec] = {s.name: s for s in specs}
-        self.order: list[str] = names                      # catalog order
-        self.states: dict[str, ComponentState] = {n: ComponentState() for n in names}
-        # Components whose lookup is not BOUND; the binding methods keep it.
-        self.impaired: set[str] = set()
+        self.specs: dict[str, ComponentSpec] = {s.name: s for s in specs}   # catalog order
+        # The name service: the lookup of every component that is not BOUND.
+        self.impaired: dict[str, Lookup] = {}
         self.overrides = {o.members: o for o in overrides}
         self._dependents = self._reverse_edges()
         self.groups: dict[str, RecoveryGroup] = {
@@ -149,76 +143,47 @@ class Registry:
         return crash, init
 
     def lookup(self, name: str) -> Lookup:
-        state = self.states.get(name)
-        if state is None or state.binding == NOT_BOUND or state.status == "stopped":
-            return Lookup(NOT_BOUND)
-        if state.binding == SENTINEL:
-            return Lookup(SENTINEL, state.binding_arg)
-        if state.binding == WRONG:
-            return Lookup(WRONG, state.binding_arg)
-        return Lookup(BOUND)
+        entry = self.impaired.get(name)
+        if entry is not None:
+            return entry
+        return _BOUND if name in self.specs else _NOT_BOUND
 
-    def _sync_impaired(self, name: str) -> None:
-        st = self.states[name]
-        if st.binding == BOUND and st.status != "stopped":
-            self.impaired.discard(name)
-        else:
-            self.impaired.add(name)
-
-    def bind_sentinel(self, members: frozenset[str], rebind_at: int) -> None:
+    def bind_sentinel(self, members: frozenset[str]) -> None:
         for m in members:
-            st = self.states[m]
-            st.status = "microrebooting"
-            st.binding = SENTINEL
-            st.binding_arg = rebind_at
-        self.impaired.update(members)
+            self.impaired[m] = _SENTINEL
 
     def rebind(self, members: frozenset[str]) -> None:
         for m in members:
-            st = self.states[m]
-            st.status = "active"
-            st.binding = BOUND
-            st.binding_arg = None
-            st.instance_pool_epoch += 1
-        self.impaired.difference_update(members)
+            self.impaired.pop(m, None)
 
     def stop_all(self) -> None:
-        for st in self.states.values():
-            st.status = "stopped"
-            st.binding = NOT_BOUND
-            st.binding_arg = None
-        self.impaired.update(self.states)
+        self.impaired.update(dict.fromkeys(self.specs, _STOPPED))
 
     def redeploy_all(self) -> None:
-        for st in self.states.values():
-            st.status = "active"
-            st.binding = BOUND
-            st.binding_arg = None
-            st.instance_pool_epoch = 0
         self.impaired.clear()
 
+    def _unstopped(self, name: str) -> bool:
+        if name not in self.specs:
+            raise KeyError(name)
+        return self.impaired.get(name) is not _STOPPED
+
     def corrupt_binding(self, name: str, mode: str) -> None:
-        st = self.states[name]
         if mode == "null":
-            st.binding = NOT_BOUND
-            st.binding_arg = None
+            entry = _NOT_BOUND
         elif mode == "invalid":
-            st.binding = WRONG
-            st.binding_arg = None          # type-checks but points nowhere usable
+            entry = Lookup(WRONG)          # type-checks but points nowhere usable
         elif mode == "wrong":
-            others = [n for n in self.order if n != name and self.specs[n].kind != KIND_WEB]
-            st.binding = WRONG
-            st.binding_arg = others[0] if others else None
+            others = [n for n in self.specs if n != name and self.specs[n].kind != KIND_WEB]
+            entry = Lookup(WRONG, others[0] if others else None)
         else:
             raise ValueError(f"unknown corruption mode {mode}")
-        self._sync_impaired(name)
+        if self._unstopped(name):
+            self.impaired[name] = entry
 
     def restore_binding(self, name: str) -> None:
         """Undo a corrupted binding; a stopped component stays unbound."""
-        st = self.states[name]
-        st.binding = BOUND
-        st.binding_arg = None
-        self._sync_impaired(name)
+        if self._unstopped(name):
+            self.impaired.pop(name, None)
 
 
 class HeapLedger:

@@ -511,7 +511,7 @@ class World:
         self._active_murbs[node_id].append(murb_op)
         t0 = self.loop.now
         rebind_at = t0 + drain + crash + init
-        node.registry.bind_sentinel(members, rebind_at)
+        node.registry.bind_sentinel(members)
         self.log_action(t0, node_id, level.name, label, crash + init, reason)
         self.loop.schedule(t0 + drain, partial(self._murb_destroy, murb_op))
         self.loop.schedule(rebind_at, partial(self._murb_rebind, murb_op))

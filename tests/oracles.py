@@ -97,3 +97,54 @@ def digest_tree(root: str) -> str:
             with open(path, "rb") as fh:
                 h.update(fh.read())
     return h.hexdigest()
+
+
+class BindingModel:
+    """The name service as one (status, binding, arg) triple per component,
+    status being active, microrebooting or stopped. A stopped component looks
+    up NOT_BOUND whatever its binding says; a microreboot, a rebind or a
+    redeploy overwrites all three. A reference for `runtime.Registry`."""
+
+    def __init__(self, specs):
+        self.web = {s.name for s in specs if s.kind == "web"}
+        self.state = {s.name: ("active", "bound", None) for s in specs}
+
+    def lookup(self, name: str) -> tuple[str, object]:
+        """(state, WRONG target), the target None for every other state."""
+        status, binding, arg = self.state.get(name, ("stopped", "not_bound", None))
+        if status == "stopped" or binding == "not_bound":
+            return "not_bound", None
+        return binding, arg
+
+    def impaired(self) -> set[str]:
+        return {n for n, (status, binding, _) in self.state.items()
+                if status == "stopped" or binding != "bound"}
+
+    def bind_sentinel(self, members) -> None:
+        for m in members:
+            self.state[m] = ("microrebooting", "sentinel", None)
+
+    def rebind(self, members) -> None:
+        for m in members:
+            self.state[m] = ("active", "bound", None)
+
+    def stop_all(self) -> None:
+        for n in self.state:
+            self.state[n] = ("stopped", "not_bound", None)
+
+    def redeploy_all(self) -> None:
+        for n in self.state:
+            self.state[n] = ("active", "bound", None)
+
+    def corrupt_binding(self, name: str, mode: str) -> None:
+        status = self.state[name][0]
+        if mode == "null":
+            self.state[name] = (status, "not_bound", None)
+        elif mode == "invalid":
+            self.state[name] = (status, "wrong", None)
+        else:
+            others = [n for n in self.state if n != name and n not in self.web]
+            self.state[name] = (status, "wrong", others[0] if others else None)
+
+    def restore_binding(self, name: str) -> None:
+        self.state[name] = (self.state[name][0], "bound", None)

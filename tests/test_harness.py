@@ -151,7 +151,7 @@ class TestMicrorebootMachinery:
         w = run_world(s)
         windows = [a for a in w.action_log if a["level"] == "murb_group"]
         assert len(windows) == 1
-        assert w.nodes[0].registry.states["Item"].instance_pool_epoch == 1
+        assert w.recovery_completions == [(10_825, 0)]
 
     def test_overlap_reboots_members_outside_the_running_murb(self):
         # {ViewItem} is rebooting when {ViewItem, AboutMe} is asked for:
@@ -169,11 +169,9 @@ class TestMicrorebootMachinery:
         w.loop.schedule(1_002, lambda: w.murb(0, frozenset({"ViewItem"}),
                                               lambda: done.append(("c", w.loop.now))))
         w.loop.run_until(10_000)
-        states = w.nodes[0].registry.states
         wide_ms = sum(w.nodes[0].registry.group_cost(wide))
         assert done == [("a", 1_446), ("c", 1_446), ("b", 1_446 + wide_ms)]
-        assert states["ViewItem"].instance_pool_epoch == 2
-        assert states["AboutMe"].instance_pool_epoch == 1
+        assert w.recovery_completions == [(1_446, 0), (1_446 + wide_ms, 0)]
         assert [(a["time_ms"], a["target"]) for a in w.action_log] == \
             [(1_000, "ViewItem"), (1_446, "AboutMe,ViewItem")]
 
@@ -182,7 +180,9 @@ class TestMicrorebootMachinery:
         s.workload = WorkloadConfig(clients_per_node=10)
         s.scripted_recoveries = [murb(5_000, "ViewItem"), murb(15_000, "ViewItem")]
         w = run_world(s)
-        assert w.nodes[0].registry.states["ViewItem"].instance_pool_epoch == 2
+        assert [(a["time_ms"], a["target"]) for a in w.action_log] == \
+            [(5_000, "ViewItem"), (15_000, "ViewItem")]
+        assert w.recovery_completions == [(5_446, 0), (15_446, 0)]
 
     def test_inflight_aborts_match_replay_oracle(self):
         s = Scenario(duration_ms=60_000, seed=6, policy=quiet_policy())
@@ -208,13 +208,9 @@ class TestMicrorebootMachinery:
         w.loop.run_until(10_400)    # mid-window
         registry = w.nodes[0].registry
         members = registry.groups["Item"].members
-        for name, state in registry.states.items():
-            if name in members:
-                assert state.status == "microrebooting"
-                assert registry.lookup(name).state == "sentinel"
-            else:
-                assert state.status == "active"
-                assert registry.lookup(name).state == "bound"
+        for name in registry.specs:
+            want = "sentinel" if name in members else "bound"
+            assert registry.lookup(name).state == want
         w.loop.run_until(30_000)
         w.loop.drain()
 
@@ -282,7 +278,6 @@ class TestFullRestart:
             reg = w.nodes[0].registry
             return {
                 "bindings": {n: reg.lookup(n).state for n in reg.specs},
-                "statuses": {n: st.status for n, st in reg.states.items()},
                 "leases": sorted((r.holder, r.bytes)
                                  for r in w.nodes[0].heap.leases.values()),
                 "inproc": sorted(w.nodes[0].in_process_store.records),
