@@ -10,9 +10,6 @@ from functools import partial
 from .runtime import HeapLedger, Registry
 from .statestore import SessionStore
 
-NODE_UP = "up"
-NODE_RESTARTING = "restarting"
-
 
 class ClusterError(Exception):
     pass
@@ -76,7 +73,7 @@ class Node:
         self.registry = registry
         self.heap = heap
         self.in_process_store = in_process_store
-        self.status = NODE_UP             # also sets `up`
+        self.up = True
         self.worker_capacity = workers
         self.workers_busy = 0
         self.worker_queue: deque = deque()
@@ -84,15 +81,6 @@ class Node:
         self.inflight: dict = {}          # request -> path frozenset
         self.parked: dict = {}            # request -> component name
         self.pumping = False              # re-entrancy guard for the worker queue
-
-    @property
-    def status(self) -> str:
-        return self._status
-
-    @status.setter
-    def status(self, value: str) -> None:
-        self._status = value
-        self.up = value == NODE_UP
 
     def reset_processing(self) -> None:
         self.workers_busy = 0

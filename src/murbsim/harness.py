@@ -432,14 +432,10 @@ def run_scenario(scenario: Scenario, out_dir: str) -> dict:
 
 # -- presets ------------------------------------------------------------------
 
-def _base_scenario(seed: int) -> Scenario:
-    return Scenario(seed=seed)
-
-
 def preset_fig1(seed: int) -> list[tuple[str, Scenario]]:
     runs = []
     for mode in ("murb", "restart"):
-        s = _base_scenario(seed)
+        s = Scenario(seed=seed)
         s.duration_ms = 2_100_000
         s.policy = PolicyConfig(recovery_mode=mode)
         s.faults = [
@@ -478,7 +474,7 @@ def preset_fig3(seed: int) -> list[tuple[str, Scenario]]:
     runs = []
     for nodes, clients in _FIG3_SIZES:
         for mode in ("murb", "restart"):
-            s = _base_scenario(seed + nodes)
+            s = Scenario(seed=seed + nodes)
             s.duration_ms = 310_000
             s.cluster = ClusterConfig(nodes=nodes, failover=True)
             s.workload = WorkloadConfig(clients_per_node=clients)
@@ -524,13 +520,13 @@ def preset_fig5a(seed: int) -> list[tuple[str, Scenario]]:
     runs = []
     inject = 60_000
     for tdet in _FIG5A_GRID_S:
-        s = _base_scenario(seed)
+        s = Scenario(seed=seed)
         s.duration_ms = 200_000
         s.policy = PolicyConfig(enabled=False)
         s.faults = [FaultConfig(inject, "transient_exception", "WebUI")]
         s.scripted_recoveries = [ScriptedRecovery(inject + tdet * 1000, "murb_web")]
         runs.append((f"murb_t{tdet}", s))
-    s = _base_scenario(seed)
+    s = Scenario(seed=seed)
     s.duration_ms = 200_000
     s.policy = PolicyConfig(enabled=False)
     s.faults = [FaultConfig(inject, "transient_exception", "WebUI")]
@@ -571,7 +567,7 @@ def post_fig5a(results: dict[str, dict]) -> dict:
 def preset_fig5b(seed: int) -> list[tuple[str, Scenario]]:
     runs = []
     for mode in ("murb", "restart"):
-        s = _base_scenario(seed)
+        s = Scenario(seed=seed)
         s.duration_ms = 150_000
         s.policy = PolicyConfig(recovery_mode=mode)
         s.faults = [FaultConfig(60_000, "transient_exception", "BrowseCategories")]
@@ -597,7 +593,7 @@ def post_fig5b(results: dict[str, dict]) -> dict:
 def preset_fig6(seed: int) -> list[tuple[str, Scenario]]:
     runs = []
     for mode in ("murb", "restart"):
-        s = _base_scenario(seed)
+        s = Scenario(seed=seed)
         s.duration_ms = 1_800_000
         s.rejuvenation = RejuvenationConfig(enabled=True, mode=mode)
         s.faults = [
@@ -657,7 +653,7 @@ TABLE2_ROWS = [
 def preset_table2(seed: int) -> list[tuple[str, Scenario]]:
     runs = []
     for (name, cls, mode, target, nbytes, prob, store, duration, _level, _manual) in TABLE2_ROWS:
-        s = _base_scenario(seed)
+        s = Scenario(seed=seed)
         s.duration_ms = duration
         s.workload = WorkloadConfig(clients_per_node=200)
         s.stores = StoreConfig(session_store=store)
@@ -706,7 +702,7 @@ def preset_table6(seed: int) -> list[tuple[str, Scenario]]:
     for name, retries, drain in (("no_retry", False, 0),
                                  ("retry", True, 0),
                                  ("drain_retry", True, 200)):
-        s = _base_scenario(seed)
+        s = Scenario(seed=seed)
         s.duration_ms = duration
         s.cluster = ClusterConfig(retries=retries, drain_delay_ms=drain)
         s.policy = PolicyConfig(enabled=False)
@@ -726,7 +722,7 @@ def post_table6(results: dict[str, dict]) -> dict:
 def preset_sec61(seed: int) -> list[tuple[str, Scenario]]:
     runs = []
     for name, failover in (("no_failover", False), ("failover", True)):
-        s = _base_scenario(seed)
+        s = Scenario(seed=seed)
         s.duration_ms = 210_000
         s.cluster = ClusterConfig(nodes=2, failover=failover)
         s.faults = [FaultConfig(90_000, "transient_exception",

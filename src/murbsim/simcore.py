@@ -20,11 +20,9 @@ class SimError(Exception):
 class EventHandle:
     """Returned by schedule(); cancel() makes the dispatcher skip the event."""
 
-    __slots__ = ("at", "seq", "fn", "cancelled")
+    __slots__ = ("fn", "cancelled")
 
-    def __init__(self, at: int, seq: int, fn: Callable[[], None]):
-        self.at = at
-        self.seq = seq
+    def __init__(self, fn: Callable[[], None]):
         self.fn = fn
         self.cancelled = False
 
@@ -46,7 +44,7 @@ class EventLoop:
         if at < self.now:
             raise SimError(f"schedule at t={at} is in the past (now={self.now})")
         self._seq += 1
-        handle = EventHandle(at, self._seq, fn)
+        handle = EventHandle(fn)
         heapq.heappush(self._heap, (at, self._seq, handle))
         return handle
 
@@ -104,17 +102,15 @@ class RngStream:
     sequences are independent of when (or how often) other forks happen.
     """
 
-    __slots__ = ("stream_id", "seed", "_rng", "random")
+    __slots__ = ("seed", "_rng", "random")
 
-    def __init__(self, seed: int, stream_id: str = "root"):
-        self.stream_id = stream_id
+    def __init__(self, seed: int):
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
         self._rng = random.Random(self.seed)
         self.random = self._rng.random      # the generator's own bound method
 
     def fork(self, label: str) -> "RngStream":
-        child_seed = _derive_seed(self.seed, label)
-        return RngStream(child_seed, f"{self.stream_id}/{label}")
+        return RngStream(_derive_seed(self.seed, label))
 
     def randrange(self, n: int) -> int:
         return self._rng.randrange(n)

@@ -25,7 +25,6 @@ def checksum(payload: bytes) -> int:
 
 @dataclass
 class SessionRecord:
-    session_key: str
     payload: bytes
     lease_expires_at: int
     checksum: int
@@ -38,9 +37,7 @@ class SessionStore:
     returns whatever bytes are there and lets the application notice.
     """
 
-    def __init__(self, kind: str, access_latency_ms: int, lease_ms: int,
-                 verify_checksums: bool):
-        self.kind = kind
+    def __init__(self, access_latency_ms: int, lease_ms: int, verify_checksums: bool):
         self.access_latency_ms = access_latency_ms
         self.lease_ms = lease_ms
         self.verify_checksums = verify_checksums
@@ -48,7 +45,6 @@ class SessionStore:
 
     def write(self, key: str, payload: bytes, now: int) -> None:
         self.records[key] = SessionRecord(
-            session_key=key,
             payload=payload,
             lease_expires_at=now + self.lease_ms,
             checksum=checksum(payload),

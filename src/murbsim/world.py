@@ -13,7 +13,7 @@ from functools import partial
 
 from . import runtime
 from .app import AppCatalog, OpType, canonical_fingerprint, load_app_catalog
-from .cluster import NODE_RESTARTING, NODE_UP, LoadBalancer, Node, handle_sentinel
+from .cluster import LoadBalancer, Node, handle_sentinel
 from .config import Scenario
 from .detect import DetectorProfile, FailureReport, ReportChannel, classify_response
 from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_UNAVAILABLE, MURB_GROUP,
@@ -79,11 +79,11 @@ class World:
         for i in range(cl.nodes):
             registry = runtime.deploy(specs, overrides)
             heap = HeapLedger(cl.heap_bytes_per_node, registry)
-            store = SessionStore("in_process", st.in_process_latency_ms,
+            store = SessionStore(st.in_process_latency_ms,
                                  st.session_lease_ms, verify_checksums=False)
             self.nodes.append(Node(i, self.loop, registry, heap, store,
                                    cl.workers_per_node, cl.cpu_slots_per_node))
-        self.external_store = SessionStore("external", st.external_latency_ms,
+        self.external_store = SessionStore(st.external_latency_ms,
                                            st.session_lease_ms, verify_checksums=True)
         self.tx_store = TransactionalStore()
         self.lb = LoadBalancer(self.nodes, self.rng.fork("lb"))
@@ -349,7 +349,7 @@ class World:
 
     def _inproc_session_symptom(self, ctx: _ReqCtx, key: str) -> str | None:
         hooks = self._fault_hooks[ctx.node_id]
-        if not hooks["any"] or self.scenario.stores.session_store != "in_process":
+        if not hooks["any"] or self._external_sessions:
             return None
         for symptom, armed in hooks[SITE_SESSION]:
             if armed.spec.target and armed.spec.target != key:
@@ -565,7 +565,7 @@ class World:
         err = record.abort_outcome
         process_dies = record.rank >= RESTART_PROCESS.rank
         if process_dies:
-            node.status = NODE_RESTARTING   # before aborts, so pumped work fails fast
+            node.up = False     # before aborts, so pumped work fails fast
         node.registry.stop_all()
         self._abort(node, frozenset(node.registry.specs), err)
         node.heap.release_all_app()
@@ -589,7 +589,7 @@ class World:
     def _restart_done(self, node_id: int, level: str, on_complete) -> None:
         node = self.nodes[node_id]
         node.registry.redeploy_all()
-        node.status = NODE_UP
+        node.up = True
         self._recovered(RecoveryScope(level, frozenset(node.registry.specs), node_id,
                                       includes_web=True))
         self._recovery_busy[node_id] -= 1

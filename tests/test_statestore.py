@@ -6,8 +6,8 @@ from murbsim.statestore import (READ_DISCARDED, READ_MISSING, READ_OK,
                                 SessionStore, TransactionalStore)
 
 
-def make_store(kind="external", latency=13, lease=1000, verify=True):
-    return SessionStore(kind, latency, lease, verify_checksums=verify)
+def make_store(latency=13, lease=1000, verify=True):
+    return SessionStore(latency, lease, verify_checksums=verify)
 
 
 class TestSessionStore:
@@ -37,7 +37,7 @@ class TestSessionStore:
         assert store.read("k", now=2)[0] == READ_MISSING
 
     def test_corrupted_in_process_returned_as_is(self):
-        store = make_store(kind="in_process", latency=0, verify=False)
+        store = make_store(latency=0, verify=False)
         store.write("k", b"p", now=0)
         store.corrupt("k", "wrong")
         status, payload = store.read("k", now=1)
