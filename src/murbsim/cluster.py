@@ -30,7 +30,8 @@ class CpuQueue:
     def submit(self, service_ms: int, done) -> None:
         if self.busy + self.pinned < self.slots:
             self.busy += 1
-            self.loop.after(service_ms, partial(self._finish, self.epoch, done))
+            self.loop.schedule(self.loop.now + service_ms,
+                               partial(self._finish, self.epoch, done))
         else:
             self.queue.append((service_ms, done))
 
@@ -46,7 +47,8 @@ class CpuQueue:
         while self.queue and self.busy + self.pinned < self.slots:
             service_ms, done = self.queue.popleft()
             self.busy += 1
-            self.loop.after(service_ms, partial(self._finish, self.epoch, done))
+            self.loop.schedule(self.loop.now + service_ms,
+                               partial(self._finish, self.epoch, done))
 
     def pin_slot(self) -> None:
         self.pinned += 1

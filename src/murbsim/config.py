@@ -1,64 +1,85 @@
 """Scenario configuration dataclasses and defaults.
 
 Every tunable the simulator honors lives here; scenario files and presets
-only ever fill these structures.
+only ever fill these structures. A numeric field's type carries its allowed
+range, which the scenario parser checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Annotated, Literal
+
+
+@dataclass(frozen=True)
+class Range:
+    """Closed interval a numeric field must lie in; hi None: no upper bound."""
+
+    lo: float
+    hi: float | None = None
+
+    def check(self, value):
+        if value < self.lo or (self.hi is not None and value > self.hi):
+            upper = f" and <= {self.hi}" if self.hi is not None else ""
+            raise ValueError(f"expected a value >= {self.lo}{upper}, got {value}")
+        return value
+
+
+AtLeastOne = Annotated[int, Range(1)]       # counts that must exist; divisors
+NonNegative = Annotated[int, Range(0)]      # times, delays, sizes
+NonNegativeFloat = Annotated[float, Range(0.0)]
+Probability = Annotated[float, Range(0.0, 1.0)]
 
 
 @dataclass
 class ClusterConfig:
-    nodes: int = 1
-    workers_per_node: int = 200
-    cpu_slots_per_node: int = 2
-    heap_bytes_per_node: int = 1_000_000_000
+    nodes: AtLeastOne = 1
+    workers_per_node: AtLeastOne = 200
+    cpu_slots_per_node: AtLeastOne = 2
+    heap_bytes_per_node: AtLeastOne = 1_000_000_000
     failover: bool = False
     retries: bool = False                 # Retry-After masking at the client edge
-    retry_after_ms: int = 2_000
-    drain_delay_ms: int = 0               # sentinel-to-destroy delay per microreboot
-    os_boot_ms: int = 60_000              # added to a process restart for node reboots
-    app_restart_ms: int = 7_699
-    process_restart_ms: int = 19_083
+    retry_after_ms: NonNegative = 2_000
+    drain_delay_ms: NonNegative = 0       # sentinel-to-destroy delay per microreboot
+    os_boot_ms: NonNegative = 60_000      # added to a process restart for node reboots
+    app_restart_ms: NonNegative = 7_699
+    process_restart_ms: NonNegative = 19_083
 
 
 @dataclass
 class WorkloadConfig:
-    clients_per_node: int = 500
-    think_mean_ms: int = 7_000
-    think_max_ms: int = 70_000
-    request_ttl_ms: int = 30_000
+    clients_per_node: NonNegative = 500
+    think_mean_ms: AtLeastOne = 7_000
+    think_max_ms: NonNegative = 70_000
+    request_ttl_ms: NonNegative = 30_000
 
 
 @dataclass
 class StoreConfig:
     session_store: Literal["in_process", "external"] = "in_process"
-    in_process_latency_ms: int = 0
-    external_latency_ms: int = 13
-    session_lease_ms: int = 1_800_000
+    in_process_latency_ms: NonNegative = 0
+    external_latency_ms: NonNegative = 13
+    session_lease_ms: NonNegative = 1_800_000
 
 
 @dataclass
 class DetectorConfig:
     kind: Literal["fast", "comparison"] = "fast"
-    t_det_ms: int = 0
-    fp_rate: float = 0.0
-    fn_rate: float = 0.0
-    channel_delay_ms: int = 0
-    drop_rate: float = 0.0
+    t_det_ms: NonNegative = 0
+    fp_rate: Probability = 0.0
+    fn_rate: Probability = 0.0
+    channel_delay_ms: NonNegative = 0
+    drop_rate: Probability = 0.0
 
 
 @dataclass
 class PolicyConfig:
     enabled: bool = True
-    threshold: float = 3.0
-    half_life_ms: int = 10_000
-    observation_window_ms: int = 5_000
-    recurrence_limit: int = 3             # same-target recoveries ...
-    recurrence_period_ms: int = 600_000   # ... within this window escalate to a human
+    threshold: NonNegativeFloat = 3.0
+    half_life_ms: AtLeastOne = 10_000
+    observation_window_ms: NonNegative = 5_000
+    recurrence_limit: NonNegative = 3     # same-target recoveries ...
+    recurrence_period_ms: NonNegative = 600_000  # ... within this window escalate to a human
     # murb: start the ladder at group level; restart: jump to process restart
     recovery_mode: Literal["murb", "restart"] = "murb"
 
@@ -67,35 +88,35 @@ class PolicyConfig:
 class RejuvenationConfig:
     enabled: bool = False
     mode: Literal["murb", "restart"] = "murb"   # murb: rolling component reboots; restart: whole process
-    poll_ms: int = 1_000
-    alarm_bytes: int = 350_000_000
-    sufficient_bytes: int = 800_000_000
+    poll_ms: AtLeastOne = 1_000
+    alarm_bytes: NonNegative = 350_000_000
+    sufficient_bytes: NonNegative = 800_000_000
 
 
 @dataclass
 class FaultConfig:
-    inject_at_ms: int
+    inject_at_ms: NonNegative
     fault_class: str
     target: str = ""
     mode: str = ""                        # the modes of faultlib.FAULT_CLASSES[fault_class]
-    node: int = 0
-    bytes_per_invoke: int = 0             # leak classes
-    fail_probability: float = 1.0         # classes whose symptom throws
+    node: int = 0                         # checked against the cluster's size
+    bytes_per_invoke: NonNegative = 0     # leak classes
+    fail_probability: Probability = 1.0   # classes whose symptom throws
 
 
 @dataclass
 class ScriptedRecovery:
     """Direct recovery action at a fixed time, bypassing diagnosis."""
 
-    at_ms: int
+    at_ms: NonNegative
     level: str                            # a faultlib.RECOVERY_LEVELS name but escalate_human
     target: str = ""                      # component anchor for murb levels
-    node: int = 0
+    node: int = 0                         # checked against the cluster's size
 
 
 @dataclass
 class Scenario:
-    duration_ms: int = 60_000
+    duration_ms: NonNegative = 60_000
     seed: int = 1
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)

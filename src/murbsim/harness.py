@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -60,8 +61,17 @@ _EVENT_SECTIONS = {
 }
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """A config class's field types, with the ranges config.py attaches."""
+    return typing.get_type_hints(cls, include_extras=True)
+
+
 def _coerce(value: str, target_type, lineno: int):
     try:
+        if typing.get_origin(target_type) is typing.Annotated:
+            base, allowed = typing.get_args(target_type)      # a config.Range
+            return allowed.check(_coerce(value, base, lineno))
         if target_type is bool:
             if value in ("true", "yes", "1"):
                 return True
@@ -115,7 +125,7 @@ def parse_scenario(text: str) -> Scenario:
             elif name in _EVENT_SECTIONS:
                 section = name
                 cls, _, renames, fixed, _ = _EVENT_SECTIONS[name]
-                types = typing.get_type_hints(cls)
+                types = _field_types(cls)
                 pending = {}
                 pending_keys = {renames.get(f.name, f.name): (f.name, types[f.name])
                                 for f in dataclasses.fields(cls) if f.name not in fixed}
@@ -136,17 +146,15 @@ def parse_scenario(text: str) -> Scenario:
         if section is None:
             raise ScenarioError(f"line {lineno}: key outside any section")
         if section == "scenario":
-            if key == "duration_ms":
-                scenario.duration_ms = _coerce(value, int, lineno)
-            elif key == "seed":
-                scenario.seed = _coerce(value, int, lineno)
+            if key in ("duration_ms", "seed"):
+                setattr(scenario, key, _coerce(value, _field_types(Scenario)[key], lineno))
             elif key in ("catalog_path", "ops_path", "matrix_path"):
                 setattr(scenario, key, value)
             else:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r} in [scenario]")
         else:
             target = getattr(scenario, _SECTION_TO_FIELD[section])
-            field_types = typing.get_type_hints(type(target))
+            field_types = _field_types(type(target))
             if key not in field_types:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
             setattr(target, key, _coerce(value, field_types[key], lineno))

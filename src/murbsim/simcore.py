@@ -18,38 +18,59 @@ class SimError(Exception):
 
 
 class EventHandle:
-    """Returned by schedule(); cancel() makes the dispatcher skip the event."""
+    """A cancellable event, from schedule_cancellable(); cancel() makes the
+    dispatcher skip it.
 
-    __slots__ = ("fn", "cancelled")
+    Cancelling an event that has run, or is running, does nothing.
+    """
 
-    def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
-        self.cancelled = False
+    __slots__ = ("loop", "seq", "fn")
+
+    def __init__(self, loop: EventLoop, seq: int, fn: Callable[[], None]):
+        self.loop = loop
+        self.seq = seq
+        self.fn = fn              # None once the event has run or been cancelled
 
     def cancel(self) -> None:
-        self.cancelled = True
+        if self.fn is not None:
+            self.fn = None
+            self.loop._cancelled.add(self.seq)
+
+    def _fire(self) -> None:
+        fn, self.fn = self.fn, None
+        fn()
 
 
 class EventLoop:
-    """Deterministic event queue with FIFO tie-break among equal timestamps."""
+    """Deterministic event queue with FIFO tie-break among equal timestamps.
+
+    The heap holds plain (at, seq, fn) entries. A cancelled event stays in
+    the heap with its seq in `_cancelled`; the dispatcher drops it without
+    moving the clock or counting it.
+    """
 
     def __init__(self) -> None:
         self.now = 0
-        self._heap: list[tuple[int, int, EventHandle]] = []
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
+        self._cancelled: set[int] = set()
         self.dispatched = 0
 
-    def schedule(self, at: int, fn: Callable[[], None]) -> EventHandle:
+    def schedule(self, at: int, fn: Callable[[], None]) -> None:
         """Schedule fn to run at virtual time `at` (>= now)."""
         if at < self.now:
             raise SimError(f"schedule at t={at} is in the past (now={self.now})")
         self._seq += 1
-        handle = EventHandle(fn)
-        heapq.heappush(self._heap, (at, self._seq, handle))
+        heapq.heappush(self._heap, (at, self._seq, fn))
+
+    def schedule_cancellable(self, at: int, fn: Callable[[], None]) -> EventHandle:
+        """schedule(), plus a handle that can take the event back."""
+        handle = EventHandle(self, self._seq + 1, fn)     # schedule() takes that seq
+        self.schedule(at, handle._fire)
         return handle
 
-    def after(self, delay: int, fn: Callable[[], None]) -> EventHandle:
-        return self.schedule(self.now + delay, fn)
+    def after(self, delay: int, fn: Callable[[], None]) -> None:
+        self.schedule(self.now + delay, fn)
 
     def run_until(self, t_end: int) -> int:
         """Dispatch every event with timestamp <= t_end; leave now == t_end."""
@@ -57,12 +78,15 @@ class EventLoop:
             raise SimError(f"run_until t={t_end} is in the past (now={self.now})")
         dispatched = 0
         heap = self._heap
+        cancelled = self._cancelled
+        pop = heapq.heappop
         while heap and heap[0][0] <= t_end:
-            at, _, handle = heapq.heappop(heap)
-            if handle.cancelled:
+            at, seq, fn = pop(heap)
+            if cancelled and seq in cancelled:
+                cancelled.remove(seq)
                 continue
             self.now = at
-            handle.fn()
+            fn()
             dispatched += 1
         self.now = t_end
         self.dispatched += dispatched
@@ -72,12 +96,15 @@ class EventLoop:
         """Dispatch until the queue is empty; clock follows the events."""
         dispatched = 0
         heap = self._heap
+        cancelled = self._cancelled
+        pop = heapq.heappop
         while heap:
-            at, _, handle = heapq.heappop(heap)
-            if handle.cancelled:
+            at, seq, fn = pop(heap)
+            if cancelled and seq in cancelled:
+                cancelled.remove(seq)
                 continue
             self.now = at
-            handle.fn()
+            fn()
             dispatched += 1
             if dispatched > hard_limit:
                 raise SimError("drain exceeded event limit; runaway event source?")
@@ -85,7 +112,7 @@ class EventLoop:
         return dispatched
 
     def pending(self) -> int:
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
+        return len(self._heap) - len(self._cancelled)
 
 
 def _derive_seed(seed: int, label: str) -> int:

@@ -66,6 +66,11 @@ class _MurbOp:
 class World:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+        wl = scenario.workload
+        self._duration = scenario.duration_ms
+        self._think_mean = wl.think_mean_ms
+        self._think_max = wl.think_max_ms
+        self._ttl_ms = wl.request_ttl_ms
         self.loop = EventLoop()
         self.rng = RngStream(scenario.seed)
         self.catalog: AppCatalog = load_app_catalog(scenario.ops_path, scenario.matrix_path)
@@ -88,6 +93,9 @@ class World:
         self.tx_store = TransactionalStore()
         self.lb = LoadBalancer(self.nodes, self.rng.fork("lb"))
         self._external_sessions = st.session_store == "external"
+        # the session store serving each node
+        self._session_stores = [self.external_store if self._external_sessions
+                                else node.in_process_store for node in self.nodes]
         self._path_sets = {op.name: frozenset(op.path) for op in self.catalog.op_list}
 
         self.detector = DetectorProfile(
@@ -134,12 +142,12 @@ class World:
     # -- lifecycle ---------------------------------------------------------
 
     def run(self) -> None:
-        duration = self.scenario.duration_ms
-        for client in self.clients:
-            first = client.think_ms(self.scenario.workload.think_mean_ms,
-                                    self.scenario.workload.think_max_ms)
-            self.loop.schedule(min(first, max(duration - 1, 0)),
-                               partial(self._client_tick, client))
+        duration = self._duration
+        # one tick callback per client, reused for each of its requests
+        self._ticks = [partial(self._client_tick, client) for client in self.clients]
+        for client, tick in zip(self.clients, self._ticks):
+            first = client.think_ms(self._think_mean, self._think_max)
+            self.loop.schedule(min(first, max(duration - 1, 0)), tick)
         if self.scenario.rejuvenation.enabled:
             for node in self.nodes:
                 self._schedule_rejuvenation_poll(node.node_id)
@@ -151,7 +159,7 @@ class World:
                 self.ledger.abandon(client.action, duration)
 
     def _schedule_gc(self) -> None:
-        if self.loop.now + _GC_SWEEP_MS >= self.scenario.duration_ms:
+        if self.loop.now + _GC_SWEEP_MS >= self._duration:
             return
         self.loop.after(_GC_SWEEP_MS, self._gc_sweep)
 
@@ -165,7 +173,7 @@ class World:
 
     def _schedule_rejuvenation_poll(self, node_id: int) -> None:
         poll = self.scenario.rejuvenation.poll_ms
-        if self.loop.now + poll >= self.scenario.duration_ms:
+        if self.loop.now + poll >= self._duration:
             return
         self.loop.after(poll, partial(self._rejuvenation_poll, node_id))
 
@@ -176,10 +184,18 @@ class World:
     # -- client request flow -------------------------------------------------
 
     def _client_tick(self, client: Client) -> None:
-        if client.stopped or self.loop.now >= self.scenario.duration_ms:
+        now = self.loop.now
+        if client.stopped or now >= self._duration:
             client.stopped = True
             return
-        self._route_and_admit(self._issue(client, client.next_op_name(self.catalog)))
+        op_name = client.next_op_name(self.catalog)
+        # _issue, inline: enter the request in the client's open action
+        ledger = self.ledger
+        action = client.action
+        if action is None or ledger.action_status[action] != PENDING:
+            action = client.action = ledger.new_action()
+        self._route_and_admit(_ReqCtx(ledger.new_request(action, op_name, now), now,
+                                      self.catalog.ops[op_name], client))
 
     def _issue(self, client: Client, op_name: str) -> _ReqCtx:
         """Enter a request in the ledger, in the client's open action."""
@@ -297,8 +313,8 @@ class World:
         if verdict == PARK:
             ctx.state = "parked"
             node.parked[ctx] = comp
-            deadline = ctx.issued_at + self.scenario.workload.request_ttl_ms
-            ctx.ttl_handle = self.loop.schedule(
+            deadline = ctx.issued_at + self._ttl_ms
+            ctx.ttl_handle = self.loop.schedule_cancellable(
                 max(deadline, self.loop.now), partial(self._ttl_abort, ctx))
         else:
             if not armed.active:          # the symptom cleared its own fault
@@ -316,22 +332,17 @@ class World:
     def _cpu_done(self, ctx: _ReqCtx) -> None:
         if ctx.state != "active":
             return                        # aborted while in service
-        node = self.nodes[ctx.node_id]
-        op = ctx.op
         outcome = OK
         store_ms = 0
-        touch = op.session_touch
+        touch = ctx.op.session_touch
         if touch != "none":
-            store = self._session_store(node)
+            store = self._session_stores[ctx.node_id]
             client = ctx.client
-            if touch == "create":
-                store_ms += store.access_latency_ms
-            elif touch == "delete":
-                store_ms += store.access_latency_ms
+            store_ms = store.access_latency_ms
+            if touch == "delete":
                 if client.logged_in:
                     store.delete(client.session_id)
-            else:   # read or update
-                store_ms += store.access_latency_ms
+            elif touch != "create":   # read or update
                 status, payload = store.read(client.session_id, self.loop.now)
                 if status in (READ_MISSING, READ_DISCARDED):
                     outcome = ERR_SESSION
@@ -343,7 +354,8 @@ class World:
                         store_ms += store.access_latency_ms
                         store.write(client.session_id, payload, self.loop.now)
         if store_ms > 0:
-            self.loop.after(store_ms, partial(self._finalize, ctx, outcome))
+            loop = self.loop
+            loop.schedule(loop.now + store_ms, partial(self._finalize, ctx, outcome))
         else:
             self._finalize(ctx, outcome)
 
@@ -361,20 +373,17 @@ class World:
         if ctx.state != "active":
             return                        # aborted while waiting on a store
         op = ctx.op
-        if outcome == OK and op.tx_writes:
+        # Only a tx write can be tainted, and only tainted rows are ever read
+        # back (tainted_rows), so a clean write is not stored.
+        if ctx.taint and outcome == OK:
             row = f"{op.name}:{ctx.req + 1}"
             value = canonical_fingerprint(op.name, str(ctx.client.client_id)).encode()
             owner = op.path[1] if len(op.path) > 1 else op.path[0]
-            self.tx_store.execute([(row, value)], owner=owner, taint=ctx.taint)
+            self.tx_store.execute([(row, value)], owner=owner, taint=True)
         node = self.nodes[ctx.node_id]
         node.inflight.pop(ctx, None)
         self._release_worker(node)
         self._complete(ctx, outcome)
-
-    def _session_store(self, node: Node) -> SessionStore:
-        if self._external_sessions:
-            return self.external_store
-        return node.in_process_store
 
     def _complete(self, ctx: _ReqCtx, outcome: str) -> None:
         if ctx.state == "done":
@@ -390,9 +399,8 @@ class World:
         if outcome == OK:
             if op.session_touch == "create":
                 session = client.begin_session()
-                node = self.nodes[ctx.node_id]
                 payload = canonical_fingerprint(op.name, session).encode()
-                self._session_store(node).write(session, payload, now)
+                self._session_stores[ctx.node_id].write(session, payload, now)
                 self.lb.establish(session, ctx.node_id)
             elif op.session_touch == "delete" and client.logged_in:
                 self.lb.forget(client.session_id)
@@ -416,12 +424,11 @@ class World:
                 self.channel.report(report, detector.t_det_ms)
 
         if not client.stopped:
-            if now >= self.scenario.duration_ms:
+            if now >= self._duration:
                 client.stopped = True
             else:
-                workload = self.scenario.workload
-                think = client.think_ms(workload.think_mean_ms, workload.think_max_ms)
-                self.loop.after(think, partial(self._client_tick, client))
+                self.loop.schedule(now + client.think_ms(self._think_mean, self._think_max),
+                                   self._ticks[client.client_id])
 
     # -- fault arming ---------------------------------------------------------
 

@@ -111,6 +111,24 @@ level restart_process
                        "[fault]\nat 100\nclass corrupt_external_session\nmode null\n"
                        "[fault]\nat 100\nclass bad_env\nfail_probability 0.5\n")
 
+    def test_numeric_range_edges_parse(self):
+        s = parse_scenario("[scenario]\nduration_ms 0\n[cluster]\nnodes 1\n"
+                           "[workload]\nclients_per_node 0\nthink_mean_ms 1\n"
+                           "[detector]\nt_det_ms 0\nfp_rate 1.0\ndrop_rate 0\n"
+                           "[fault]\nat 0\nclass transient_exception\ntarget ViewItem\n"
+                           "fail_probability 0\n")
+        assert (s.cluster.nodes, s.workload.clients_per_node, s.detector.fp_rate) == (1, 0, 1.0)
+        assert s.faults[0].fail_probability == 0.0
+        for text, message in [
+            ("[workload]\nthink_mean_ms 0\n", "expected a value >= 1, got 0"),
+            ("[rejuvenation]\npoll_ms 0\n", "expected a value >= 1, got 0"),
+            ("[detector]\nfp_rate 1.5\n", "expected a value >= 0.0 and <= 1.0, got 1.5"),
+            ("[scenario]\nduration_ms -1\n", "expected a value >= 0, got -1"),
+            ("[murb]\nat -1\ntarget Item\n", "expected a value >= 0, got -1"),
+        ]:
+            with pytest.raises(ScenarioError, match=f"^line 2: {re.escape(message)}$"):
+                parse_scenario(text)
+
     def test_missing_fault_field_reports_line(self):
         with pytest.raises(ScenarioError, match="class"):
             parse_scenario("[fault]\nat 100\n")
@@ -394,16 +412,34 @@ class TestMaskingAndSessions:
         assert free_before - w.nodes[0].heap.free == 10_000 * invocations
 
     def test_committed_rows_only_for_successful_requests(self):
+        # Only tainted writes are stored, so a wrong-mode tx-map fault makes
+        # the rows; the microreboots abort some of its requests mid-flight.
         s = Scenario(duration_ms=120_000, seed=13, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=300)
+        s.faults = [FaultConfig(20_000, "corrupt_tx_map", "Item", mode="wrong")]
         s.scripted_recoveries = [murb(40_000 + i * 8_000, "Item")
                                  for i in range(5)]
         w = run_world(s)
         outcome_by_id = {r.request_id: r.outcome for r in w.ledger.records()}
         assert w.tx_store.rows, "expected committed transactions"
-        for row_key in w.tx_store.rows:
+        for row_key, record in w.tx_store.rows.items():
             request_id = int(row_key.rsplit(":", 1)[1])
+            assert record.tainted
             assert outcome_by_id[request_id] == "ok"
+
+    def test_tainted_write_flags_manual_repair(self):
+        s = Scenario(duration_ms=10_000, seed=1, policy=quiet_policy())
+        s.cluster = ClusterConfig(nodes=2)
+        s.workload = WorkloadConfig(clients_per_node=1)
+        s.faults = [FaultConfig(0, "corrupt_tx_map", "User", mode="wrong", node=1)]
+        w = World(s)
+        w.loop.run_until(0)                      # arms the fault
+        assert not w.manual_repair_flagged(0)
+        view = w.run_single_request(w.clients[0], "RegisterNewUser")   # routed to node 1
+        assert view.outcome == "ok"
+        assert w.tx_store.tainted_rows() == [f"RegisterNewUser:{view.request_id}"]
+        # node 0 has no fault of its own: the stored row alone flags it
+        assert w.manual_repair_flagged(0)
 
     def test_same_time_faults_count_their_own_node_sessions(self):
         s = Scenario(duration_ms=60_000, seed=2, policy=quiet_policy())
@@ -613,6 +649,12 @@ class TestCli:
              "target ViewItem\nnode 3\n", 5),
             # exit 0, no effect
             (FIVE_SECONDS + "[fault]\nat 3000\nclass deadlock\ntarget Nope\n", 5),
+            # numbers out of range: each ran to exit 0 and wrote a summary
+            (FIVE_SECONDS + "[cluster]\nnodes 0\n", 6),
+            ("[scenario]\nduration_ms 5000\n[workload]\nclients_per_node -5\n", 4),
+            (FIVE_SECONDS + "[detector]\nt_det_ms -100\n", 6),
+            (FIVE_SECONDS + "[fault]\nat 3000\nclass transient_exception\n"
+             "target ViewItem\nfail_probability 7\n", 9),
         ]:
             scenario.write_text(text)
             assert main(["run", "--scenario", str(scenario),

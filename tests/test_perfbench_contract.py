@@ -9,9 +9,10 @@ import importlib.util
 import inspect
 import os
 import sys
+import time
 
 import murbsim.harness  # noqa: F401  (imports every module the tracer wraps)
-from murbsim.config import Scenario, ScriptedRecovery, WorkloadConfig
+from murbsim.config import FaultConfig, Scenario, ScriptedRecovery, WorkloadConfig
 from murbsim.world import World
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
@@ -66,3 +67,33 @@ def test_child_reads_an_idle_finished_world():
     state = child.world_state(world)
     assert len(state["nodes"]) == len(world.nodes)
     assert checks.check_idle(state) == []
+
+
+def test_traced_run_dispatches_every_event_through_schedule(monkeypatch):
+    # child.layer_metrics raises unless every dispatched event got its span
+    # from the wrapped EventLoop.schedule. A deadlock parks requests: the
+    # first TTLs expire, and the microreboot's aborts cancel the rest.
+    tracer_mod = _load("tracer")
+    child = _load("child")
+    monkeypatch.setitem(sys.modules, "tracer", tracer_mod)
+    s = Scenario(duration_ms=10_000, seed=1)
+    s.policy.enabled = False
+    s.workload = WorkloadConfig(clients_per_node=100, request_ttl_ms=3_000)
+    s.faults = [FaultConfig(1_000, "deadlock", "Item")]
+    s.scripted_recoveries = [ScriptedRecovery(6_000, "murb_group", "Item")]
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        world = World(s)
+        before = tracer.snapshot()
+        t0 = time.perf_counter()
+        world.run()
+        run_s = time.perf_counter() - t0
+        after = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    metrics = child.layer_metrics(tracer, world, before, after, run_s)
+    assert metrics["simcore.events"] == world.loop.dispatched
+    assert metrics["simcore.cancelled"] > 0
+    outcomes = set(world.ledger.outcome)
+    assert {"error:ttl_expired", "error:component_unavailable"} <= outcomes

@@ -48,11 +48,74 @@ def test_run_until_boundary():
 def test_cancelled_events_not_dispatched():
     loop = EventLoop()
     hits = []
-    handle = loop.schedule(10, lambda: hits.append("x"))
+    handle = loop.schedule_cancellable(10, lambda: hits.append("x"))
     handle.cancel()
     loop.schedule(10, lambda: hits.append("y"))
     loop.run_until(20)
     assert hits == ["y"]
+
+
+def test_cancelled_event_not_counted_and_keeps_the_clock_under_drain():
+    loop = EventLoop()
+    hits = []
+    loop.schedule(5, lambda: hits.append(5))
+    handle = loop.schedule_cancellable(50, lambda: hits.append(50))
+    assert loop.pending() == 2
+    handle.cancel()
+    assert loop.pending() == 1
+    assert loop.drain() == 1
+    assert hits == [5]
+    assert loop.dispatched == 1
+    assert loop.now == 5          # the cancelled event at 50 never set the clock
+    assert loop.pending() == 0
+    assert not loop._heap and not loop._cancelled
+
+
+def test_cancel_after_run_leaves_nothing_behind():
+    loop = EventLoop()
+    handle = loop.schedule_cancellable(10, lambda: None)
+    loop.run_until(10)
+    handle.cancel()
+    handle.cancel()
+    assert loop.pending() == 0
+    assert not loop._cancelled
+    loop.schedule(20, lambda: None)
+    assert loop.pending() == 1
+    assert loop.run_until(30) == 1
+
+
+def test_cancel_from_inside_its_own_dispatch():
+    # The TTL abort completes its request, and completion cancels the TTL.
+    loop = EventLoop()
+    hits = []
+    box = {}
+
+    def fire():
+        hits.append(loop.now)
+        box["handle"].cancel()
+
+    box["handle"] = loop.schedule_cancellable(10, fire)
+    loop.schedule(10, lambda: hits.append("next"))
+    assert loop.run_until(20) == 2
+    assert hits == [10, "next"]
+    assert loop.dispatched == 2
+    assert loop.pending() == 0
+    assert not loop._cancelled
+
+
+def test_cancellable_events_keep_fifo_order():
+    loop = EventLoop()
+    order = []
+    loop.schedule(100, lambda: order.append("a"))
+    keep = loop.schedule_cancellable(100, lambda: order.append("b"))
+    drop = loop.schedule_cancellable(100, lambda: order.append("c"))
+    loop.schedule(100, lambda: order.append("d"))
+    drop.cancel()
+    assert loop.pending() == 3
+    assert loop.run_until(100) == 3
+    assert order == ["a", "b", "d"]
+    keep.cancel()                 # already run: a no-op
+    assert loop.pending() == 0
 
 
 def test_same_seed_same_dispatch_trace():

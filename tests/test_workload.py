@@ -22,6 +22,14 @@ class TestThinkTime:
         assert [client.think_ms(7_000, 70_000) for _ in range(1_000)] == \
             [sample_think_ms(reference, 7_000, 70_000) for _ in range(1_000)]
 
+    @pytest.mark.parametrize("mean_ms", [1, 3, 333, 7_000, 12_345, 10**9])
+    def test_client_draws_match_expovariate_at_any_mean(self, mean_ms):
+        client = Client(4, RngStream(3))
+        reference = RngStream(3).fork("client/4").fork("think")
+        cap = 10**12
+        assert [client.think_ms(mean_ms, cap) for _ in range(2_000)] == \
+            [sample_think_ms(reference, mean_ms, cap) for _ in range(2_000)]
+
 
 class TestClientChain:
     def test_logout_leads_to_new_login(self):
