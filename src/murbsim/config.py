@@ -19,7 +19,8 @@ class Range:
     hi: float | None = None
 
     def check(self, value):
-        if value < self.lo or (self.hi is not None and value > self.hi):
+        # written so that NaN, which compares False both ways, fails
+        if not (self.lo <= value and (self.hi is None or value <= self.hi)):
             upper = f" and <= {self.hi}" if self.hi is not None else ""
             raise ValueError(f"expected a value >= {self.lo}{upper}, got {value}")
         return value

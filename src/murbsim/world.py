@@ -188,14 +188,7 @@ class World:
         if client.stopped or now >= self._duration:
             client.stopped = True
             return
-        op_name = client.next_op_name(self.catalog)
-        # _issue, inline: enter the request in the client's open action
-        ledger = self.ledger
-        action = client.action
-        if action is None or ledger.action_status[action] != PENDING:
-            action = client.action = ledger.new_action()
-        self._route_and_admit(_ReqCtx(ledger.new_request(action, op_name, now), now,
-                                      self.catalog.ops[op_name], client))
+        self._route_and_admit(self._issue(client, client.next_op_name(self.catalog)))
 
     def _issue(self, client: Client, op_name: str) -> _ReqCtx:
         """Enter a request in the ledger, in the client's open action."""
@@ -325,6 +318,7 @@ class World:
     def _ttl_abort(self, ctx: _ReqCtx) -> None:
         if ctx.state != "parked":
             return
+        ctx.ttl_handle = None             # spent: nothing left for _complete to cancel
         node = self.nodes[ctx.node_id]
         node.parked.pop(ctx, None)
         self._fail_in_worker(ctx, node, ERR_TTL)

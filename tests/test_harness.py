@@ -123,6 +123,8 @@ level restart_process
             ("[workload]\nthink_mean_ms 0\n", "expected a value >= 1, got 0"),
             ("[rejuvenation]\npoll_ms 0\n", "expected a value >= 1, got 0"),
             ("[detector]\nfp_rate 1.5\n", "expected a value >= 0.0 and <= 1.0, got 1.5"),
+            ("[detector]\nfp_rate nan\n", "expected a value >= 0.0 and <= 1.0, got nan"),
+            ("[policy]\nthreshold nan\n", "expected a value >= 0.0, got nan"),
             ("[scenario]\nduration_ms -1\n", "expected a value >= 0, got -1"),
             ("[murb]\nat -1\ntarget Item\n", "expected a value >= 0, got -1"),
         ]:
@@ -655,6 +657,9 @@ class TestCli:
             (FIVE_SECONDS + "[detector]\nt_det_ms -100\n", 6),
             (FIVE_SECONDS + "[fault]\nat 3000\nclass transient_exception\n"
              "target ViewItem\nfail_probability 7\n", 9),
+            # NaN compares False both ways: ran to exit 0, never failing a request
+            (FIVE_SECONDS + "[fault]\nat 3000\nclass transient_exception\n"
+             "target ViewItem\nfail_probability nan\n", 9),
         ]:
             scenario.write_text(text)
             assert main(["run", "--scenario", str(scenario),
