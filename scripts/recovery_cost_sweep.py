@@ -36,10 +36,10 @@ def main() -> int:
     world.run()
     print(f"{'target':24s} {'window_ms':>9s} {'failed_requests':>15s}")
     bad = [r for r in world.ledger.records() if r.final_class == "bad"]
-    for entry in world.action_log:
-        t0, t1 = entry["time_ms"], entry["time_ms"] + 10_000
+    for op in world.recoveries:
+        t0, t1 = op.started_at, op.started_at + 10_000
         failed = sum(1 for r in bad if t0 <= r.issued_at < t1)
-        print(f"{entry['target']:24s} {entry['duration_ms']:9d} {failed:15d}")
+        print(f"{op.target:24s} {op.duration_ms:9d} {failed:15d}")
     return 0
 
 

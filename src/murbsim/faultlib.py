@@ -246,7 +246,23 @@ class RecoveryScope:
     level: str
     components: frozenset[str] = frozenset()
     node: int = 0
-    includes_web: bool = False
+
+
+@dataclass(eq=False)
+class RecoveryOp:
+    """One executed recovery action, from its start to the manager's verdict."""
+
+    level: Level
+    node: int
+    members: frozenset[str]       # for a restart, every component of its node
+    target: str                   # group label, node<i>, or operator
+    started_at: int
+    duration_ms: int              # crash + init cost; a microreboot's drain delay comes first
+    reason: str                   # episode | scripted | rejuvenation | direct | handed_off
+    completed_at: int = -1        # -1 until it completes; a hand-off never does
+    result: str = ""              # the recovery manager's verdict: cured | persisted
+    released: dict[str, int] = field(default_factory=dict)  # heap bytes freed, by holder
+    on_complete: list = field(default_factory=list)         # each called with this op
 
 
 class ArmedFault:
@@ -257,10 +273,6 @@ class ArmedFault:
         self.armed = False            # becomes True at inject_at
         self.active = False           # symptoms being generated
         self.pinned = False           # holds a CPU slot (infinite loop)
-
-
-def _covers_web(scope: RecoveryScope) -> bool:
-    return scope.includes_web or scope.level == MURB_WEB.name
 
 
 def is_cured(spec: FaultSpec, scope: RecoveryScope,
@@ -283,7 +295,7 @@ def is_cured(spec: FaultSpec, scope: RecoveryScope,
     if rank > MURB_WEB.rank:
         return True
     scopes = prior_scopes + (scope,)              # web, or component and web
-    web_done = any(_covers_web(s) for s in scopes)
+    web_done = any((RECOVERY_LEVELS[s.level].rank or 0) >= MURB_WEB.rank for s in scopes)
     return web_done and (level == CURE_WEB or any(spec.target in s.components for s in scopes))
 
 

@@ -226,7 +226,7 @@ def functional_group_timeline(world: World) -> dict[str, list[tuple[int, int]]]:
     return {g: _merge_intervals(v) for g, v in sorted(raw.items())}
 
 
-def _incidents(world: World) -> list[dict]:
+def _incidents(world: World, recovery_log: list[dict]) -> list[dict]:
     """Failed work attributed to fault-injection incidents, in one pass.
 
     Fault k's window runs from its inject time to the next fault's; of faults
@@ -254,7 +254,8 @@ def _incidents(world: World) -> list[dict]:
         if status[action] == BAD and (k := window(resolved[action])) >= 0:
             failed_actions[k] += 1
             failed_requests[k] += size
-    completions = sorted(t for t, _ in world.recovery_completions) + [1 << 62]
+    completions = sorted(op.completed_at for op in world.recoveries
+                         if op.completed_at >= 0) + [1 << 62]
     first_done = [completions[bisect_left(completions, s)] for s in starts]
     for issued, done, action, outcome in zip(ledger.issued_at, ledger.completed_at,
                                              ledger.action_of, ledger.outcome):
@@ -265,7 +266,7 @@ def _incidents(world: World) -> list[dict]:
                 and done >= first_done[k]:
             post_loss[k] += 1
     recoveries: list[list[dict]] = [[] for _ in faults]
-    for entry in world.action_log:
+    for entry in recovery_log:
         if (k := window(entry["time_ms"])) >= 0:
             recoveries[k].append(entry)
 
@@ -291,7 +292,15 @@ def export_summary(world: World) -> dict:
     stats = latency_stats(ledger)
 
     session_lost = ledger.outcome.count("error:session_lost")
-    incidents = _incidents(world)
+    recovery_log = [{
+        "time_ms": op.started_at,
+        "node": op.node,
+        "level": op.level.name,
+        "target": op.target,
+        "duration_ms": op.duration_ms,
+        "reason": op.reason,
+    } for op in world.recoveries]
+    incidents = _incidents(world, recovery_log)
 
     episodes = [{
         "node": e.node,
@@ -331,7 +340,7 @@ def export_summary(world: World) -> dict:
         "incidents": incidents,
         "episodes": episodes,
         "rejuvenation": rejuvenation,
-        "recovery_log": world.action_log,
+        "recovery_log": recovery_log,
         "heap_free_end": [n.heap.free for n in world.nodes],
         "tainted_rows": len(world.tx_store.tainted_rows()),
         "manual_repair_needed": any(world.manual_repair_flagged(n.node_id)
@@ -369,18 +378,11 @@ def write_outputs(world: World, out_dir: str) -> dict:
             latency = done - issued if done >= 0 else -1
             fh.write(f"{request_id},{op_name},{issued},{latency},{outcome}\n")
 
-    results = {}
-    for episode in world.rm.episodes:
-        for action in episode.actions:
-            results[(action.started_at, episode.node, action.level)] = action.result
     with open(os.path.join(out_dir, "episodes.log"), "w", encoding="utf-8") as fh:
-        for entry in world.action_log:
-            result = results.get(
-                (entry["time_ms"], entry["node"], entry["level"]), "-")
-            fh.write(f"t={entry['time_ms']} node={entry['node']} "
-                     f"level={entry['level']} target={entry['target']} "
-                     f"duration_ms={entry['duration_ms']} reason={entry['reason']} "
-                     f"result={result or '-'}\n")
+        for op in world.recoveries:
+            fh.write(f"t={op.started_at} node={op.node} level={op.level.name} "
+                     f"target={op.target} duration_ms={op.duration_ms} "
+                     f"reason={op.reason} result={op.result or '-'}\n")
 
     timeline = functional_group_timeline(world)
     with open(os.path.join(out_dir, "timeline.csv"), "w", encoding="utf-8") as fh:
@@ -764,27 +766,19 @@ def _run_one(args: tuple[str, Scenario, str]) -> tuple[str, dict]:
     return name, summary
 
 
-def run_preset(name: str, out_dir: str, seed: int = 1,
-               parallel: bool = True) -> dict:
+def run_preset(name: str, out_dir: str, seed: int = 1) -> dict:
     if name not in PRESETS:
         raise ScenarioError(f"unknown preset {name!r}; have {', '.join(sorted(PRESETS))}")
     builder, post = PRESETS[name]
     runs = builder(seed)
     os.makedirs(out_dir, exist_ok=True)
     jobs = [(run_name, scenario, out_dir) for run_name, scenario in runs]
-    results: dict[str, dict] = {}
-    if parallel and len(jobs) > 1:
-        # Imported here: the pool module costs every world's start-up otherwise.
-        from concurrent.futures import ProcessPoolExecutor
+    # Imported here: the pool module costs every world's start-up otherwise.
+    from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(len(jobs), os.cpu_count() or 2)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for run_name, summary in pool.map(_run_one, jobs):
-                results[run_name] = summary
-    else:
-        for job in jobs:
-            run_name, summary = _run_one(job)
-            results[run_name] = summary
+    # Each world runs on its own; its output bytes do not depend on the process.
+    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 2)) as pool:
+        results = dict(pool.map(_run_one, jobs))
     preset_summary = post(results)
     with open(os.path.join(out_dir, "preset_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(preset_summary, fh, indent=2, sort_keys=True)
@@ -809,8 +803,6 @@ def main(argv: list[str] | None = None) -> int:
     p_preset.add_argument("name", choices=sorted(PRESETS))
     p_preset.add_argument("--out", required=True)
     p_preset.add_argument("--seed", type=int, default=1)
-    p_preset.add_argument("--serial", action="store_true",
-                          help="run sweep worlds sequentially")
 
     p_budget = sub.add_parser("budget", help="availability-budget arithmetic")
     p_budget.add_argument("--requests-per-year", type=float, required=True)
@@ -832,8 +824,7 @@ def main(argv: list[str] | None = None) -> int:
             summary = run_scenario(scenario, args.out)
             sys.stdout.write(render_summary(summary))
         elif args.command == "preset":
-            preset_summary = run_preset(args.name, args.out, args.seed,
-                                        parallel=not args.serial)
+            preset_summary = run_preset(args.name, args.out, args.seed)
             sys.stdout.write(json.dumps(preset_summary, indent=2, sort_keys=True) + "\n")
         elif args.command == "budget":
             allowed = six_nines_budget(args.requests_per_year, args.per_incident,

@@ -15,18 +15,8 @@ from dataclasses import dataclass, field
 
 from .config import PolicyConfig, RejuvenationConfig
 from .detect import FAULTY_APP_CHECK, FailureReport
-from .faultlib import LEVELS, RECOVERY_LEVELS
+from .faultlib import LEVELS, RECOVERY_LEVELS, RecoveryOp
 from .runtime import KIND_WEB
-
-
-@dataclass
-class RecoveryAction:
-    level: str
-    node: int
-    members: frozenset[str] = frozenset()
-    started_at: int = -1
-    completed_at: int = -1
-    result: str = ""
 
 
 class ScoreBoard:
@@ -64,14 +54,14 @@ class Episode:
     node: int
     started_at: int
     anchor: str
-    actions: list[RecoveryAction] = field(default_factory=list)
+    actions: list[RecoveryOp] = field(default_factory=list)    # added as each completes
     terminal_level: str = ""
     cured: bool = False
     manual_repair_flagged: bool = False
 
     @property
     def levels(self) -> list[str]:
-        return [a.level for a in self.actions]
+        return [op.level.name for op in self.actions]
 
 
 class RecoveryManager:
@@ -164,35 +154,31 @@ class RecoveryManager:
             self._finish_episode(episode, "escalate_human", cured=False)
             return
         history.append(now)
-        action = RecoveryAction(level=level, node=episode.node, members=members,
-                                started_at=now)
-        episode.actions.append(action)
         # The balancer hears about the recovery first, and again once it is done.
         if self._use_failover():
             self.world.lb.set_failover(episode.node, True)
         self.world.execute_recovery(
-            episode.node, level, members,
-            lambda: self._action_done(episode, action))
+            episode.node, level, members, lambda op: self._action_done(episode, op))
 
     def _use_failover(self) -> bool:
         return self.world.scenario.cluster.failover and len(self.world.nodes) > 1
 
-    def _action_done(self, episode: Episode, action: RecoveryAction) -> None:
-        action.completed_at = self.world.loop.now
+    def _action_done(self, episode: Episode, op: RecoveryOp) -> None:
+        episode.actions.append(op)
         if self._use_failover():
             self.world.lb.set_failover(episode.node, False)
         window = self.policy.observation_window_ms
-        self.world.loop.after(window, lambda: self._check_symptoms(episode, action))
+        self.world.loop.after(window, lambda: self._check_symptoms(episode, op))
 
-    def _check_symptoms(self, episode: Episode, action: RecoveryAction) -> None:
+    def _check_symptoms(self, episode: Episode, op: RecoveryOp) -> None:
         times = self._report_times.get(episode.node, [])
-        fresh = len(times) - bisect_right(times, action.completed_at)
+        fresh = len(times) - bisect_right(times, op.completed_at)
         if fresh == 0:
-            action.result = "cured"
-            self._finish_episode(episode, action.level, cured=True)
+            op.result = "cured"
+            self._finish_episode(episode, op.level.name, cured=True)
             return
-        action.result = "persisted"
-        next_level = LEVELS[LEVELS.index(action.level) + 1]
+        op.result = "persisted"
+        next_level = LEVELS[LEVELS.index(op.level.name) + 1]
         members: frozenset[str] = frozenset()
         if RECOVERY_LEVELS[next_level].microreboot:     # only the web's rung is above the first
             registry = self.world.nodes[episode.node].registry
@@ -204,10 +190,12 @@ class RecoveryManager:
         episode.terminal_level = terminal
         episode.cured = cured
         episode.manual_repair_flagged = self.world.manual_repair_flagged(episode.node)
-        if RECOVERY_LEVELS[terminal].rank is None:
+        record = RECOVERY_LEVELS[terminal]
+        if record.rank is None:                  # handed off: nothing runs or completes
             self.halted.add(episode.node)
-            self.world.log_action(self.world.loop.now, episode.node,
-                                  "escalate_human", "operator", 0, "handed_off")
+            self.world.recoveries.append(RecoveryOp(
+                record, episode.node, frozenset(), "operator", self.world.loop.now, 0,
+                "handed_off"))
         self._board(episode.node).reset()
         self._report_times[episode.node] = []
         del self.active[episode.node]
@@ -252,7 +240,7 @@ class RejuvenationService:
         self._pass_done = set()
         self._next_candidate()
 
-    def _restart_done(self) -> None:
+    def _restart_done(self, op: RecoveryOp) -> None:
         self.pass_active = False
         self.completed_passes += 1
         self.pass_log.append({
@@ -274,23 +262,20 @@ class RejuvenationService:
             registry = world.nodes[self.node].registry
             members = registry.groups[candidate].members
             self._pass_done.update(members)
-            world.execute_recovery(
-                self.node, "murb_group", members,
-                lambda m=members: self._candidate_done(m),
-                reason="rejuvenation")
+            world.execute_recovery(self.node, "murb_group", members,
+                                   self._candidate_done, reason="rejuvenation")
             return
         # List exhausted and memory still short: the whole process restarts.
         world.execute_recovery(self.node, "restart_process", frozenset(),
                                self._exhausted_restart_done, reason="rejuvenation")
 
-    def _candidate_done(self, members: frozenset[str]) -> None:
-        released = self.world.last_release_by_holder
-        for member in members:
+    def _candidate_done(self, op: RecoveryOp) -> None:
+        for member in op.members:
             if member in self.released_by_component:
-                self.released_by_component[member] = released.get(member, 0)
+                self.released_by_component[member] = op.released.get(member, 0)
         self._next_candidate()
 
-    def _exhausted_restart_done(self) -> None:
+    def _exhausted_restart_done(self, op: RecoveryOp) -> None:
         self._complete_pass()
 
     def _complete_pass(self) -> None:

@@ -40,10 +40,6 @@ class ComponentSpec:
     init_ms: int
     mem_footprint_bytes: int
 
-    @property
-    def murb_ms(self) -> int:
-        return self.crash_ms + self.init_ms
-
 
 @dataclass
 class LeaseRecord:

@@ -19,7 +19,7 @@ from .detect import DetectorProfile, FailureReport, ReportChannel, classify_resp
 from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_UNAVAILABLE, MURB_GROUP,
                        MURB_WEB, PARK, REBOOT_NODE, RECOVERY_LEVELS, RESTART_PROCESS,
                        SITE_COMPONENT, SITE_PROCESS, SITE_SESSION, ArmedFault,
-                       FaultPlan, FaultSpec, Level, RecoveryScope)
+                       FaultPlan, FaultSpec, Level, RecoveryOp, RecoveryScope)
 from .recoverymgr import RecoveryManager, RejuvenationService
 from .runtime import HeapLedger, load_catalog
 from .simcore import EventLoop, RngStream
@@ -50,17 +50,6 @@ class _ReqCtx:
         self.divergent = False
         self.taint = False
         self.ttl_handle = None
-
-
-class _MurbOp:
-    __slots__ = ("members", "node", "level", "on_complete", "released")
-
-    def __init__(self, members: frozenset[str], node: int, level: Level):
-        self.members = members
-        self.node = node
-        self.level = level
-        self.on_complete: list = []
-        self.released: dict[str, int] = {}
 
 
 class World:
@@ -121,14 +110,11 @@ class World:
         self._fault_rng = self.rng.fork("faults")
         self._rebuild_fault_hooks()
         self._recovery_history: dict[int, list[RecoveryScope]] = {}
-        self._active_murbs: list[list[_MurbOp]] = [[] for _ in self.nodes]
-        self._recovery_busy: list[int] = [0 for _ in self.nodes]
+        self.recoveries: list[RecoveryOp] = []                   # every action, in start order
+        self._running: list[list[RecoveryOp]] = [[] for _ in self.nodes]
 
         self.rejuvenators = [RejuvenationService(self, scenario.rejuvenation, i)
                              for i in range(cl.nodes)]
-        self.action_log: list[dict] = []
-        self.recovery_completions: list[tuple[int, int]] = []   # (time, node)
-        self.last_release_by_holder: dict[str, int] = {}
         self.fault_session_counts: dict[int, int] = {}          # fault id -> sessions on its node
 
         for fault_id, fc in enumerate(scenario.faults, start=1):
@@ -474,7 +460,7 @@ class World:
     # -- recovery machinery ---------------------------------------------------
 
     def node_recovery_busy(self, node_id: int) -> bool:
-        return self._recovery_busy[node_id] > 0 or bool(self._active_murbs[node_id])
+        return bool(self._running[node_id])
 
     def execute_recovery(self, node_id: int, level: str, members: frozenset[str],
                          on_complete, reason: str = "episode") -> None:
@@ -486,36 +472,55 @@ class World:
         else:
             self.full_restart(node_id, level, on_complete, reason)
 
+    def _begin(self, level: Level, node_id: int, members: frozenset[str], target: str,
+               duration_ms: int, reason: str, on_complete) -> RecoveryOp:
+        op = RecoveryOp(level, node_id, members, target, self.loop.now, duration_ms, reason)
+        if on_complete is not None:
+            op.on_complete.append(on_complete)
+        self.recoveries.append(op)
+        self._running[node_id].append(op)
+        return op
+
+    def _finish(self, op: RecoveryOp) -> None:
+        """Apply what a completed action cured, then call back with it."""
+        cured = self.fault_plan.apply_recovery(
+            RecoveryScope(op.level.name, op.members, op.node), self._recovery_history)
+        for armed in cured:
+            self._unpin_if_needed(armed)
+        if cured:
+            self._rebuild_fault_hooks()
+        op.completed_at = self.loop.now
+        self._running[op.node].remove(op)
+        for cb in op.on_complete:
+            cb(op)
+
     def murb(self, node_id: int, members: frozenset[str], on_complete=None,
              reason: str = "direct") -> None:
+        """Microreboot `members`. A call whose members all lie inside a running
+        microreboot joins it; one that overlaps it starts once that one is done.
+        Either way `on_complete` gets the op that rebooted the members."""
         node = self.nodes[node_id]
-        active = self._active_murbs[node_id]
-        covering = next((op for op in active if members <= op.members), None)
+        murbs = [op for op in self._running[node_id] if op.level.microreboot]
+        covering = next((op for op in murbs if members <= op.members), None)
         if covering is not None:
             if on_complete is not None:
                 covering.on_complete.append(on_complete)
             return
-        overlapping = next((op for op in active if op.members & members), None)
+        overlapping = next((op for op in murbs if op.members & members), None)
         if overlapping is not None:
-            # Members outside the running microreboot still need their own;
-            # start it once the overlapping one has rebound.
+            # Members outside the running microreboot still need their own.
             overlapping.on_complete.append(
-                partial(self.murb, node_id, members, on_complete, reason))
+                lambda _: self.murb(node_id, members, on_complete, reason))
             return
         crash, init = node.registry.group_cost(members)
         drain = self.scenario.cluster.drain_delay_ms
-        label = self._group_label(node, members)
         level = MURB_WEB if node.registry.web_component in members else MURB_GROUP
-        murb_op = _MurbOp(members, node_id, level)
-        if on_complete is not None:
-            murb_op.on_complete.append(on_complete)
-        self._active_murbs[node_id].append(murb_op)
-        t0 = self.loop.now
-        rebind_at = t0 + drain + crash + init
+        op = self._begin(level, node_id, members, self._group_label(node, members),
+                         crash + init, reason, on_complete)
         node.registry.bind_sentinel(members)
-        self.log_action(t0, node_id, level.name, label, crash + init, reason)
-        self.loop.schedule(t0 + drain, partial(self._murb_destroy, murb_op))
-        self.loop.schedule(rebind_at, partial(self._murb_rebind, murb_op))
+        self.loop.schedule(op.started_at + drain, partial(self._murb_destroy, op))
+        self.loop.schedule(op.started_at + drain + crash + init,
+                           partial(self._murb_rebind, op))
 
     def _group_label(self, node: Node, members: frozenset[str]) -> str:
         for override in node.registry.overrides.values():
@@ -534,41 +539,28 @@ class World:
             self._release_worker(node)
             self._complete(ctx, outcome)
 
-    def _recovered(self, scope: RecoveryScope) -> None:
-        cured = self.fault_plan.apply_recovery(scope, self._recovery_history)
-        for armed in cured:
-            self._unpin_if_needed(armed)
-        if cured:
-            self._rebuild_fault_hooks()
-        self.recovery_completions.append((self.loop.now, scope.node))
+    def _murb_destroy(self, op: RecoveryOp) -> None:
+        node = self.nodes[op.node]
+        self._abort(node, op.members, op.level.abort_outcome)
+        op.released = node.heap.release_holder(op.members)
 
-    def _murb_destroy(self, murb_op: _MurbOp) -> None:
-        node = self.nodes[murb_op.node]
-        self._abort(node, murb_op.members, murb_op.level.abort_outcome)
-        murb_op.released = node.heap.release_holder(murb_op.members)
-
-    def _murb_rebind(self, murb_op: _MurbOp) -> None:
-        self.nodes[murb_op.node].registry.rebind(murb_op.members)
-        self._recovered(RecoveryScope(murb_op.level.name, murb_op.members, murb_op.node,
-                                      includes_web=murb_op.level is MURB_WEB))
-        self._active_murbs[murb_op.node].remove(murb_op)
-        self.last_release_by_holder = murb_op.released
-        for cb in murb_op.on_complete:
-            cb()
+    def _murb_rebind(self, op: RecoveryOp) -> None:
+        self.nodes[op.node].registry.rebind(op.members)
+        self._finish(op)
 
     def full_restart(self, node_id: int, level: str, on_complete=None,
                      reason: str = "direct") -> None:
         node = self.nodes[node_id]
         record = RECOVERY_LEVELS[level]
         cost = sum(getattr(self.scenario.cluster, f) for f in record.cost_fields)
-        self._recovery_busy[node_id] += 1
-        self.log_action(self.loop.now, node_id, level, f"node{node_id}", cost, reason)
+        op = self._begin(record, node_id, frozenset(node.registry.specs), f"node{node_id}",
+                         cost, reason, on_complete)
         err = record.abort_outcome
         process_dies = record.rank >= RESTART_PROCESS.rank
         if process_dies:
             node.up = False     # before aborts, so pumped work fails fast
         node.registry.stop_all()
-        self._abort(node, frozenset(node.registry.specs), err)
+        self._abort(node, op.members, err)
         node.heap.release_all_app()
         for armed in self.fault_plan.faults.values():
             if armed.spec.node == node_id:
@@ -585,17 +577,13 @@ class World:
                 self.lb.forget(sid)
         if record.rank >= REBOOT_NODE.rank:
             node.heap.os_leak_bytes = 0
-        self.loop.after(cost, partial(self._restart_done, node_id, level, on_complete))
+        self.loop.after(cost, partial(self._restart_done, op))
 
-    def _restart_done(self, node_id: int, level: str, on_complete) -> None:
-        node = self.nodes[node_id]
+    def _restart_done(self, op: RecoveryOp) -> None:
+        node = self.nodes[op.node]
         node.registry.redeploy_all()
         node.up = True
-        self._recovered(RecoveryScope(level, frozenset(node.registry.specs), node_id,
-                                      includes_web=True))
-        self._recovery_busy[node_id] -= 1
-        if on_complete is not None:
-            on_complete()
+        self._finish(op)
 
     def _scripted_recovery(self, sr) -> None:
         members: frozenset[str] = frozenset()
@@ -604,13 +592,6 @@ class World:
             anchor = sr.target or node.registry.web_component
             members = node.registry.groups[anchor].members
         self.execute_recovery(sr.node, sr.level, members, None, reason="scripted")
-
-    def log_action(self, t: int, node: int, level: str, target: str,
-                   duration: int, reason: str) -> None:
-        self.action_log.append({
-            "time_ms": t, "node": node, "level": level, "target": target,
-            "duration_ms": duration, "reason": reason,
-        })
 
     # -- inspection helpers (tests, summaries) --------------------------------
 

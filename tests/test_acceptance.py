@@ -33,7 +33,7 @@ def preset(name: str, tmp_root: str) -> tuple[dict, float, str]:
     if name not in _CACHE:
         out_dir = os.path.join(tmp_root, name)
         t0 = time.perf_counter()
-        summary = run_preset(name, out_dir, seed=1, parallel=False)
+        summary = run_preset(name, out_dir, seed=1)
         _CACHE[name] = (summary, time.perf_counter() - t0, out_dir)
     return _CACHE[name]
 
@@ -205,7 +205,7 @@ def test_criterion_11_determinism(preset_root, tmp_path_factory):
     for name in sorted(PRESETS):
         _, _, first_dir = preset(name, preset_root)
         second_dir = os.path.join(rerun_root, name)
-        run_preset(name, second_dir, seed=1, parallel=False)
+        run_preset(name, second_dir, seed=1)
         if digest_tree(first_dir) != digest_tree(second_dir):
             mismatched.append(name)
     report(11, not mismatched,
@@ -264,7 +264,7 @@ def test_golden_digest_under_fixed_hash_seed(hash_seed, tmp_path):
     code = ("import sys\n"
             "from murbsim.harness import run_preset\n"
             "from oracles import digest_tree\n"
-            "run_preset('fig5b', sys.argv[1], seed=1, parallel=False)\n"
+            "run_preset('fig5b', sys.argv[1], seed=1)\n"
             "print(digest_tree(sys.argv[1]))\n")
     src = os.path.join(os.path.dirname(_TESTS_DIR), "src")
     path = os.pathsep.join(p for p in (src, _TESTS_DIR, os.environ.get("PYTHONPATH")) if p)

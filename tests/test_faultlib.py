@@ -90,8 +90,7 @@ class TestIsCured:
         spec = fspec("corrupt_stateless_attr", mode="wrong", target="MakeBid")
         bean = RecoveryScope("murb_group", frozenset({"MakeBid"}))
         web = RecoveryScope("murb_web", frozenset({"WebUI"}))
-        combined = RecoveryScope("murb_group", frozenset({"MakeBid", "WebUI"}),
-                                 includes_web=True)
+        combined = RecoveryScope("murb_web", frozenset({"MakeBid", "WebUI"}))
         assert not is_cured(spec, bean)
         assert not is_cured(spec, web)
         assert is_cured(spec, web, prior_scopes=(bean,))   # sequential escalation

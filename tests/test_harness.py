@@ -27,6 +27,12 @@ def murb(at_ms, target):
     return ScriptedRecovery(at_ms, "murb_group", target)
 
 
+def completions(world):
+    """(time, node) of each completed recovery op, in completion order."""
+    return sorted((op.completed_at, op.node) for op in world.recoveries
+                  if op.completed_at >= 0)
+
+
 FIVE_SECONDS = "[scenario]\nduration_ms 5000\n[workload]\nclients_per_node 5\n"
 
 
@@ -146,19 +152,18 @@ class TestMicrorebootMachinery:
         s.workload = WorkloadConfig(clients_per_node=50)
         s.scripted_recoveries = [murb(10_000, "BrowseCategories")]
         w = run_world(s)
-        entry = [a for a in w.action_log if a["target"] == "BrowseCategories"][0]
-        assert entry["duration_ms"] == 411
-        done = [t for t, _ in w.recovery_completions]
-        assert done == [10_411]
+        op = [op for op in w.recoveries if op.target == "BrowseCategories"][0]
+        assert op.duration_ms == 411
+        assert completions(w) == [(10_411, 0)]
 
     def test_entity_group_window_exactly_825(self):
         s = Scenario(duration_ms=30_000, seed=1, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=50)
         s.scripted_recoveries = [murb(10_000, "Item")]
         w = run_world(s)
-        entry = [a for a in w.action_log if a["target"] == "EntityGroup"][0]
-        assert entry["duration_ms"] == 825
-        assert w.recovery_completions == [(10_825, 0)]
+        op = [op for op in w.recoveries if op.target == "EntityGroup"][0]
+        assert op.duration_ms == 825
+        assert completions(w) == [(10_825, 0)]
 
     def test_overlapping_requests_coalesce(self):
         s = Scenario(duration_ms=30_000, seed=1, policy=quiet_policy())
@@ -169,30 +174,36 @@ class TestMicrorebootMachinery:
             murb(10_200, "Bid"),
         ]
         w = run_world(s)
-        windows = [a for a in w.action_log if a["level"] == "murb_group"]
+        windows = [op for op in w.recoveries if op.level.name == "murb_group"]
         assert len(windows) == 1
-        assert w.recovery_completions == [(10_825, 0)]
+        assert completions(w) == [(10_825, 0)]
 
     def test_overlap_reboots_members_outside_the_running_murb(self):
         # {ViewItem} is rebooting when {ViewItem, AboutMe} is asked for:
-        # AboutMe must not ride along on the narrower microreboot.
+        # AboutMe must not ride along on the narrower microreboot. Each
+        # callback gets the op that rebooted its members: a covered request
+        # the covering op, a deferred overlapping one the op that runs later.
         s = Scenario(duration_ms=10_000, seed=1, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=0)
         w = World(s)
         done = []
-        w.loop.schedule(1_000, lambda: w.murb(0, frozenset({"ViewItem"}),
-                                              lambda: done.append(("a", w.loop.now))))
+
+        def request(members, tag):
+            return lambda: w.murb(0, members, lambda op: done.append((tag, w.loop.now, op)))
+
         wide = frozenset({"ViewItem", "AboutMe"})
-        w.loop.schedule(1_001, lambda: w.murb(0, wide,
-                                              lambda: done.append(("b", w.loop.now))))
+        w.loop.schedule(1_000, request(frozenset({"ViewItem"}), "a"))
+        w.loop.schedule(1_001, request(wide, "b"))
         # a request covered by a running microreboot joins it
-        w.loop.schedule(1_002, lambda: w.murb(0, frozenset({"ViewItem"}),
-                                              lambda: done.append(("c", w.loop.now))))
+        w.loop.schedule(1_002, request(frozenset({"ViewItem"}), "c"))
         w.loop.run_until(10_000)
         wide_ms = sum(w.nodes[0].registry.group_cost(wide))
-        assert done == [("a", 1_446), ("c", 1_446), ("b", 1_446 + wide_ms)]
-        assert w.recovery_completions == [(1_446, 0), (1_446 + wide_ms, 0)]
-        assert [(a["time_ms"], a["target"]) for a in w.action_log] == \
+        narrow, later = w.recoveries
+        assert done == [("a", 1_446, narrow), ("c", 1_446, narrow),
+                        ("b", 1_446 + wide_ms, later)]
+        assert later.members == wide
+        assert completions(w) == [(1_446, 0), (1_446 + wide_ms, 0)]
+        assert [(op.started_at, op.target) for op in w.recoveries] == \
             [(1_000, "ViewItem"), (1_446, "AboutMe,ViewItem")]
 
     def test_epoch_bumps_per_microreboot(self):
@@ -200,9 +211,9 @@ class TestMicrorebootMachinery:
         s.workload = WorkloadConfig(clients_per_node=10)
         s.scripted_recoveries = [murb(5_000, "ViewItem"), murb(15_000, "ViewItem")]
         w = run_world(s)
-        assert [(a["time_ms"], a["target"]) for a in w.action_log] == \
+        assert [(op.started_at, op.target) for op in w.recoveries] == \
             [(5_000, "ViewItem"), (15_000, "ViewItem")]
-        assert w.recovery_completions == [(5_446, 0), (15_446, 0)]
+        assert completions(w) == [(5_446, 0), (15_446, 0)]
 
     def test_inflight_aborts_match_replay_oracle(self):
         s = Scenario(duration_ms=60_000, seed=6, policy=quiet_policy())
@@ -241,9 +252,9 @@ class TestFullRestart:
         s.workload = WorkloadConfig(clients_per_node=30)
         s.scripted_recoveries = [ScriptedRecovery(30_000, "restart_process")]
         w = run_world(s)
-        entry = [a for a in w.action_log if a["level"] == "restart_process"][0]
-        assert entry["duration_ms"] == 19_083
-        assert w.recovery_completions == [(49_083, 0)]
+        op = [op for op in w.recoveries if op.level.name == "restart_process"][0]
+        assert op.duration_ms == 19_083
+        assert completions(w) == [(49_083, 0)]
         # in-process sessions did not survive; clients had to log back in
         assert any(r.outcome == "error:session_lost" for r in w.ledger.records())
 
@@ -252,8 +263,8 @@ class TestFullRestart:
         s.workload = WorkloadConfig(clients_per_node=30)
         s.scripted_recoveries = [ScriptedRecovery(30_000, "restart_application")]
         w = run_world(s)
-        entry = [a for a in w.action_log if a["level"] == "restart_application"][0]
-        assert entry["duration_ms"] == 7_699
+        op = [op for op in w.recoveries if op.level.name == "restart_application"][0]
+        assert op.duration_ms == 7_699
         assert not any(r.outcome == "error:session_lost" for r in w.ledger.records())
 
     def test_node_reboot_with_zero_boot_cost_equals_process_restart(self):
@@ -264,8 +275,8 @@ class TestFullRestart:
             s.workload = WorkloadConfig(clients_per_node=30)
             s.scripted_recoveries = [ScriptedRecovery(30_000, level)]
             w = run_world(s)
-            entry = [a for a in w.action_log if a["level"] == level][0]
-            outcomes[level] = (entry["duration_ms"], w.ledger.totals())
+            op = [op for op in w.recoveries if op.level.name == level][0]
+            outcomes[level] = (op.duration_ms, w.ledger.totals())
         assert outcomes["restart_process"] == outcomes["reboot_node"]
 
     @pytest.mark.parametrize("level, duration_ms, outcome, os_leak_after", [
@@ -290,7 +301,7 @@ class TestFullRestart:
         w.run()
         assert caught
         assert {w.ledger.record(r).outcome for r in caught} == {outcome}
-        assert [a["duration_ms"] for a in w.action_log] == [duration_ms]
+        assert [op.duration_ms for op in w.recoveries] == [duration_ms]
         assert node.heap.os_leak_bytes == os_leak_after
 
     def test_process_restart_equivalent_to_murb_all_plus_store_wipe(self):
@@ -324,6 +335,69 @@ class TestFullRestart:
             w.loop.drain()
             results.append(state_fingerprint(w))
         assert results[0] == results[1]
+
+
+def db_row_scenario():
+    """Table 2's corrupt_db_row world: the ladder climbs every rung, then hands off."""
+    s = Scenario(duration_ms=240_000, seed=1)
+    s.workload = WorkloadConfig(clients_per_node=200)
+    s.detector = DetectorConfig(kind="comparison")
+    s.faults = [FaultConfig(20_000, "corrupt_db_row", "Item")]
+    return s
+
+
+def episode_lines(path):
+    return [dict(field.split("=", 1) for field in line.split())
+            for line in path.read_text().splitlines()]
+
+
+class TestRecoveryOps:
+    def test_result_stays_on_the_op_it_judged(self, tmp_path):
+        # A scripted restart at the very ms the ladder starts its own must
+        # not take the ladder's verdict, nor lend it its own.
+        run_scenario(db_row_scenario(), str(tmp_path / "a"))
+        at = next(e["t"] for e in episode_lines(tmp_path / "a" / "episodes.log")
+                  if e["level"] == "restart_application")
+        s = db_row_scenario()
+        s.scripted_recoveries = [ScriptedRecovery(int(at), "restart_application")]
+        run_scenario(s, str(tmp_path / "b"))
+        same_ms = [(e["reason"], e["result"])
+                   for e in episode_lines(tmp_path / "b" / "episodes.log")
+                   if e["t"] == at and e["level"] == "restart_application"]
+        assert same_ms == [("scripted", "-"), ("episode", "persisted")]
+
+    def test_every_op_completes_once_after_its_cost(self):
+        s = db_row_scenario()
+        s.cluster = ClusterConfig(drain_delay_ms=200)
+        s.scripted_recoveries = [murb(5_000, "Item"), murb(5_100, "User"),
+                                 murb(8_000, "ViewItem"),
+                                 ScriptedRecovery(12_000, "restart_process")]
+        w = World(s)
+        finished = []
+        finish = w._finish
+
+        def counted(op):
+            finished.append(op)
+            finish(op)
+
+        w._finish = counted
+        w.run()
+        handed_off = [op for op in w.recoveries if op.reason == "handed_off"]
+        assert [(op.level.name, op.completed_at) for op in handed_off] == \
+            [("escalate_human", -1)]
+        ran = [op for op in w.recoveries if op.reason != "handed_off"]
+        assert sorted(map(id, finished)) == sorted(map(id, ran))    # each exactly once
+        for op in ran:
+            drain = s.cluster.drain_delay_ms if op.level.microreboot else 0
+            assert op.completed_at == op.started_at + drain + op.duration_ms, op
+        assert {(op.reason, op.level.microreboot) for op in ran} == \
+            {("scripted", True), ("scripted", False), ("episode", True), ("episode", False)}
+        assert not any(w.node_recovery_busy(node.node_id) for node in w.nodes)
+        # the episode holds exactly its own ops, each with the manager's verdict
+        (episode,) = w.rm.episodes
+        assert [op for op in w.recoveries if op.reason == "episode"] == episode.actions
+        assert {op.result for op in episode.actions} == {"persisted"}
+        assert {op.result for op in w.recoveries if op.reason != "episode"} == {""}
 
 
 class TestMaskingAndSessions:
@@ -554,7 +628,7 @@ class TestOutputs:
         for start, end in zip(starts, starts[1:]):
             in_window = [rs for a, rs in bad.items()
                          if start <= w.ledger.action_resolved_at[a] < end]
-            first_done = min((t for t, _ in w.recovery_completions if t >= start),
+            first_done = min((t for t, _ in completions(w) if t >= start),
                              default=1 << 62)
             expected.append((
                 sum(len(rs) for rs in in_window),
@@ -562,14 +636,16 @@ class TestOutputs:
                 len(in_window),
                 sum(1 for r in records if r.outcome == "error:session_lost"
                     and first_done <= r.completed_at < end),
-                [e for e in w.action_log if start <= e["time_ms"] < end]))
+                [{"time_ms": op.started_at, "node": op.node, "level": op.level.name,
+                  "target": op.target, "duration_ms": op.duration_ms, "reason": op.reason}
+                 for op in w.recoveries if start <= op.started_at < end]))
         got = [(i["failed_requests"], i["failed_requests_issued_in_window"],
                 i["failed_actions"], i["post_recovery_session_lost"],
                 i["recovery_actions"]) for i in export_summary(w)["incidents"]]
         assert got == expected
         assert got[0][0] == 0 and got[1][0] > 0 and got[2][0] > 0
         lost = [r.completed_at for r in records if r.outcome == "error:session_lost"]
-        first_done = min(t for t, _ in w.recovery_completions if t >= 52_000)
+        first_done = min(t for t, _ in completions(w) if t >= 52_000)
         assert got[2][3] > 0 and any(52_000 <= t < first_done for t in lost)
 
     def test_summary_durations_equal_cost_model(self, tmp_path):
