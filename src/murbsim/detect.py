@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import DetectorConfig
+
 FAULTY_CONNECTION = "connection"
 FAULTY_HTTP = "http_error"
 FAULTY_KEYWORD = "keyword"
@@ -35,19 +37,7 @@ class FailureReport:
     node_id: int
 
 
-@dataclass
-class DetectorProfile:
-    kind: str = "fast"            # fast | comparison
-    t_det_ms: int = 0
-    fp_rate: float = 0.0
-    fn_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fp_rate <= 1.0 or not 0.0 <= self.fn_rate <= 1.0:
-            raise ValueError("FP/FN rates must lie in [0, 1]")
-
-
-def classify_response(profile: DetectorProfile, outcome: str, divergent: bool,
+def classify_response(detector: DetectorConfig, outcome: str, divergent: bool,
                       rng) -> str | None:
     """Returns a failure class, or None for a response deemed healthy.
 
@@ -57,13 +47,13 @@ def classify_response(profile: DetectorProfile, outcome: str, divergent: bool,
     verdict: str | None = None
     if outcome.startswith("error:"):
         verdict = _ERROR_TO_FAILURE.get(outcome[len("error:"):], FAULTY_KEYWORD)
-    elif divergent and profile.kind == "comparison":
+    elif divergent and detector.kind == "comparison":
         verdict = FAULTY_DIVERGENCE
     if verdict is None:
-        if profile.fp_rate > 0.0 and rng.random() < profile.fp_rate:
+        if detector.fp_rate > 0.0 and rng.random() < detector.fp_rate:
             return FAULTY_KEYWORD
         return None
-    if profile.fn_rate > 0.0 and rng.random() < profile.fn_rate:
+    if detector.fn_rate > 0.0 and rng.random() < detector.fn_rate:
         return None
     return verdict
 

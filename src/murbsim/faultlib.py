@@ -10,7 +10,7 @@ fault's target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 # Outcomes that faults and recovery actions give requests.
 ERR_CONNECTION = "error:connection"
@@ -64,104 +64,95 @@ class CureProfile:
 
 
 # -- request symptoms ----------------------------------------------------------
-# symptom(armed, ctx, node, rng) runs on a request at the fault's hook site. It
+# symptom(fault, ctx, node, rng) runs on a request at the fault's hook site. It
 # returns None to let the request go on, PARK to hang it until its TTL or a
 # reboot, or the error outcome the request fails with.
 
 PARK = "park"
 
 
-def _hang(armed, ctx, node, rng):
+def _hang(fault, ctx, node, rng):
     return PARK
 
 
-def _spin(armed, ctx, node, rng):
+def _spin(fault, ctx, node, rng):
     """A hang that also holds one CPU slot per fault until it is cured."""
-    if not armed.pinned:
-        armed.pinned = True
+    if not fault.pinned:
+        fault.pinned = True
         node.cpu.pin_slot()
     return PARK
 
 
-def _throw(armed, ctx, node, rng):
-    p = armed.spec.fail_probability
+def _throw(fault, ctx, node, rng):
+    p = fault.fail_probability
     if p >= 1.0 or rng.random() < p:
         return ERR_EXCEPTION
     return None
 
 
-def _leak_heap(armed, ctx, node, rng):
-    spec = armed.spec
-    node.heap.charge(spec.target, spec.bytes_per_invoke, resource_id=f"leak:{spec.fault_id}")
+def _leak_heap(fault, ctx, node, rng):
+    node.heap.charge(fault.target, fault.bytes_per_invoke, resource_id=f"leak:{fault.fault_id}")
     return ERR_EXCEPTION if node.heap.free <= 0 else None
 
 
-def _leak_unattributed(armed, ctx, node, rng):
-    spec = armed.spec
-    node.heap.charge("unattributed", spec.bytes_per_invoke,
-                     resource_id=f"leak:{spec.fault_id}", via_runtime=False)
+def _leak_unattributed(fault, ctx, node, rng):
+    node.heap.charge("unattributed", fault.bytes_per_invoke,
+                     resource_id=f"leak:{fault.fault_id}", via_runtime=False)
     return ERR_EXCEPTION if node.heap.free <= 0 else None
 
 
-def _leak_os(armed, ctx, node, rng):
+def _leak_os(fault, ctx, node, rng):
     heap = node.heap
-    heap.os_leak_bytes += armed.spec.bytes_per_invoke
+    heap.os_leak_bytes += fault.bytes_per_invoke
     return ERR_EXCEPTION if heap.os_leak_bytes >= heap.capacity else None
 
 
-def _corrupt_tx(armed, ctx, node, rng):
+def _corrupt_tx(fault, ctx, node, rng):
     """Only writes touch the bad key or map: they fail, or commit wrong rows."""
     if ctx.op.tx_writes:
-        if armed.spec.mode != "wrong":
+        if fault.mode != "wrong":
             return ERR_EXCEPTION
         ctx.divergent = ctx.taint = True
     return None
 
 
-def _corrupt_attr(armed, ctx, node, rng):
-    if armed.spec.mode == "wrong":
+def _corrupt_attr(fault, ctx, node, rng):
+    if fault.mode == "wrong":
         ctx.divergent = True
         return None
-    armed.active = False      # the bad attribute is replaced after the first failing call
+    fault.active = False      # the bad attribute is replaced after the first failing call
     return ERR_EXCEPTION
 
 
-def _stale_row(armed, ctx, node, rng):
+def _stale_row(fault, ctx, node, rng):
     if not ctx.op.tx_writes:
         ctx.divergent = True
     return None
 
 
-def _corrupt_session(armed, ctx, node, rng):
-    if armed.spec.mode == "wrong":
+def _corrupt_session(fault, ctx, node, rng):
+    if fault.mode == "wrong":
         ctx.divergent = True
         return None
     return ERR_EXCEPTION
 
 
-# -- one-shot effects when a fault is armed or cleared: effect(world, armed) ----
+# -- one-shot effects when a fault is armed: on_arm(world, fault) ---------------
 
-def _corrupt_binding(world, armed) -> None:
-    spec = armed.spec
-    world.nodes[spec.node].registry.corrupt_binding(spec.target, spec.mode)
-
-
-def _restore_binding(world, armed) -> None:
-    spec = armed.spec
-    world.nodes[spec.node].registry.restore_binding(spec.target)
+def _corrupt_binding(world, fault) -> None:
+    world.nodes[fault.node].registry.corrupt_binding(fault.target, fault.mode)
 
 
-def _corrupt_external(world, armed) -> None:
-    spec = armed.spec
+def _corrupt_external(world, fault) -> None:
     store = world.external_store
     # Empty target flips bits across the whole store.
-    for key in [spec.target] if spec.target else sorted(store.records):
-        store.corrupt(key, spec.mode or "invalid")
-    armed.active = False          # one-shot: checksums take it from here
+    for key in [fault.target] if fault.target else sorted(store.records):
+        store.corrupt(key, fault.mode or "invalid")
+    fault.active = False          # one-shot: checksums take it from here
 
 
-def _taint_row(world, armed) -> None:
-    world.tx_store.taint_row(f"row:{armed.spec.target}:{armed.spec.fault_id}")
+def _taint_row(world, fault) -> None:
+    world.tx_store.taint_row(f"row:{fault.target}:{fault.fault_id}")
 
 
 # Hook sites: where a class's symptom runs.
@@ -178,7 +169,6 @@ class FaultClass:
     symptom: Callable | None = None
     leaks: bool = False                # a cure reclaims the leak; fresh code leaks on
     on_arm: Callable | None = None
-    on_clear: Callable | None = None
 
 
 def _modes(overt: CureProfile, wrong: CureProfile) -> dict[str, CureProfile]:
@@ -196,7 +186,7 @@ FAULT_CLASSES = {fc.name: fc for fc in (
     FaultClass("transient_exception", {"": _COMPONENT}, symptom=_throw),
     FaultClass("app_memory_leak", {"": _COMPONENT}, symptom=_leak_heap, leaks=True),
     FaultClass("corrupt_primary_key", _modes(_COMPONENT, _COMPONENT_MANUAL), symptom=_corrupt_tx),
-    FaultClass("corrupt_registry_entry", _modes(_COMPONENT, _COMPONENT), on_arm=_corrupt_binding, on_clear=_restore_binding),
+    FaultClass("corrupt_registry_entry", _modes(_COMPONENT, _COMPONENT), on_arm=_corrupt_binding),
     FaultClass("corrupt_tx_map", _modes(_COMPONENT, _COMPONENT_MANUAL), symptom=_corrupt_tx),
     FaultClass("corrupt_stateless_attr", _modes(_SELF, CureProfile(CURE_COMPONENT_WEB, True)), symptom=_corrupt_attr),
     FaultClass("corrupt_inproc_session", _modes(CureProfile(CURE_WEB, False), CureProfile(CURE_WEB, True)), SITE_SESSION, _corrupt_session),
@@ -221,33 +211,6 @@ def cure_profile(fault_class: str, mode: str = "") -> CureProfile:
     return fc.profiles[mode]
 
 
-@dataclass
-class FaultSpec:
-    fault_id: int
-    fault_class: str
-    target: str
-    mode: str
-    node: int
-    inject_at: int
-    bytes_per_invoke: int = 0
-    fail_probability: float = 1.0
-    kind: FaultClass = field(init=False, repr=False, compare=False)
-    profile: CureProfile = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.profile = cure_profile(self.fault_class, self.mode)
-        self.kind = FAULT_CLASSES[self.fault_class]
-
-
-@dataclass
-class RecoveryScope:
-    """What one recovery action covered: its level plus component scope."""
-
-    level: str
-    components: frozenset[str] = frozenset()
-    node: int = 0
-
-
 @dataclass(eq=False)
 class RecoveryOp:
     """One executed recovery action, from its start to the manager's verdict."""
@@ -265,74 +228,86 @@ class RecoveryOp:
     on_complete: list = field(default_factory=list)         # each called with this op
 
 
-class ArmedFault:
-    __slots__ = ("spec", "active", "armed", "pinned")
+@dataclass(eq=False)
+class Fault:
+    """One injected fault: its scenario settings, ground truth and run state."""
 
-    def __init__(self, spec: FaultSpec):
-        self.spec = spec
-        self.armed = False            # becomes True at inject_at
-        self.active = False           # symptoms being generated
-        self.pinned = False           # holds a CPU slot (infinite loop)
+    fault_id: int
+    fault_class: str
+    target: str
+    mode: str
+    node: int
+    inject_at: int
+    bytes_per_invoke: int = 0
+    fail_probability: float = 1.0
+    armed: bool = False           # becomes True at inject_at
+    active: bool = False          # symptoms being generated
+    pinned: bool = False          # holds a CPU slot (infinite loop)
+    sessions_at_inject: int = -1  # sessions homed on its node when armed; -1: never armed
+    recoveries: list[RecoveryOp] = field(default_factory=list)  # completed on its node while active
+    kind: FaultClass = field(init=False, repr=False)
+    profile: CureProfile = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.profile = cure_profile(self.fault_class, self.mode)
+        self.kind = FAULT_CLASSES[self.fault_class]
 
 
-def is_cured(spec: FaultSpec, scope: RecoveryScope,
-             prior_scopes: tuple[RecoveryScope, ...] = ()) -> bool:
+def is_cured(fault: Fault, op: RecoveryOp, prior: Sequence[RecoveryOp] = ()) -> bool:
     """Does this recovery action (given earlier ones since injection) clear the fault?
 
     Component-scoped cure levels additionally require the action to cover the
     fault's target; manual faults are never cured by rebooting.
     """
-    level = spec.profile.min_cure_level
+    level = fault.profile.min_cure_level
     if level == CURE_SELF:
         return True
-    rank = RECOVERY_LEVELS[scope.level].rank
+    rank = op.level.rank
     if level == CURE_MANUAL or rank is None:      # escalate_human recovers nothing
         return False
     if level in _MIN_RANK:
         return rank >= _MIN_RANK[level]
     if level == CURE_COMPONENT:                   # any coarser scope covers every component
-        return rank > MURB_GROUP.rank or spec.target in scope.components
+        return rank > MURB_GROUP.rank or fault.target in op.members
     if rank > MURB_WEB.rank:
         return True
-    scopes = prior_scopes + (scope,)              # web, or component and web
-    web_done = any((RECOVERY_LEVELS[s.level].rank or 0) >= MURB_WEB.rank for s in scopes)
-    return web_done and (level == CURE_WEB or any(spec.target in s.components for s in scopes))
+    ops = (*prior, op)                            # web, or component and web
+    web_done = any((o.level.rank or 0) >= MURB_WEB.rank for o in ops)
+    return web_done and (level == CURE_WEB or any(fault.target in o.members for o in ops))
 
 
 class FaultPlan:
-    """Armed-fault bookkeeping for one world."""
+    """The faults of one world, by id."""
 
     def __init__(self) -> None:
-        self.faults: dict[int, ArmedFault] = {}
+        self.faults: dict[int, Fault] = {}
 
-    def register(self, spec: FaultSpec) -> ArmedFault:
-        armed = ArmedFault(spec)
-        self.faults[spec.fault_id] = armed
-        return armed
+    def register(self, fault: Fault) -> Fault:
+        self.faults[fault.fault_id] = fault
+        return fault
 
-    def clear(self, fault_id: int) -> ArmedFault:
-        armed = self.faults.get(fault_id)
-        if armed is None or not armed.armed:
+    def clear(self, fault_id: int) -> Fault:
+        fault = self.faults.get(fault_id)
+        if fault is None or not fault.armed:
             raise FaultError(f"fault {fault_id} is not armed")
-        armed.armed = False
-        armed.active = False
-        return armed
+        fault.armed = False
+        fault.active = False
+        return fault
 
-    def apply_recovery(self, scope: RecoveryScope,
-                       history: dict[int, list[RecoveryScope]]) -> list[ArmedFault]:
-        """Deactivate faults cured by this action; returns the cured set.
+    def apply_recovery(self, op: RecoveryOp) -> list[Fault]:
+        """Record a completed action on each active fault of its node and
+        deactivate the faults it cured; returns the cured set.
 
         Leak classes stay active: the reclaim of leaked resources is the cure,
         but the leaky code path keeps leaking on fresh instances.
         """
         cured = []
-        for armed in self.faults.values():
-            if not armed.active or armed.spec.node != scope.node:
+        for fault in self.faults.values():
+            if not fault.active or fault.node != op.node:
                 continue
-            prior = tuple(history.get(armed.spec.fault_id, ()))
-            history.setdefault(armed.spec.fault_id, []).append(scope)
-            if is_cured(armed.spec, scope, prior):
-                if not armed.spec.kind.leaks:
-                    armed.active = False
-                cured.append(armed)
+            fault.recoveries.append(op)
+            if is_cured(fault, op, fault.recoveries[:-1]):
+                if not fault.kind.leaks:
+                    fault.active = False
+                cured.append(fault)
         return cured

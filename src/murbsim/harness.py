@@ -235,12 +235,10 @@ def _incidents(world: World, recovery_log: list[dict]) -> list[dict]:
     in the window of its completion, once the first recovery completed after
     that window's inject.
     """
-    # World numbers the faults of scenario.faults from 1, in list order.
-    faults = sorted(enumerate(world.scenario.faults, start=1),
-                    key=lambda f: f[1].inject_at_ms)
+    faults = sorted(world.fault_plan.faults.values(), key=lambda f: f.inject_at)
     if not faults:
         return []
-    starts = [fc.inject_at_ms for _, fc in faults]
+    starts = [f.inject_at for f in faults]
     ends = starts[1:] + [1 << 62]
 
     def window(t: int) -> int:
@@ -271,17 +269,17 @@ def _incidents(world: World, recovery_log: list[dict]) -> list[dict]:
             recoveries[k].append(entry)
 
     return [{
-        "inject_ms": fc.inject_at_ms,
-        "fault_class": fc.fault_class,
-        "target": fc.target,
-        "mode": fc.mode,
+        "inject_ms": f.inject_at,
+        "fault_class": f.fault_class,
+        "target": f.target,
+        "mode": f.mode,
         "failed_requests": failed_requests[k],
         "failed_requests_issued_in_window": issued_in_window[k],
         "failed_actions": failed_actions[k],
         "post_recovery_session_lost": post_loss[k],
         "recovery_actions": recoveries[k],
-        "sessions_at_inject": world.fault_session_counts.get(fault_id, -1),
-    } for k, (fault_id, fc) in enumerate(faults)]
+        "sessions_at_inject": f.sessions_at_inject,
+    } for k, f in enumerate(faults)]
 
 
 def export_summary(world: World) -> dict:

@@ -158,11 +158,6 @@ class Registry:
     def redeploy_all(self) -> None:
         self.impaired.clear()
 
-    def _unstopped(self, name: str) -> bool:
-        if name not in self.specs:
-            raise KeyError(name)
-        return self.impaired.get(name) is not _STOPPED
-
     def corrupt_binding(self, name: str, mode: str) -> None:
         if mode == "null":
             entry = _NOT_BOUND
@@ -173,13 +168,10 @@ class Registry:
             entry = Lookup(WRONG, others[0] if others else None)
         else:
             raise ValueError(f"unknown corruption mode {mode}")
-        if self._unstopped(name):
+        if name not in self.specs:
+            raise KeyError(name)
+        if self.impaired.get(name) is not _STOPPED:
             self.impaired[name] = entry
-
-    def restore_binding(self, name: str) -> None:
-        """Undo a corrupted binding; a stopped component stays unbound."""
-        if self._unstopped(name):
-            self.impaired.pop(name, None)
 
 
 class HeapLedger:
@@ -190,14 +182,10 @@ class HeapLedger:
         self.registry = registry
         self.footprint_total = sum(s.mem_footprint_bytes for s in registry.specs.values())
         self.leases: dict[str, LeaseRecord] = {}
-        self._lease_seq = 0
         self.os_leak_bytes = 0           # outside the process; only a node reboot clears it
 
-    def charge(self, holder: str, nbytes: int, *, resource_id: str | None = None,
+    def charge(self, holder: str, nbytes: int, *, resource_id: str,
                expires_at: int | None = None, via_runtime: bool = True) -> LeaseRecord:
-        if resource_id is None:
-            self._lease_seq += 1
-            resource_id = f"lease-{self._lease_seq}"
         rec = self.leases.get(resource_id)
         if rec is None:
             rec = LeaseRecord(resource_id, holder, 0, expires_at, via_runtime)

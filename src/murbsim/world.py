@@ -15,11 +15,11 @@ from . import runtime
 from .app import AppCatalog, OpType, canonical_fingerprint, load_app_catalog
 from .cluster import LoadBalancer, Node, handle_sentinel
 from .config import Scenario
-from .detect import DetectorProfile, FailureReport, ReportChannel, classify_response
+from .detect import FailureReport, ReportChannel, classify_response
 from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_UNAVAILABLE, MURB_GROUP,
                        MURB_WEB, PARK, REBOOT_NODE, RECOVERY_LEVELS, RESTART_PROCESS,
-                       SITE_COMPONENT, SITE_PROCESS, SITE_SESSION, ArmedFault,
-                       FaultPlan, FaultSpec, Level, RecoveryOp, RecoveryScope)
+                       SITE_COMPONENT, SITE_PROCESS, SITE_SESSION, Fault, FaultPlan,
+                       Level, RecoveryOp)
 from .recoverymgr import RecoveryManager, RejuvenationService
 from .runtime import HeapLedger, load_catalog
 from .simcore import EventLoop, RngStream
@@ -87,12 +87,7 @@ class World:
                                 else node.in_process_store for node in self.nodes]
         self._path_sets = {op.name: frozenset(op.path) for op in self.catalog.op_list}
 
-        self.detector = DetectorProfile(
-            kind=scenario.detector.kind,
-            t_det_ms=scenario.detector.t_det_ms,
-            fp_rate=scenario.detector.fp_rate,
-            fn_rate=scenario.detector.fn_rate,
-        )
+        self.detector = scenario.detector
         self._detector_rng = self.rng.fork("detector")
         self.rm = RecoveryManager(self, scenario.policy)
         self.channel = ReportChannel(
@@ -109,19 +104,18 @@ class World:
         self.fault_plan = FaultPlan()
         self._fault_rng = self.rng.fork("faults")
         self._rebuild_fault_hooks()
-        self._recovery_history: dict[int, list[RecoveryScope]] = {}
         self.recoveries: list[RecoveryOp] = []                   # every action, in start order
         self._running: list[list[RecoveryOp]] = [[] for _ in self.nodes]
 
         self.rejuvenators = [RejuvenationService(self, scenario.rejuvenation, i)
                              for i in range(cl.nodes)]
-        self.fault_session_counts: dict[int, int] = {}          # fault id -> sessions on its node
 
         for fault_id, fc in enumerate(scenario.faults, start=1):
-            spec = FaultSpec(fault_id, fc.fault_class, fc.target, fc.mode, fc.node,
-                             fc.inject_at_ms, fc.bytes_per_invoke, fc.fail_probability)
-            armed = self.fault_plan.register(spec)
-            self.loop.schedule(spec.inject_at, partial(self._arm_fault, armed))
+            fault = self.fault_plan.register(Fault(
+                fault_id, fc.fault_class, fc.target, fc.mode, fc.node,
+                fc.inject_at_ms, fc.bytes_per_invoke, fc.fail_probability))
+            if fault.inject_at <= self._duration:   # else the post-run drain would arm it
+                self.loop.schedule(fault.inject_at, partial(self._arm_fault, fault))
         for sr in scenario.scripted_recoveries:
             self.loop.schedule(sr.at_ms, partial(self._scripted_recovery, sr))
 
@@ -276,17 +270,17 @@ class World:
         rng = self._fault_rng
         by_comp = hooks["by_comp"]
         for comp in ctx.op.path:
-            for symptom, armed in by_comp.get(comp, ()):
-                verdict = symptom(armed, ctx, node, rng)
+            for symptom, fault in by_comp.get(comp, ()):
+                verdict = symptom(fault, ctx, node, rng)
                 if verdict is not None:
-                    return self._consume(ctx, node, comp, armed, verdict)
-        for symptom, armed in hooks[SITE_PROCESS]:
-            verdict = symptom(armed, ctx, node, rng)
+                    return self._consume(ctx, node, comp, fault, verdict)
+        for symptom, fault in hooks[SITE_PROCESS]:
+            verdict = symptom(fault, ctx, node, rng)
             if verdict is not None:
-                return self._consume(ctx, node, "", armed, verdict)
+                return self._consume(ctx, node, "", fault, verdict)
         return True
 
-    def _consume(self, ctx: _ReqCtx, node: Node, comp: str, armed: ArmedFault,
+    def _consume(self, ctx: _ReqCtx, node: Node, comp: str, fault: Fault,
                  verdict: str) -> bool:
         """Hang or fail a request a symptom caught; False, for the hook loop."""
         if verdict == PARK:
@@ -296,7 +290,7 @@ class World:
             ctx.ttl_handle = self.loop.schedule_cancellable(
                 max(deadline, self.loop.now), partial(self._ttl_abort, ctx))
         else:
-            if not armed.active:          # the symptom cleared its own fault
+            if not fault.active:          # the symptom cleared its own fault
                 self._rebuild_fault_hooks()
             self._fail_in_worker(ctx, node, verdict)
         return False
@@ -343,10 +337,10 @@ class World:
         hooks = self._fault_hooks[ctx.node_id]
         if not hooks["any"] or self._external_sessions:
             return None
-        for symptom, armed in hooks[SITE_SESSION]:
-            if armed.spec.target and armed.spec.target != key:
+        for symptom, fault in hooks[SITE_SESSION]:
+            if fault.target and fault.target != key:
                 continue
-            return symptom(armed, ctx, self.nodes[ctx.node_id], self._fault_rng)
+            return symptom(fault, ctx, self.nodes[ctx.node_id], self._fault_rng)
         return None
 
     def _finalize(self, ctx: _ReqCtx, outcome: str) -> None:
@@ -416,45 +410,35 @@ class World:
         """Index the symptom of each active fault by node and hook site."""
         self._fault_hooks: list[dict] = [{"any": False, "by_comp": {}, SITE_PROCESS: [],
                                           SITE_SESSION: []} for _ in self.nodes]
-        for armed in self.fault_plan.faults.values():
-            kind = armed.spec.kind
-            if not armed.active or kind.symptom is None:
+        for fault in self.fault_plan.faults.values():
+            kind = fault.kind
+            if not fault.active or kind.symptom is None:
                 continue
-            hooks = self._fault_hooks[armed.spec.node]
+            hooks = self._fault_hooks[fault.node]
             if kind.site == SITE_COMPONENT:
-                site = hooks["by_comp"].setdefault(armed.spec.target, [])
+                site = hooks["by_comp"].setdefault(fault.target, [])
             else:
                 site = hooks[kind.site]
-            site.append((kind.symptom, armed))
+            site.append((kind.symptom, fault))
             hooks["any"] = True
 
-    def _arm_fault(self, armed: ArmedFault) -> None:
-        spec = armed.spec
-        armed.armed = True
-        armed.active = True
-        self.fault_session_counts[spec.fault_id] = sum(
-            1 for n in self.lb.affinity.values() if n == spec.node)
-        if spec.kind.on_arm is not None:
-            spec.kind.on_arm(self, armed)
+    def _arm_fault(self, fault: Fault) -> None:
+        fault.armed = True
+        fault.active = True
+        fault.sessions_at_inject = sum(1 for n in self.lb.affinity.values() if n == fault.node)
+        if fault.kind.on_arm is not None:
+            fault.kind.on_arm(self, fault)
         self._rebuild_fault_hooks()
 
-    def clear_fault(self, fault_id: int) -> None:
-        armed = self.fault_plan.clear(fault_id)
-        if armed.spec.kind.on_clear is not None:
-            armed.spec.kind.on_clear(self, armed)
-        self._unpin_if_needed(armed)
-        self._rebuild_fault_hooks()
-
-    def _unpin_if_needed(self, armed: ArmedFault) -> None:
-        if armed.pinned:
-            armed.pinned = False
-            self.nodes[armed.spec.node].cpu.unpin_slot()
+    def _unpin_if_needed(self, fault: Fault) -> None:
+        if fault.pinned:
+            fault.pinned = False
+            self.nodes[fault.node].cpu.unpin_slot()
 
     def manual_repair_flagged(self, node: int) -> bool:
         if self.tx_store.tainted_rows():
             return True
-        return any(f.armed and f.spec.node == node and
-                   f.spec.profile.requires_manual_data_repair
+        return any(f.armed and f.node == node and f.profile.requires_manual_data_repair
                    for f in self.fault_plan.faults.values())
 
     # -- recovery machinery ---------------------------------------------------
@@ -483,10 +467,9 @@ class World:
 
     def _finish(self, op: RecoveryOp) -> None:
         """Apply what a completed action cured, then call back with it."""
-        cured = self.fault_plan.apply_recovery(
-            RecoveryScope(op.level.name, op.members, op.node), self._recovery_history)
-        for armed in cured:
-            self._unpin_if_needed(armed)
+        cured = self.fault_plan.apply_recovery(op)
+        for fault in cured:
+            self._unpin_if_needed(fault)
         if cured:
             self._rebuild_fault_hooks()
         op.completed_at = self.loop.now
@@ -562,9 +545,9 @@ class World:
         node.registry.stop_all()
         self._abort(node, op.members, err)
         node.heap.release_all_app()
-        for armed in self.fault_plan.faults.values():
-            if armed.spec.node == node_id:
-                self._unpin_if_needed(armed)
+        for fault in self.fault_plan.faults.values():
+            if fault.node == node_id:
+                self._unpin_if_needed(fault)
         if process_dies:
             for ctx in list(node.worker_queue):
                 if ctx.state == "queued":

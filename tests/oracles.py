@@ -145,6 +145,3 @@ class BindingModel:
         else:
             others = [n for n in self.state if n != name and n not in self.web]
             self.state[name] = (status, "wrong", others[0] if others else None)
-
-    def restore_binding(self, name: str) -> None:
-        self.state[name] = (self.state[name][0], "bound", None)

@@ -1,17 +1,15 @@
-import pytest
-
-from murbsim.detect import (DetectorProfile, FailureReport, ReportChannel,
-                            classify_response)
+from murbsim.config import DetectorConfig
+from murbsim.detect import FailureReport, ReportChannel, classify_response
 from murbsim.simcore import EventLoop, RngStream
 
 
 class TestFastDetector:
     def setup_method(self):
-        self.profile = DetectorProfile(kind="fast")
+        self.detector = DetectorConfig(kind="fast")
         self.rng = RngStream(1)
 
     def classify(self, outcome="ok", divergent=False):
-        return classify_response(self.profile, outcome, divergent, self.rng)
+        return classify_response(self.detector, outcome, divergent, self.rng)
 
     def test_exception_flagged_as_keyword(self):
         assert self.classify("error:exception") == "keyword"
@@ -29,10 +27,6 @@ class TestFastDetector:
     def test_wrong_value_missed_by_fast_detector(self):
         assert self.classify(divergent=True) is None
 
-    def test_fp_fn_bounds_validated(self):
-        with pytest.raises(ValueError):
-            DetectorProfile(fp_rate=1.5)
-
     def test_fast_flags_iff_overt_error(self):
         # zero-noise invariant over every outcome class
         for outcome, flagged in [("ok", False), ("error:connection", True),
@@ -44,11 +38,11 @@ class TestFastDetector:
 
 class TestComparisonDetector:
     def setup_method(self):
-        self.profile = DetectorProfile(kind="comparison")
+        self.detector = DetectorConfig(kind="comparison")
         self.rng = RngStream(1)
 
     def classify(self, outcome="ok", divergent=False):
-        return classify_response(self.profile, outcome, divergent, self.rng)
+        return classify_response(self.detector, outcome, divergent, self.rng)
 
     def test_wrong_value_caught(self):
         assert self.classify(divergent=True) == "divergence"
@@ -64,20 +58,20 @@ class TestComparisonDetector:
 
 class TestNoise:
     def test_false_positives_at_rate_one(self):
-        profile = DetectorProfile(fp_rate=1.0)
-        assert classify_response(profile, "ok", False, RngStream(1)) == "keyword"
+        detector = DetectorConfig(fp_rate=1.0)
+        assert classify_response(detector, "ok", False, RngStream(1)) == "keyword"
 
     def test_false_negatives_at_rate_one(self):
-        profile = DetectorProfile(fn_rate=1.0)
-        assert classify_response(profile, "error:exception", False, RngStream(1)) is None
+        detector = DetectorConfig(fn_rate=1.0)
+        assert classify_response(detector, "error:exception", False, RngStream(1)) is None
 
     def test_one_draw_per_response(self):
         # every classification draws once when noise is on, whatever the verdict
-        profile = DetectorProfile(kind="comparison", fp_rate=0.5, fn_rate=0.5)
+        detector = DetectorConfig(kind="comparison", fp_rate=0.5, fn_rate=0.5)
         rng, replay = RngStream(5), RngStream(5)
         cases = [("ok", False), ("ok", True), ("error:exception", False)] * 20
         for outcome, divergent in cases:
-            got = classify_response(profile, outcome, divergent, rng)
+            got = classify_response(detector, outcome, divergent, rng)
             draw = replay.random()
             if outcome == "ok" and not divergent:
                 assert got == ("keyword" if draw < 0.5 else None)

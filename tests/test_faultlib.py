@@ -1,13 +1,19 @@
 import pytest
 
 from murbsim.faultlib import (CURE_COMPONENT, CURE_MANUAL, CURE_PROCESS,
-                              CURE_SELF, CURE_WEB, FaultError, FaultPlan,
-                              FaultSpec, RecoveryScope, cure_profile, is_cured)
+                              CURE_SELF, CURE_WEB, RECOVERY_LEVELS, Fault,
+                              FaultError, FaultPlan, RecoveryOp, cure_profile,
+                              is_cured)
 
 
-def fspec(cls, mode="", target="X", fault_id=1, node=0):
-    return FaultSpec(fault_id=fault_id, fault_class=cls, target=target,
-                     mode=mode, node=node, inject_at=0)
+def new_fault(cls, mode="", target="X", fault_id=1, node=0):
+    return Fault(fault_id=fault_id, fault_class=cls, target=target,
+                 mode=mode, node=node, inject_at=0)
+
+
+def op(level, components=frozenset(), node=0):
+    """A completed recovery action of `level` covering `components`."""
+    return RecoveryOp(RECOVERY_LEVELS[level], node, components, "", 0, 0, "direct")
 
 
 class TestCureProfiles:
@@ -45,76 +51,75 @@ class TestCureProfiles:
 class TestModeValidation:
     def test_corruption_class_requires_mode(self):
         with pytest.raises(FaultError):
-            fspec("corrupt_primary_key")
+            new_fault("corrupt_primary_key")
 
     def test_behavior_class_takes_no_mode(self):
         with pytest.raises(FaultError):
-            fspec("deadlock", mode="null")
+            new_fault("deadlock", mode="null")
 
     def test_store_corruptions_mode_optional(self):
-        fspec("corrupt_external_session")
-        fspec("corrupt_db_row")
+        new_fault("corrupt_external_session")
+        new_fault("corrupt_db_row")
 
 
 class TestIsCured:
     def test_transient_cured_by_its_group(self):
-        spec = fspec("transient_exception", target="BrowseCategories")
-        hit = RecoveryScope("murb_group", frozenset({"BrowseCategories"}))
-        miss = RecoveryScope("murb_group", frozenset({"ViewItem"}))
-        assert is_cured(spec, hit)
-        assert not is_cured(spec, miss)
+        fault = new_fault("transient_exception", target="BrowseCategories")
+        hit = op("murb_group", frozenset({"BrowseCategories"}))
+        miss = op("murb_group", frozenset({"ViewItem"}))
+        assert is_cured(fault, hit)
+        assert not is_cured(fault, miss)
 
     def test_intra_process_leak_needs_process_restart(self):
-        spec = fspec("leak_outside_app_intra_process", target="")
-        assert not is_cured(spec, RecoveryScope("murb_group", frozenset({"ViewItem"})))
-        assert not is_cured(spec, RecoveryScope("restart_application"))
-        assert is_cured(spec, RecoveryScope("restart_process"))
+        fault = new_fault("leak_outside_app_intra_process", target="")
+        assert not is_cured(fault, op("murb_group", frozenset({"ViewItem"})))
+        assert not is_cured(fault, op("restart_application"))
+        assert is_cured(fault, op("restart_process"))
 
     def test_self_clearing(self):
-        spec = fspec("corrupt_stateless_attr", mode="null", target="MakeBid")
-        assert is_cured(spec, RecoveryScope("murb_group", frozenset({"ViewItem"})))
+        fault = new_fault("corrupt_stateless_attr", mode="null", target="MakeBid")
+        assert is_cured(fault, op("murb_group", frozenset({"ViewItem"})))
 
     def test_manual_never_cured_by_reboot(self):
-        spec = fspec("corrupt_db_row", target="Item")
+        fault = new_fault("corrupt_db_row", target="Item")
         for level in ("murb_group", "murb_web", "restart_application",
                       "restart_process", "reboot_node"):
-            assert not is_cured(spec, RecoveryScope(level, frozenset({"Item"})))
+            assert not is_cured(fault, op(level, frozenset({"Item"})))
 
     def test_war_level_needs_web_reboot(self):
-        spec = fspec("corrupt_inproc_session", mode="null", target="")
-        assert not is_cured(spec, RecoveryScope("murb_group", frozenset({"Item"})))
-        assert is_cured(spec, RecoveryScope("murb_web", frozenset({"WebUI"})))
-        assert is_cured(spec, RecoveryScope("restart_process"))
+        fault = new_fault("corrupt_inproc_session", mode="null", target="")
+        assert not is_cured(fault, op("murb_group", frozenset({"Item"})))
+        assert is_cured(fault, op("murb_web", frozenset({"WebUI"})))
+        assert is_cured(fault, op("restart_process"))
 
     def test_combined_bean_and_web_cure(self):
-        spec = fspec("corrupt_stateless_attr", mode="wrong", target="MakeBid")
-        bean = RecoveryScope("murb_group", frozenset({"MakeBid"}))
-        web = RecoveryScope("murb_web", frozenset({"WebUI"}))
-        combined = RecoveryScope("murb_web", frozenset({"MakeBid", "WebUI"}))
-        assert not is_cured(spec, bean)
-        assert not is_cured(spec, web)
-        assert is_cured(spec, web, prior_scopes=(bean,))   # sequential escalation
-        assert is_cured(spec, combined)                     # one combined reboot
-        assert is_cured(spec, RecoveryScope("restart_application"))
+        fault = new_fault("corrupt_stateless_attr", mode="wrong", target="MakeBid")
+        bean = op("murb_group", frozenset({"MakeBid"}))
+        web = op("murb_web", frozenset({"WebUI"}))
+        combined = op("murb_web", frozenset({"MakeBid", "WebUI"}))
+        assert not is_cured(fault, bean)
+        assert not is_cured(fault, web)
+        assert is_cured(fault, web, prior=(bean,))   # sequential escalation
+        assert is_cured(fault, combined)             # one combined reboot
+        assert is_cured(fault, op("restart_application"))
 
 
 class TestFaultPlan:
     def test_clear_then_double_clear(self):
         plan = FaultPlan()
-        armed = plan.register(fspec("transient_exception", target="X"))
-        armed.armed = True
+        fault = plan.register(new_fault("transient_exception", target="X"))
+        fault.armed = True
         plan.clear(1)
         with pytest.raises(FaultError):
             plan.clear(1)
 
     def test_apply_recovery_keeps_leaks_active(self):
         plan = FaultPlan()
-        leak = plan.register(fspec("app_memory_leak", target="ViewItem", fault_id=1))
-        exc = plan.register(fspec("transient_exception", target="ViewItem", fault_id=2))
+        leak = plan.register(new_fault("app_memory_leak", target="ViewItem", fault_id=1))
+        exc = plan.register(new_fault("transient_exception", target="ViewItem", fault_id=2))
         leak.armed = leak.active = True
         exc.armed = exc.active = True
-        cured = plan.apply_recovery(
-            RecoveryScope("murb_group", frozenset({"ViewItem"})), history={})
-        assert {c.spec.fault_id for c in cured} == {1, 2}
+        cured = plan.apply_recovery(op("murb_group", frozenset({"ViewItem"})))
+        assert {c.fault_id for c in cured} == {1, 2}
         assert leak.active          # leaky code keeps leaking on new instances
         assert not exc.active
