@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from importlib import resources
+
+from .runtime import data_file
 
 CATEGORIES = ("static", "session_init", "read_only", "search",
               "session_update", "db_update")
@@ -171,19 +172,11 @@ class AppCatalog:
 
 
 def load_app_catalog(ops_path: str = "", matrix_path: str = "") -> AppCatalog:
-    if ops_path:
-        with open(ops_path, encoding="utf-8") as fh:
-            ops_text = fh.read()
-    else:
-        ops_text = resources.files("murbsim.data").joinpath("ops.txt").read_text("utf-8")
-    if matrix_path:
-        with open(matrix_path, encoding="utf-8") as fh:
-            matrix_text = fh.read()
-    else:
-        matrix_text = resources.files("murbsim.data").joinpath("transitions.txt").read_text("utf-8")
-    matrix = parse_matrix(matrix_text)
-    matrix.check_stochastic()
-    return AppCatalog(parse_ops(ops_text), matrix)
+    with data_file(matrix_path, "transitions.txt", OpCatalogError) as text:
+        matrix = parse_matrix(text)
+        matrix.check_stochastic()
+    with data_file(ops_path, "ops.txt", OpCatalogError) as text:
+        return AppCatalog(parse_ops(text), matrix)
 
 
 def stationary_distribution(matrix: TransitionMatrix, iterations: int = 2_000,

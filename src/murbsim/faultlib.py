@@ -34,10 +34,10 @@ RESTART_PROCESS = Level("restart_process", 4, False, ("process_restart_ms",), ER
 REBOOT_NODE = Level("reboot_node", 5, False, ("process_restart_ms", "os_boot_ms"), ERR_CONNECTION)
 ESCALATE_HUMAN = Level("escalate_human", None, False, (), "")
 
-# By name, in escalation order.
-RECOVERY_LEVELS = {lv.name: lv for lv in (MURB_GROUP, MURB_WEB, RESTART_APPLICATION,
-                                           RESTART_PROCESS, REBOOT_NODE, ESCALATE_HUMAN)}
-LEVELS = tuple(RECOVERY_LEVELS)
+# In escalation order: the rung above a ranked level is LEVELS[level.rank].
+LEVELS = (MURB_GROUP, MURB_WEB, RESTART_APPLICATION, RESTART_PROCESS, REBOOT_NODE,
+          ESCALATE_HUMAN)
+RECOVERY_LEVELS = {lv.name: lv for lv in LEVELS}
 
 
 # Cure levels (minimum scope that actually clears the fault).

@@ -16,6 +16,7 @@ import sys
 import typing
 from bisect import bisect_left, bisect_right
 
+from .app import OpCatalogError
 from .cluster import six_nines_budget
 from .config import (ClusterConfig, DetectorConfig, FaultConfig, PolicyConfig,
                      RejuvenationConfig, Scenario, ScriptedRecovery, StoreConfig,
@@ -23,7 +24,7 @@ from .config import (ClusterConfig, DetectorConfig, FaultConfig, PolicyConfig,
 from .faultlib import (FAULT_CLASSES, RECOVERY_LEVELS, SITE_COMPONENT, SITE_PROCESS,
                        FaultError, cure_profile)
 from .recoverymgr import detection_headroom, fp_headroom
-from .runtime import load_catalog
+from .runtime import CatalogError, DeployError, load_catalog
 from .workload import BAD, latency_stats
 from .world import World
 
@@ -835,7 +836,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.rate is not None:
                 seconds = detection_headroom(args.rate, args.c_micro, args.c_full)
                 sys.stdout.write(f"max detection delay: {seconds:.1f} s\n")
-    except ScenarioError as exc:
+    except (ScenarioError, CatalogError, DeployError, OpCatalogError) as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
         return 2
     except (ValueError, OSError) as exc:

@@ -15,18 +15,19 @@ from dataclasses import dataclass, field
 
 from .config import PolicyConfig, RejuvenationConfig
 from .detect import FAULTY_APP_CHECK, FailureReport
-from .faultlib import LEVELS, RECOVERY_LEVELS, RecoveryOp
+from .faultlib import ESCALATE_HUMAN, LEVELS, MURB_GROUP, RESTART_PROCESS, Level, RecoveryOp
 from .runtime import KIND_WEB
 
 
 class ScoreBoard:
-    """Exponentially-decaying per-component failure scores for one node."""
+    """Decaying per-component failure scores for one node, and when each report was seen."""
 
     def __init__(self, half_life_ms: int, threshold: float):
         self.half_life_ms = half_life_ms
         self.threshold = threshold
         self.scores: dict[str, float] = {}
         self.decayed_at = 0
+        self.report_times: list[int] = []    # sorted
 
     def decay_to(self, now: int) -> None:
         dt = now - self.decayed_at
@@ -47,6 +48,7 @@ class ScoreBoard:
 
     def reset(self) -> None:
         self.scores.clear()
+        self.report_times.clear()
 
 
 @dataclass
@@ -70,30 +72,22 @@ class RecoveryManager:
     def __init__(self, world, policy: PolicyConfig):
         self.world = world
         self.policy = policy
-        self.boards: dict[int, ScoreBoard] = {}
+        self.boards = [ScoreBoard(policy.half_life_ms, policy.threshold) for _ in world.nodes]
         self.episodes: list[Episode] = []
         self.active: dict[int, Episode] = {}
         self.halted: set[int] = set()
-        # per-node, sorted observation times of scoreable failure reports
-        self._report_times: dict[int, list[int]] = {}
         # recurrence bookkeeping: recovery timestamps per (node, target key)
         self._recoveries: dict[tuple[int, object], list[int]] = {}
+        self._failover = world.scenario.cluster.failover and len(world.nodes) > 1
         self.session_loss_reports = 0
         self.ignored_reports = 0
-
-    def _board(self, node: int) -> ScoreBoard:
-        board = self.boards.get(node)
-        if board is None:
-            board = ScoreBoard(self.policy.half_life_ms, self.policy.threshold)
-            self.boards[node] = board
-        return board
 
     # -- ingestion and diagnosis ----------------------------------------
 
     def ingest_report(self, report: FailureReport) -> None:
         now = self.world.loop.now
         op = self.world.catalog.ops.get(report.op_name)
-        if op is None:
+        if op is None or report.node_id < 0:     # node -1: the balancer had no node for it
             self.ignored_reports += 1
             return
         if report.failure_class == FAULTY_APP_CHECK:
@@ -101,14 +95,15 @@ class RecoveryManager:
             # it would send the ladder chasing ghosts after every restart.
             self.session_loss_reports += 1
             return
-        self._board(report.node_id).bump(op.path, now)
-        self._report_times.setdefault(report.node_id, []).append(report.observed_at)
+        board = self.boards[report.node_id]
+        board.bump(op.path, now)
+        board.report_times.append(report.observed_at)
         if self.policy.enabled:
             self.maybe_act(report.node_id)
 
     def diagnose(self, node: int):
         """(anchor, group members) when some score crosses the threshold."""
-        board = self._board(node)
+        board = self.boards[node]
         board.decay_to(self.world.loop.now)
         registry = self.world.nodes[node].registry
         best = None
@@ -138,68 +133,61 @@ class RecoveryManager:
         episode = Episode(node=node, started_at=self.world.loop.now, anchor=anchor)
         self.active[node] = episode
         self.episodes.append(episode)
-        first = "murb_group" if self.policy.recovery_mode == "murb" else "restart_process"
+        first = MURB_GROUP if self.policy.recovery_mode == "murb" else RESTART_PROCESS
         self._run_action(episode, first, members)
 
     # -- the ladder -------------------------------------------------------
 
-    def _run_action(self, episode: Episode, level: str, members: frozenset[str]) -> None:
+    def _run_action(self, episode: Episode, level: Level, members: frozenset[str]) -> None:
         now = self.world.loop.now
-        record = RECOVERY_LEVELS[level]
         # A microreboot's target is its group; a restart's is the whole node.
-        key = (episode.node, members if record.microreboot else level)
+        key = (episode.node, members if level.microreboot else level)
         history = self._recoveries.setdefault(key, [])
         recent = [t for t in history if t > now - self.policy.recurrence_period_ms]
-        if record.rank is None or len(recent) >= self.policy.recurrence_limit:
-            self._finish_episode(episode, "escalate_human", cured=False)
+        if level.rank is None or len(recent) >= self.policy.recurrence_limit:
+            self._finish_episode(episode, ESCALATE_HUMAN, cured=False)
             return
         history.append(now)
         # The balancer hears about the recovery first, and again once it is done.
-        if self._use_failover():
+        if self._failover:
             self.world.lb.set_failover(episode.node, True)
         self.world.execute_recovery(
             episode.node, level, members, lambda op: self._action_done(episode, op))
 
-    def _use_failover(self) -> bool:
-        return self.world.scenario.cluster.failover and len(self.world.nodes) > 1
-
     def _action_done(self, episode: Episode, op: RecoveryOp) -> None:
         episode.actions.append(op)
-        if self._use_failover():
+        if self._failover:
             self.world.lb.set_failover(episode.node, False)
         window = self.policy.observation_window_ms
         self.world.loop.after(window, lambda: self._check_symptoms(episode, op))
 
     def _check_symptoms(self, episode: Episode, op: RecoveryOp) -> None:
-        times = self._report_times.get(episode.node, [])
+        times = self.boards[episode.node].report_times
         fresh = len(times) - bisect_right(times, op.completed_at)
         if fresh == 0:
             op.result = "cured"
-            self._finish_episode(episode, op.level.name, cured=True)
+            self._finish_episode(episode, op.level, cured=True)
             return
         op.result = "persisted"
-        next_level = LEVELS[LEVELS.index(op.level.name) + 1]
+        level = LEVELS[op.level.rank]
         members: frozenset[str] = frozenset()
-        if RECOVERY_LEVELS[next_level].microreboot:     # only the web's rung is above the first
+        if level.microreboot:                    # only the web's rung is above the first
             registry = self.world.nodes[episode.node].registry
-            web = registry.web_component
-            members = registry.groups[web].members if web else frozenset()
-        self._run_action(episode, next_level, members)
+            members = registry.groups[registry.web_component].members
+        self._run_action(episode, level, members)
 
-    def _finish_episode(self, episode: Episode, terminal: str, cured: bool) -> None:
-        episode.terminal_level = terminal
+    def _finish_episode(self, episode: Episode, terminal: Level, cured: bool) -> None:
+        episode.terminal_level = terminal.name
         episode.cured = cured
         episode.manual_repair_flagged = self.world.manual_repair_flagged(episode.node)
-        record = RECOVERY_LEVELS[terminal]
-        if record.rank is None:                  # handed off: nothing runs or completes
+        if terminal.rank is None:                # handed off: nothing runs or completes
             self.halted.add(episode.node)
             self.world.recoveries.append(RecoveryOp(
-                record, episode.node, frozenset(), "operator", self.world.loop.now, 0,
+                terminal, episode.node, frozenset(), "operator", self.world.loop.now, 0,
                 "handed_off"))
-        self._board(episode.node).reset()
-        self._report_times[episode.node] = []
+        self.boards[episode.node].reset()
         del self.active[episode.node]
-        if self._use_failover():
+        if self._failover:
             self.world.lb.set_failover(episode.node, False)
 
 
@@ -213,35 +201,31 @@ class RejuvenationService:
         specs = world.nodes[node].registry.specs
         self.candidates: list[str] = [n for n in specs if specs[n].kind != KIND_WEB]
         self.released_by_component: dict[str, int] = {n: 0 for n in self.candidates}
-        self.pass_active = False
         self.completed_passes = 0
         self.pass_log: list[dict] = []
         self._pass_queue: list[str] = []
         self._pass_done: set[str] = set()
 
     def tick(self, now: int) -> None:
-        if not self.config.enabled or self.pass_active:
+        if not self.config.enabled:
             return
         world = self.world
         if not world.nodes[self.node].up or world.rm.active.get(self.node):
             return
-        if world.node_recovery_busy(self.node):
+        if world.node_recovery_busy(self.node):     # true all through a pass
             return
         heap = world.nodes[self.node].heap
         if heap.free >= self.config.alarm_bytes:
             return
         if self.config.mode == "restart":
-            self.pass_active = True
-            world.execute_recovery(self.node, "restart_process", frozenset(),
+            world.execute_recovery(self.node, RESTART_PROCESS, frozenset(),
                                    self._restart_done, reason="rejuvenation")
             return
-        self.pass_active = True
         self._pass_queue = list(self.candidates)
         self._pass_done = set()
         self._next_candidate()
 
     def _restart_done(self, op: RecoveryOp) -> None:
-        self.pass_active = False
         self.completed_passes += 1
         self.pass_log.append({
             "at": self.world.loop.now,
@@ -262,11 +246,11 @@ class RejuvenationService:
             registry = world.nodes[self.node].registry
             members = registry.groups[candidate].members
             self._pass_done.update(members)
-            world.execute_recovery(self.node, "murb_group", members,
+            world.execute_recovery(self.node, MURB_GROUP, members,
                                    self._candidate_done, reason="rejuvenation")
             return
         # List exhausted and memory still short: the whole process restarts.
-        world.execute_recovery(self.node, "restart_process", frozenset(),
+        world.execute_recovery(self.node, RESTART_PROCESS, frozenset(),
                                self._exhausted_restart_done, reason="rejuvenation")
 
     def _candidate_done(self, op: RecoveryOp) -> None:
@@ -279,7 +263,6 @@ class RejuvenationService:
         self._complete_pass()
 
     def _complete_pass(self) -> None:
-        self.pass_active = False
         self.completed_passes += 1
         order = {name: i for i, name in enumerate(self.candidates)}
         self.candidates.sort(key=lambda n: (-self.released_by_component[n], order[n]))

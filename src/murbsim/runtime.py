@@ -9,8 +9,10 @@ driven and lives in world.py; this module owns the state transitions.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 KIND_ENTITY = "entity"
 KIND_STATELESS = "stateless"
@@ -288,15 +290,28 @@ def parse_catalog(text: str) -> tuple[list[ComponentSpec], list[GroupOverride]]:
             raise CatalogError(f"line {lineno}: missing field {exc}") from None
         except ValueError as exc:
             raise CatalogError(f"line {lineno}: {exc}") from None
+    webs = sum(s.kind == KIND_WEB for s in specs)   # the ladder's web rung needs one
+    if webs != 1:
+        raise CatalogError(f"need exactly one kind=web component, found {webs}")
     return specs, overrides
 
 
+@contextmanager
+def data_file(path: str, bundled: str, errors: type | tuple[type, ...]):
+    """Yield the text of the data file at `path`, or of the bundled file named
+    `bundled` if `path` is empty. One of `errors` raised in the block names the file."""
+    source = Path(path) if path else resources.files("murbsim.data") / bundled
+    try:
+        yield source.read_text(encoding="utf-8")
+    except errors as exc:
+        raise type(exc)(f"{path or bundled}: {exc}") from None
+
+
 def load_catalog(path: str = "") -> tuple[list[ComponentSpec], list[GroupOverride]]:
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            return parse_catalog(fh.read())
-    text = resources.files("murbsim.data").joinpath("catalog.txt").read_text("utf-8")
-    return parse_catalog(text)
+    with data_file(path, "catalog.txt", (CatalogError, DeployError)) as text:
+        specs, overrides = parse_catalog(text)
+        deploy(specs, overrides)         # checks names and dependencies
+    return specs, overrides
 
 
 def deploy(specs: list[ComponentSpec], overrides: list[GroupOverride] | None = None) -> Registry:

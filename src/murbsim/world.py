@@ -117,7 +117,8 @@ class World:
             if fault.inject_at <= self._duration:   # else the post-run drain would arm it
                 self.loop.schedule(fault.inject_at, partial(self._arm_fault, fault))
         for sr in scenario.scripted_recoveries:
-            self.loop.schedule(sr.at_ms, partial(self._scripted_recovery, sr))
+            if sr.at_ms <= self._duration:          # else the post-run drain would run it
+                self.loop.schedule(sr.at_ms, partial(self._scripted_recovery, sr))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -129,19 +130,23 @@ class World:
             first = client.think_ms(self._think_mean, self._think_max)
             self.loop.schedule(min(first, max(duration - 1, 0)), tick)
         if self.scenario.rejuvenation.enabled:
-            for node in self.nodes:
-                self._schedule_rejuvenation_poll(node.node_id)
-        self._schedule_gc()
+            for service in self.rejuvenators:
+                self._every(self.scenario.rejuvenation.poll_ms,
+                            lambda service=service: service.tick(self.loop.now))
+        self._every(_GC_SWEEP_MS, self._gc_sweep)
         self.loop.run_until(duration)
         self.loop.drain()
         for client in self.clients:
             if client.action is not None:
                 self.ledger.abandon(client.action, duration)
 
-    def _schedule_gc(self) -> None:
-        if self.loop.now + _GC_SWEEP_MS >= self._duration:
-            return
-        self.loop.after(_GC_SWEEP_MS, self._gc_sweep)
+    def _every(self, period: int, fn) -> None:
+        """Call `fn` every `period` ms for as long as the call falls before the end."""
+        def call() -> None:
+            fn()
+            self._every(period, fn)
+        if self.loop.now + period < self._duration:
+            self.loop.after(period, call)
 
     def _gc_sweep(self) -> None:
         now = self.loop.now
@@ -149,17 +154,6 @@ class World:
         for node in self.nodes:
             node.in_process_store.gc(now)
             node.heap.reap(now)
-        self._schedule_gc()
-
-    def _schedule_rejuvenation_poll(self, node_id: int) -> None:
-        poll = self.scenario.rejuvenation.poll_ms
-        if self.loop.now + poll >= self._duration:
-            return
-        self.loop.after(poll, partial(self._rejuvenation_poll, node_id))
-
-    def _rejuvenation_poll(self, node_id: int) -> None:
-        self.rejuvenators[node_id].tick(self.loop.now)
-        self._schedule_rejuvenation_poll(node_id)
 
     # -- client request flow -------------------------------------------------
 
@@ -446,12 +440,9 @@ class World:
     def node_recovery_busy(self, node_id: int) -> bool:
         return bool(self._running[node_id])
 
-    def execute_recovery(self, node_id: int, level: str, members: frozenset[str],
+    def execute_recovery(self, node_id: int, level: Level, members: frozenset[str],
                          on_complete, reason: str = "episode") -> None:
-        record = RECOVERY_LEVELS.get(level)
-        if record is None or record.rank is None:
-            raise ValueError(f"unknown recovery level {level!r}")
-        if record.microreboot:
+        if level.microreboot:
             self.murb(node_id, members, on_complete, reason)
         else:
             self.full_restart(node_id, level, on_complete, reason)
@@ -531,15 +522,14 @@ class World:
         self.nodes[op.node].registry.rebind(op.members)
         self._finish(op)
 
-    def full_restart(self, node_id: int, level: str, on_complete=None,
+    def full_restart(self, node_id: int, level: Level, on_complete=None,
                      reason: str = "direct") -> None:
         node = self.nodes[node_id]
-        record = RECOVERY_LEVELS[level]
-        cost = sum(getattr(self.scenario.cluster, f) for f in record.cost_fields)
-        op = self._begin(record, node_id, frozenset(node.registry.specs), f"node{node_id}",
+        cost = sum(getattr(self.scenario.cluster, f) for f in level.cost_fields)
+        op = self._begin(level, node_id, frozenset(node.registry.specs), f"node{node_id}",
                          cost, reason, on_complete)
-        err = record.abort_outcome
-        process_dies = record.rank >= RESTART_PROCESS.rank
+        err = level.abort_outcome
+        process_dies = level.rank >= RESTART_PROCESS.rank
         if process_dies:
             node.up = False     # before aborts, so pumped work fails fast
         node.registry.stop_all()
@@ -558,7 +548,7 @@ class World:
             # sessions homed here are gone; the balancer should forget them
             for sid in [s for s, n in self.lb.affinity.items() if n == node_id]:
                 self.lb.forget(sid)
-        if record.rank >= REBOOT_NODE.rank:
+        if level.rank >= REBOOT_NODE.rank:
             node.heap.os_leak_bytes = 0
         self.loop.after(cost, partial(self._restart_done, op))
 
@@ -569,12 +559,12 @@ class World:
         self._finish(op)
 
     def _scripted_recovery(self, sr) -> None:
+        level = RECOVERY_LEVELS[sr.level]
         members: frozenset[str] = frozenset()
-        node = self.nodes[sr.node]
-        if RECOVERY_LEVELS[sr.level].microreboot:
-            anchor = sr.target or node.registry.web_component
-            members = node.registry.groups[anchor].members
-        self.execute_recovery(sr.node, sr.level, members, None, reason="scripted")
+        if level.microreboot:
+            registry = self.nodes[sr.node].registry
+            members = registry.groups[sr.target or registry.web_component].members
+        self.execute_recovery(sr.node, level, members, None, reason="scripted")
 
     # -- inspection helpers (tests, summaries) --------------------------------
 

@@ -1,12 +1,14 @@
 import json
 import os
 import re
+from importlib import resources
 
 import pytest
 
 from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
                             PolicyConfig, Scenario, ScriptedRecovery,
                             StoreConfig, WorkloadConfig)
+from murbsim.faultlib import RECOVERY_LEVELS, RESTART_PROCESS
 from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, main,
                              parse_scenario, run_scenario, write_outputs)
@@ -296,7 +298,7 @@ class TestFullRestart:
 
         def restart():
             caught.extend(ctx.req for ctx in node.inflight)
-            w.full_restart(0, level)
+            w.full_restart(0, RECOVERY_LEVELS[level])
 
         w.loop.schedule(30_000, restart)
         w.run()
@@ -325,7 +327,7 @@ class TestFullRestart:
             heap.charge("unattributed", 2_000, resource_id="leak:b", via_runtime=False)
             w.nodes[0].in_process_store.write("sess", b"x", now=0)
             if variant == "restart":
-                w.full_restart(0, "restart_process")
+                w.full_restart(0, RESTART_PROCESS)
             else:
                 for name in w.nodes[0].registry.specs:
                     w.murb(0, w.nodes[0].registry.groups[name].members)
@@ -553,6 +555,12 @@ class TestMaskingAndSessions:
                              (50_000, "bad_env", 81),
                              (70_000, "corrupt_db_row", -1)]
         assert (summary["tainted_rows"], summary["manual_repair_needed"]) == (0, False)
+        # A scripted recovery after the run is not run by the post-run drain either.
+        s = Scenario(duration_ms=60_000, seed=2, policy=quiet_policy())
+        s.workload = WorkloadConfig(clients_per_node=50)
+        s.scripted_recoveries = [ScriptedRecovery(70_000, "restart_process")]
+        w = run_world(s)
+        assert w.recoveries == [] and export_summary(w)["recovery_log"] == []
 
     def test_zero_fault_run_has_zero_failures(self, baseline_run):
         assert baseline_run.ledger.totals()["bad_requests"] == 0
@@ -572,7 +580,7 @@ class TestMaskingAndSessions:
         svc = small_world.rejuvenators[0]
         svc.config.enabled = True
         svc.tick(small_world.loop.now)
-        assert not svc.pass_active and svc.completed_passes == 0
+        assert not small_world.node_recovery_busy(0) and svc.completed_passes == 0
 
     def test_deadlocked_request_aborted_at_ttl(self):
         s = Scenario(duration_ms=120_000, seed=9, policy=quiet_policy())
@@ -756,6 +764,30 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 2
             assert f"line {line}: " in capsys.readouterr().err
             assert not (tmp_path / "o").exists()       # failed before the first event
+
+    @pytest.mark.parametrize("edit, events, message", [
+        # a CatalogError traceback, exit 1
+        (("AboutMe kind=stateless", "AboutMe kind=bogus"), "",
+         "line 9: unknown kind 'bogus'"),
+        # accepted; in Table 2's 120-s world the web rung then died with
+        # "error: max() arg is an empty sequence", exit 1
+        (("WebUI kind=web", "WebUI kind=stateless"),
+         "[fault]\nat 3000\nclass corrupt_stateless_attr\nmode wrong\ntarget MakeBid\n",
+         "need exactly one kind=web component, found 0"),
+        # died at t=3000 with a KeyError: None traceback
+        (("WebUI kind=web", "WebUI kind=stateless"), "[recovery]\nat 3000\nlevel murb_web\n",
+         "need exactly one kind=web component, found 0"),
+    ], ids=["bad_kind", "no_web_fault", "no_web_murb"])
+    def test_bad_data_file_exit_code(self, tmp_path, capsys, edit, events, message):
+        bundled = resources.files("murbsim.data").joinpath("catalog.txt").read_text("utf-8")
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(bundled.replace(*edit))
+        scenario = tmp_path / "bad.txt"
+        scenario.write_text(f"{FIVE_SECONDS}[scenario]\ncatalog_path {catalog}\n{events}")
+        assert main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{catalog}: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()       # failed before the first event
 
     @pytest.mark.parametrize("section, key, value", [
         ("detector", "kind", "comparision"),

@@ -25,12 +25,18 @@ class TestIngestAndScores:
     def test_session_loss_not_scored(self, small_world):
         rm = small_world.rm
         rm.ingest_report(report("ViewItem", cls="app_check"))
-        assert rm.boards.get(0) is None or not rm.boards[0].scores
+        assert not rm.boards[0].scores
         assert rm.session_loss_reports == 1
 
     def test_unknown_op_ignored(self, small_world):
-        small_world.rm.ingest_report(report("NotAnOp"))
-        assert small_world.rm.ignored_reports == 1
+        rm = small_world.rm
+        # A request the balancer could not route completes on node -1; its
+        # report must not land on a board (boards[-1] is the last node's).
+        rm.ingest_report(report("ViewItem", node=-1))
+        assert rm.ignored_reports == 1
+        assert all(not b.scores and not b.report_times for b in rm.boards)
+        rm.ingest_report(report("NotAnOp"))
+        assert rm.ignored_reports == 2
 
     def test_decay_to_near_zero(self):
         board = ScoreBoard(half_life_ms=10_000, threshold=3.0)
@@ -66,7 +72,7 @@ class TestDiagnose:
 
     def test_threshold_crossing_targets_argmax_group(self, small_world):
         rm = small_world.rm
-        board = rm._board(0)
+        board = rm.boards[0]
         board.bump(["BrowseCategories"], 0, amount=3.2)
         anchor, members = rm.diagnose(0)
         assert anchor == "BrowseCategories"
@@ -74,7 +80,7 @@ class TestDiagnose:
 
     def test_tie_prefers_smaller_group(self, small_world):
         rm = small_world.rm
-        board = rm._board(0)
+        board = rm.boards[0]
         board.bump(["Item", "ViewItem"], 0, amount=5.0)   # sizes 5 vs 1
         anchor, members = rm.diagnose(0)
         assert anchor == "ViewItem"
@@ -82,14 +88,14 @@ class TestDiagnose:
 
     def test_tie_breaks_lexicographically(self, small_world):
         rm = small_world.rm
-        board = rm._board(0)
+        board = rm.boards[0]
         board.bump(["ViewItem", "BrowseCategories"], 0, amount=5.0)
         anchor, _ = rm.diagnose(0)
         assert anchor == "BrowseCategories"
 
     def test_web_component_never_group_target(self, small_world):
         rm = small_world.rm
-        board = rm._board(0)
+        board = rm.boards[0]
         board.bump(["WebUI"], 0, amount=9.0)
         board.bump(["ViewItem"], 0, amount=4.0)
         anchor, _ = rm.diagnose(0)
@@ -105,7 +111,7 @@ class TestLadder:
         w = World(s)
         w.run()
         episode = w.rm.episodes[0]
-        assert episode.levels == list(LEVELS[:len(episode.levels)])
+        assert episode.levels == [lv.name for lv in LEVELS[:len(episode.levels)]]
         assert episode.terminal_level == "restart_process"
         assert episode.cured
 

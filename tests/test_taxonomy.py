@@ -6,12 +6,12 @@ import ast
 import pathlib
 import re
 
-from murbsim.faultlib import FAULT_CLASSES, LEVELS
+from murbsim.faultlib import FAULT_CLASSES, LEVELS, RECOVERY_LEVELS
 from murbsim.harness import TABLE2_ROWS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "murbsim"
-NAMES = frozenset(FAULT_CLASSES) | frozenset(LEVELS)
+NAMES = frozenset(FAULT_CLASSES) | frozenset(RECOVERY_LEVELS)
 _COMPARISONS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
 
 
@@ -51,6 +51,17 @@ def test_no_class_or_level_string_comparisons_outside_faultlib():
             for path in sorted(SRC.glob("*.py")) if path.name != "faultlib.py"
             for line, names in taxonomy_comparisons(path.read_text(encoding="utf-8"))]
     assert hits == []
+
+
+def test_control_plane_passes_level_records():
+    # Level names are read where a scenario comes in (harness); the world and
+    # the recovery manager hand the records themselves to each other.
+    hits = [f"{name}:{node.lineno}: {node.value}"
+            for name in ("world.py", "recoverymgr.py")
+            for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and node.value in RECOVERY_LEVELS]
+    assert hits == []
+    assert all(LEVELS[lv.rank - 1] is lv for lv in LEVELS if lv.rank is not None)
 
 
 def test_table2_rows_cover_every_class_and_required_mode():
