@@ -90,6 +90,9 @@ def parse_ops(text: str) -> list[OpType]:
             )
         except KeyError as exc:
             raise OpCatalogError(f"line {lineno}: missing field {exc}") from None
+        except ValueError:
+            raise OpCatalogError(f"line {lineno}: service_ms must be an integer, "
+                                 f"got {kv['service_ms']!r}") from None
         if op.category not in CATEGORIES:
             raise OpCatalogError(f"line {lineno}: unknown category {op.category!r}")
         if op.functional_group not in FUNCTIONAL_GROUPS:
@@ -116,7 +119,7 @@ class TransitionMatrix:
     def check_stochastic(self, tol: float = 1e-6) -> None:
         for s, probs in self.rows.items():
             total = sum(probs)
-            if abs(total - 1.0) > tol or any(p < 0 for p in probs):
+            if not abs(total - 1.0) <= tol or not all(p >= 0 for p in probs):   # NaN fails
                 raise OpCatalogError(f"matrix row {s} is not a probability distribution")
 
     def sample(self, state: str, rng) -> str:
@@ -138,8 +141,12 @@ def parse_matrix(text: str) -> TransitionMatrix:
             if not states:
                 raise OpCatalogError(f"line {lineno}: 'row' before 'states'")
             if len(tokens) != 2 + len(states):
-                raise OpCatalogError(f"line {lineno}: row {tokens[1]} has wrong arity")
-            rows[tokens[1]] = [float(t) for t in tokens[2:]]
+                raise OpCatalogError(f"line {lineno}: expected 'row <state>' and "
+                                     f"{len(states)} probabilities")
+            try:
+                rows[tokens[1]] = [float(t) for t in tokens[2:]]
+            except ValueError as exc:
+                raise OpCatalogError(f"line {lineno}: {exc}") from None
         else:
             raise OpCatalogError(f"line {lineno}: unknown record {tokens[0]!r}")
     missing = [s for s in states if s not in rows]

@@ -67,7 +67,7 @@ class Episode:
 
 
 class RecoveryManager:
-    """Event-driven actor; all recovery steps for one node are serialized."""
+    """Event-driven actor; `World.execute_recovery` serializes each node's recovery steps."""
 
     def __init__(self, world, policy: PolicyConfig):
         self.world = world
@@ -206,13 +206,10 @@ class RejuvenationService:
         self._pass_queue: list[str] = []
         self._pass_done: set[str] = set()
 
-    def tick(self, now: int) -> None:
-        if not self.config.enabled:
-            return
+    def tick(self) -> None:
         world = self.world
-        if not world.nodes[self.node].up or world.rm.active.get(self.node):
-            return
-        if world.node_recovery_busy(self.node):     # true all through a pass
+        # busy all through a pass, and while a restart has the node down
+        if world.rm.active.get(self.node) or world.node_recovery_busy(self.node):
             return
         heap = world.nodes[self.node].heap
         if heap.free >= self.config.alarm_bytes:

@@ -105,7 +105,7 @@ class World:
         self._fault_rng = self.rng.fork("faults")
         self._rebuild_fault_hooks()
         self.recoveries: list[RecoveryOp] = []                   # every action, in start order
-        self._running: list[list[RecoveryOp]] = [[] for _ in self.nodes]
+        self._running: list[RecoveryOp | None] = [None] * len(self.nodes)
 
         self.rejuvenators = [RejuvenationService(self, scenario.rejuvenation, i)
                              for i in range(cl.nodes)]
@@ -131,8 +131,7 @@ class World:
             self.loop.schedule(min(first, max(duration - 1, 0)), tick)
         if self.scenario.rejuvenation.enabled:
             for service in self.rejuvenators:
-                self._every(self.scenario.rejuvenation.poll_ms,
-                            lambda service=service: service.tick(self.loop.now))
+                self._every(self.scenario.rejuvenation.poll_ms, service.tick)
         self._every(_GC_SWEEP_MS, self._gc_sweep)
         self.loop.run_until(duration)
         self.loop.drain()
@@ -438,14 +437,26 @@ class World:
     # -- recovery machinery ---------------------------------------------------
 
     def node_recovery_busy(self, node_id: int) -> bool:
-        return bool(self._running[node_id])
+        return self._running[node_id] is not None
 
     def execute_recovery(self, node_id: int, level: Level, members: frozenset[str],
                          on_complete, reason: str = "episode") -> None:
-        if level.microreboot:
-            self.murb(node_id, members, on_complete, reason)
+        """The one way into recovery: at most one op runs on a node. A request
+        the running op covers (level no higher, members inside; a restart's
+        members are its whole node) joins it. Any other waits until the node
+        is idle, then starts. Either way `on_complete` gets the op that ran."""
+        running = self._running[node_id]
+        if running is None:
+            if level.microreboot:
+                self.murb(node_id, members, on_complete, reason)
+            else:
+                self.full_restart(node_id, level, on_complete, reason)
+        elif level.rank <= running.level.rank and members <= running.members:
+            if on_complete is not None:
+                running.on_complete.append(on_complete)
         else:
-            self.full_restart(node_id, level, on_complete, reason)
+            running.on_complete.append(
+                lambda _: self.execute_recovery(node_id, level, members, on_complete, reason))
 
     def _begin(self, level: Level, node_id: int, members: frozenset[str], target: str,
                duration_ms: int, reason: str, on_complete) -> RecoveryOp:
@@ -453,7 +464,7 @@ class World:
         if on_complete is not None:
             op.on_complete.append(on_complete)
         self.recoveries.append(op)
-        self._running[node_id].append(op)
+        self._running[node_id] = op
         return op
 
     def _finish(self, op: RecoveryOp) -> None:
@@ -464,28 +475,13 @@ class World:
         if cured:
             self._rebuild_fault_hooks()
         op.completed_at = self.loop.now
-        self._running[op.node].remove(op)
+        self._running[op.node] = None
         for cb in op.on_complete:
             cb(op)
 
-    def murb(self, node_id: int, members: frozenset[str], on_complete=None,
-             reason: str = "direct") -> None:
-        """Microreboot `members`. A call whose members all lie inside a running
-        microreboot joins it; one that overlaps it starts once that one is done.
-        Either way `on_complete` gets the op that rebooted the members."""
+    def murb(self, node_id: int, members: frozenset[str], on_complete, reason: str) -> None:
+        """Start a microreboot of `members` on an idle node."""
         node = self.nodes[node_id]
-        murbs = [op for op in self._running[node_id] if op.level.microreboot]
-        covering = next((op for op in murbs if members <= op.members), None)
-        if covering is not None:
-            if on_complete is not None:
-                covering.on_complete.append(on_complete)
-            return
-        overlapping = next((op for op in murbs if op.members & members), None)
-        if overlapping is not None:
-            # Members outside the running microreboot still need their own.
-            overlapping.on_complete.append(
-                lambda _: self.murb(node_id, members, on_complete, reason))
-            return
         crash, init = node.registry.group_cost(members)
         drain = self.scenario.cluster.drain_delay_ms
         level = MURB_WEB if node.registry.web_component in members else MURB_GROUP
@@ -522,8 +518,8 @@ class World:
         self.nodes[op.node].registry.rebind(op.members)
         self._finish(op)
 
-    def full_restart(self, node_id: int, level: Level, on_complete=None,
-                     reason: str = "direct") -> None:
+    def full_restart(self, node_id: int, level: Level, on_complete, reason: str) -> None:
+        """Start a restart at `level` on an idle node."""
         node = self.nodes[node_id]
         cost = sum(getattr(self.scenario.cluster, f) for f in level.cost_fields)
         op = self._begin(level, node_id, frozenset(node.registry.specs), f"node{node_id}",

@@ -91,3 +91,7 @@ class TestWorkloadMix:
         matrix = parse_matrix(text)
         with pytest.raises(OpCatalogError):
             matrix.check_stochastic()
+        # NaN compares False both ways, so it once passed as a probability
+        matrix = parse_matrix("states a b\nrow a nan 0.5\nrow b 0.5 0.5\n")
+        with pytest.raises(OpCatalogError):
+            matrix.check_stochastic()

@@ -8,7 +8,8 @@ import pytest
 from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
                             PolicyConfig, Scenario, ScriptedRecovery,
                             StoreConfig, WorkloadConfig)
-from murbsim.faultlib import RECOVERY_LEVELS, RESTART_PROCESS
+from murbsim.faultlib import (MURB_GROUP, RECOVERY_LEVELS, RESTART_APPLICATION,
+                              RESTART_PROCESS)
 from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, main,
                              parse_scenario, run_scenario, write_outputs)
@@ -192,7 +193,8 @@ class TestMicrorebootMachinery:
         done = []
 
         def request(members, tag):
-            return lambda: w.murb(0, members, lambda op: done.append((tag, w.loop.now, op)))
+            return lambda: w.execute_recovery(
+                0, MURB_GROUP, members, lambda op: done.append((tag, w.loop.now, op)))
 
         wide = frozenset({"ViewItem", "AboutMe"})
         w.loop.schedule(1_000, request(frozenset({"ViewItem"}), "a"))
@@ -298,7 +300,7 @@ class TestFullRestart:
 
         def restart():
             caught.extend(ctx.req for ctx in node.inflight)
-            w.full_restart(0, RECOVERY_LEVELS[level])
+            w.execute_recovery(0, RECOVERY_LEVELS[level], frozenset(), None)
 
         w.loop.schedule(30_000, restart)
         w.run()
@@ -327,10 +329,11 @@ class TestFullRestart:
             heap.charge("unattributed", 2_000, resource_id="leak:b", via_runtime=False)
             w.nodes[0].in_process_store.write("sess", b"x", now=0)
             if variant == "restart":
-                w.full_restart(0, RESTART_PROCESS)
+                w.execute_recovery(0, RESTART_PROCESS, frozenset(), None)
             else:
                 for name in w.nodes[0].registry.specs:
-                    w.murb(0, w.nodes[0].registry.groups[name].members)
+                    w.execute_recovery(0, MURB_GROUP, w.nodes[0].registry.groups[name].members,
+                                       None)
                 w.loop.run_until(25_000)
                 w.nodes[0].in_process_store.clear()
                 w.nodes[0].heap.release_unattributed()
@@ -356,18 +359,57 @@ def episode_lines(path):
 
 class TestRecoveryOps:
     def test_result_stays_on_the_op_it_judged(self, tmp_path):
-        # A scripted restart at the very ms the ladder starts its own must
-        # not take the ladder's verdict, nor lend it its own.
-        run_scenario(db_row_scenario(), str(tmp_path / "a"))
-        at = next(e["t"] for e in episode_lines(tmp_path / "a" / "episodes.log")
-                  if e["level"] == "restart_application")
+        # The ladder asks for restart_application at 32,281 ms. A scripted one
+        # due at that very ms runs alone: the episode's request joins it, so
+        # the node is restarted once and the verdict goes on the op that ran.
+        def restarts(path):
+            return [(e["t"], e["reason"], e["result"], e["duration_ms"])
+                    for e in episode_lines(path / "episodes.log")
+                    if e["level"] == "restart_application"]
+
+        levels = ["murb_group", "murb_web", "restart_application", "restart_process",
+                  "reboot_node"]
+        totals = (6_847, 3_829)
+        summary = run_scenario(db_row_scenario(), str(tmp_path / "a"))
+        assert restarts(tmp_path / "a") == [("32281", "episode", "persisted", "7699")]
+        assert [e["levels"] for e in summary["episodes"]] == [levels]
+        assert (summary["totals"]["completed_requests"],
+                summary["totals"]["bad_requests"]) == totals
         s = db_row_scenario()
-        s.scripted_recoveries = [ScriptedRecovery(int(at), "restart_application")]
-        run_scenario(s, str(tmp_path / "b"))
-        same_ms = [(e["reason"], e["result"])
-                   for e in episode_lines(tmp_path / "b" / "episodes.log")
-                   if e["t"] == at and e["level"] == "restart_application"]
-        assert same_ms == [("scripted", "-"), ("episode", "persisted")]
+        s.scripted_recoveries = [ScriptedRecovery(32_281, "restart_application")]
+        summary = run_scenario(s, str(tmp_path / "b"))
+        assert restarts(tmp_path / "b") == [("32281", "scripted", "persisted", "7699")]
+        assert [e["levels"] for e in summary["episodes"]] == [levels]
+        assert (summary["totals"]["completed_requests"],
+                summary["totals"]["bad_requests"]) == totals
+
+    def test_one_op_at_a_time_per_node(self):
+        # Each request goes through the one door. A request the running op
+        # covers joins it; any other waits until the node is idle.
+        s = Scenario(duration_ms=40_000, seed=1, policy=quiet_policy())
+        s.workload = WorkloadConfig(clients_per_node=0)
+        w = World(s)
+        groups = w.nodes[0].registry.groups
+        done = []
+
+        def request(level, members, tag):
+            return lambda: w.execute_recovery(
+                0, level, members, lambda op: done.append((tag, w.loop.now, op)))
+
+        w.loop.schedule(1_000, request(MURB_GROUP, groups["ViewItem"].members, "view"))
+        w.loop.schedule(1_001, request(RESTART_APPLICATION, frozenset(), "app"))
+        w.loop.schedule(2_000, request(MURB_GROUP, groups["Item"].members, "item"))
+        w.loop.schedule(3_000, request(RESTART_PROCESS, frozenset(), "process"))
+        w.loop.run_until(40_000)
+        assert [(op.level.name, op.target, op.started_at, op.completed_at)
+                for op in w.recoveries] == [
+            ("murb_group", "ViewItem", 1_000, 1_446),
+            ("restart_application", "node0", 1_446, 9_145),
+            ("restart_process", "node0", 9_145, 28_228)]
+        view, app, process = w.recoveries
+        assert done == [("view", 1_446, view), ("app", 9_145, app), ("item", 9_145, app),
+                        ("process", 28_228, process)]
+        assert not w.node_recovery_busy(0)
 
     def test_every_op_completes_once_after_its_cost(self):
         s = db_row_scenario()
@@ -396,6 +438,11 @@ class TestRecoveryOps:
         assert {(op.reason, op.level.microreboot) for op in ran} == \
             {("scripted", True), ("scripted", False), ("episode", True), ("episode", False)}
         assert not any(w.node_recovery_busy(node.node_id) for node in w.nodes)
+        # one op at a time per node: the windows that ran never overlap
+        for node in w.nodes:
+            windows = sorted((op.started_at, op.completed_at) for op in ran
+                             if op.node == node.node_id)
+            assert all(end <= start for (_, end), (start, _) in zip(windows, windows[1:]))
         # the episode holds exactly its own ops, each with the manager's verdict
         (episode,) = w.rm.episodes
         assert [op for op in w.recoveries if op.reason == "episode"] == episode.actions
@@ -578,8 +625,7 @@ class TestMaskingAndSessions:
 
     def test_idle_rejuvenation_takes_no_action(self, small_world):
         svc = small_world.rejuvenators[0]
-        svc.config.enabled = True
-        svc.tick(small_world.loop.now)
+        svc.tick()
         assert not small_world.node_recovery_busy(0) and svc.completed_passes == 0
 
     def test_deadlocked_request_aborted_at_ttl(self):
@@ -765,28 +811,41 @@ class TestCli:
             assert f"line {line}: " in capsys.readouterr().err
             assert not (tmp_path / "o").exists()       # failed before the first event
 
-    @pytest.mark.parametrize("edit, events, message", [
+    @pytest.mark.parametrize("key, edit, events, message", [
         # a CatalogError traceback, exit 1
-        (("AboutMe kind=stateless", "AboutMe kind=bogus"), "",
+        ("catalog_path", ("AboutMe kind=stateless", "AboutMe kind=bogus"), "",
          "line 9: unknown kind 'bogus'"),
         # accepted; in Table 2's 120-s world the web rung then died with
         # "error: max() arg is an empty sequence", exit 1
-        (("WebUI kind=web", "WebUI kind=stateless"),
+        ("catalog_path", ("WebUI kind=web", "WebUI kind=stateless"),
          "[fault]\nat 3000\nclass corrupt_stateless_attr\nmode wrong\ntarget MakeBid\n",
          "need exactly one kind=web component, found 0"),
         # died at t=3000 with a KeyError: None traceback
-        (("WebUI kind=web", "WebUI kind=stateless"), "[recovery]\nat 3000\nlevel murb_web\n",
+        ("catalog_path", ("WebUI kind=web", "WebUI kind=stateless"),
+         "[recovery]\nat 3000\nlevel murb_web\n",
          "need exactly one kind=web component, found 0"),
-    ], ids=["bad_kind", "no_web_fault", "no_web_murb"])
-    def test_bad_data_file_exit_code(self, tmp_path, capsys, edit, events, message):
-        bundled = resources.files("murbsim.data").joinpath("catalog.txt").read_text("utf-8")
-        catalog = tmp_path / "catalog.txt"
-        catalog.write_text(bundled.replace(*edit))
+        # an IndexError traceback, exit 1
+        ("matrix_path", (r"^row Home .*", "row"), "",
+         "line 7: expected 'row <state>' and 25 probabilities"),
+        # "error: could not convert string to float", exit 1, no file or line
+        ("matrix_path", (r"0\.057", "zero.057"), "",
+         "line 7: could not convert string to float: 'zero.057'"),
+        # "error: invalid literal for int()", exit 1, no file or line
+        ("ops_path", ("service_ms=2 ", "service_ms=x2 "), "",
+         "line 9: service_ms must be an integer, got 'x2'"),
+    ], ids=["bad_kind", "no_web_fault", "no_web_murb", "bare_row", "probability",
+            "service_ms"])
+    def test_bad_data_file_exit_code(self, tmp_path, capsys, key, edit, events, message):
+        name = {"catalog_path": "catalog.txt", "matrix_path": "transitions.txt",
+                "ops_path": "ops.txt"}[key]
+        bundled = resources.files("murbsim.data").joinpath(name).read_text("utf-8")
+        data = tmp_path / name
+        data.write_text(re.sub(*edit, bundled, count=1, flags=re.M))
         scenario = tmp_path / "bad.txt"
-        scenario.write_text(f"{FIVE_SECONDS}[scenario]\ncatalog_path {catalog}\n{events}")
+        scenario.write_text(f"{FIVE_SECONDS}[scenario]\n{key} {data}\n{events}")
         assert main(["run", "--scenario", str(scenario),
                      "--out", str(tmp_path / "o")]) == 2
-        assert f"{catalog}: {message}\n" in capsys.readouterr().err
+        assert f"{data}: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()       # failed before the first event
 
     @pytest.mark.parametrize("section, key, value", [

@@ -64,6 +64,30 @@ def test_control_plane_passes_level_records():
     assert all(LEVELS[lv.rank - 1] is lv for lv in LEVELS if lv.rank is not None)
 
 
+def _calls_by_scope(tree: ast.AST, names: set[str], scope: str = "") -> list[tuple[str, str]]:
+    """(enclosing Class.function, method) of each call `x.<name>(...)` for `names`."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _calls_by_scope(node, names, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in names:
+            found.append((scope, node.func.attr))
+        found += _calls_by_scope(node, names, scope)
+    return found
+
+
+def test_execute_recovery_is_the_only_door():
+    # Every recovery op starts in World.execute_recovery, which admits at most
+    # one op per node; a direct murb or full_restart call would bypass it.
+    calls = {(path.name, scope, name) for path in sorted(SRC.glob("*.py"))
+             for scope, name in _calls_by_scope(
+                 ast.parse(path.read_text(encoding="utf-8")), {"murb", "full_restart"})}
+    assert calls == {("world.py", "World.execute_recovery", "murb"),
+                     ("world.py", "World.execute_recovery", "full_restart")}
+
+
 def test_table2_rows_cover_every_class_and_required_mode():
     rows = {(cls, mode) for _name, cls, mode, *_ in TABLE2_ROWS}
     missing = [name for name in FAULT_CLASSES if name not in {cls for cls, _ in rows}]
