@@ -93,6 +93,9 @@ def parse_ops(text: str) -> list[OpType]:
         except ValueError:
             raise OpCatalogError(f"line {lineno}: service_ms must be an integer, "
                                  f"got {kv['service_ms']!r}") from None
+        if op.service_ms_mean < 0:
+            raise OpCatalogError(f"line {lineno}: service_ms must be >= 0, "
+                                 f"got {op.service_ms_mean}")
         if op.category not in CATEGORIES:
             raise OpCatalogError(f"line {lineno}: unknown category {op.category!r}")
         if op.functional_group not in FUNCTIONAL_GROUPS:

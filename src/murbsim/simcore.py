@@ -136,8 +136,18 @@ class RngStream:
         self._rng = random.Random(self.seed)
         self.random = self._rng.random      # the generator's own bound method
 
-    def fork(self, label: str) -> "RngStream":
-        return RngStream(_derive_seed(self.seed, label))
+    def fork(self, *labels: str) -> "RngStream":
+        """The stream at label path `labels` below this one.
+
+        `fork("a", "b")` draws the same sequence as `fork("a").fork("b")`:
+        each label derives the next seed from the one before it. Only the
+        stream at the end of the path gets a generator, so a caller that
+        draws only from leaves never seeds the streams between.
+        """
+        seed = self.seed
+        for label in labels:
+            seed = _derive_seed(seed, label)
+        return RngStream(seed)
 
     def randrange(self, n: int) -> int:
         return self._rng.randrange(n)

@@ -184,9 +184,9 @@ class Client:
         self.logged_in = False
         self.session_id = ""
         self.session_seq = 0
-        stream = rng_root.fork(f"client/{client_id}")
-        self.rng_transition = stream.fork("transition")
-        self.rng_think = stream.fork("think")
+        prefix = f"client/{client_id}"
+        self.rng_transition = rng_root.fork(prefix, "transition")
+        self.rng_think = rng_root.fork(prefix, "think")
         self.action: int | None = None     # ledger handle of the open action
         self.stopped = False
 

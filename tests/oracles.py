@@ -10,14 +10,28 @@ EVENT_KINDS = ("ok", "ok_commit", "fail", "session_end")
 
 
 def random_trace(seed: int, n_events: int, n_clients: int = 20):
-    """Synthetic completion stream: (time, client, kind) with increasing time."""
+    """Synthetic completion stream: (time, client, kind) with increasing time.
+
+    Each event draws what `randrange(0, 400)`, `randrange(n_clients)` and
+    `random()` would, in that order. A bounded draw is taken the way
+    `randrange` takes it, through `getrandbits`: `n.bit_length()` bits,
+    redrawn until below `n`; the same traces without `randrange`'s argument
+    handling on every draw.
+    """
     rng = random.Random(seed)
+    bits, rand = rng.getrandbits, rng.random
+    k_gap, k_client = (400).bit_length(), n_clients.bit_length()
     t = 0
     events = []
     for _ in range(n_events):
-        t += rng.randrange(0, 400)
-        client = rng.randrange(n_clients)
-        r = rng.random()
+        gap = bits(k_gap)
+        while gap >= 400:
+            gap = bits(k_gap)
+        t += gap
+        client = bits(k_client)
+        while client >= n_clients:
+            client = bits(k_client)
+        r = rand()
         if r < 0.62:
             kind = "ok"
         elif r < 0.82:

@@ -833,8 +833,12 @@ class TestCli:
         # "error: invalid literal for int()", exit 1, no file or line
         ("ops_path", ("service_ms=2 ", "service_ms=x2 "), "",
          "line 9: service_ms must be an integer, got 'x2'"),
+        # accepted, exit 0; with every op at -50, a 20-client world died
+        # mid-run with "SimError: schedule at t=598 is in the past", a traceback
+        ("ops_path", ("service_ms=2 ", "service_ms=-50 "), "",
+         "line 9: service_ms must be >= 0, got -50"),
     ], ids=["bad_kind", "no_web_fault", "no_web_murb", "bare_row", "probability",
-            "service_ms"])
+            "service_ms", "negative_service_ms"])
     def test_bad_data_file_exit_code(self, tmp_path, capsys, key, edit, events, message):
         name = {"catalog_path": "catalog.txt", "matrix_path": "transitions.txt",
                 "ops_path": "ops.txt"}[key]

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
 from murbsim.simcore import EventLoop, RngStream, SimError
+from murbsim.world import World
 
 
 def test_schedule_at_now_dispatches_first():
@@ -156,6 +160,29 @@ def test_fork_independent_of_parent_draw_state():
     child_after = r1.fork("x")
     assert [child_before.random() for _ in range(3)] == \
            [child_after.random() for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+def test_fork_label_path_equals_nested_forks(seed):
+    path = RngStream(seed).fork("a", "b")
+    nested = RngStream(seed).fork("a").fork("b")
+    assert path.seed == nested.seed
+    assert [path.random() for _ in range(20)] == [nested.random() for _ in range(20)]
+
+
+def test_world_seeds_only_streams_that_draw(monkeypatch):
+    seeded = []
+    real_seed = random.Random.seed
+
+    def counting_seed(self, *args, **kwargs):
+        seeded.append(args)
+        return real_seed(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counting_seed)
+    World(Scenario(seed=3, cluster=ClusterConfig(nodes=1),
+                   workload=WorkloadConfig(clients_per_node=10)))
+    # two per client (transition, think); root, lb, detector, channel, faults
+    assert len(seeded) == 2 * 10 + 5
 
 
 def test_adding_client_stream_does_not_perturb_others():
