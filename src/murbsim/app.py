@@ -23,6 +23,7 @@ SESSION_CREATE = "create"
 SESSION_READ = "read"
 SESSION_UPDATE = "update"
 SESSION_DELETE = "delete"
+SESSION_TOUCHES = (SESSION_NONE, SESSION_CREATE, SESSION_READ, SESSION_UPDATE, SESSION_DELETE)
 
 
 class OpCatalogError(Exception):
@@ -46,9 +47,9 @@ class OpType:
         return self.session_touch in (SESSION_READ, SESSION_UPDATE, SESSION_DELETE)
 
 
-def canonical_fingerprint(op_name: str, session_key: str, variant: str = "") -> str:
+def canonical_fingerprint(op_name: str, session_key: str) -> str:
     digest = hashlib.blake2b(
-        f"{op_name}|{session_key}|{variant}".encode(), digest_size=8
+        f"{op_name}|{session_key}|".encode(), digest_size=8
     ).hexdigest()
     return digest
 
@@ -100,6 +101,8 @@ def parse_ops(text: str) -> list[OpType]:
             raise OpCatalogError(f"line {lineno}: unknown category {op.category!r}")
         if op.functional_group not in FUNCTIONAL_GROUPS:
             raise OpCatalogError(f"line {lineno}: unknown fgroup {op.functional_group!r}")
+        if op.session_touch not in SESSION_TOUCHES:
+            raise OpCatalogError(f"line {lineno}: unknown session {op.session_touch!r}")
         ops.append(op)
     return ops
 
@@ -119,10 +122,10 @@ class TransitionMatrix:
             cum[-1] = 1.0
             self.cumulative[s] = cum
 
-    def check_stochastic(self, tol: float = 1e-6) -> None:
+    def check_stochastic(self) -> None:
         for s, probs in self.rows.items():
             total = sum(probs)
-            if not abs(total - 1.0) <= tol or not all(p >= 0 for p in probs):   # NaN fails
+            if not abs(total - 1.0) <= 1e-6 or not all(p >= 0 for p in probs):   # NaN fails
                 raise OpCatalogError(f"matrix row {s} is not a probability distribution")
 
     def sample(self, state: str, rng) -> str:
@@ -189,14 +192,13 @@ def load_app_catalog(ops_path: str = "", matrix_path: str = "") -> AppCatalog:
         return AppCatalog(parse_ops(text), matrix)
 
 
-def stationary_distribution(matrix: TransitionMatrix, iterations: int = 2_000,
-                            tol: float = 1e-12) -> dict[str, float]:
+def stationary_distribution(matrix: TransitionMatrix) -> dict[str, float]:
     """Stationary vector by power iteration on the row-stochastic matrix."""
     matrix.check_stochastic()
     n = len(matrix.states)
     pi = [1.0 / n] * n
     rows = [matrix.rows[s] for s in matrix.states]
-    for _ in range(iterations):
+    for _ in range(2_000):
         nxt = [0.0] * n
         for i, weight in enumerate(pi):
             if weight == 0.0:
@@ -207,7 +209,7 @@ def stationary_distribution(matrix: TransitionMatrix, iterations: int = 2_000,
                     nxt[j] += weight * row[j]
         delta = sum(abs(a - b) for a, b in zip(nxt, pi))
         pi = nxt
-        if delta < tol:
+        if delta < 1e-12:
             break
     return dict(zip(matrix.states, pi))
 

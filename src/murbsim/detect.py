@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DetectorConfig
+from .faultlib import ERR_CONNECTION, ERR_EXCEPTION, ERR_SESSION, ERR_TTL, ERR_UNAVAILABLE
 
 FAULTY_CONNECTION = "connection"
 FAULTY_HTTP = "http_error"
@@ -20,11 +21,11 @@ FAULTY_APP_CHECK = "app_check"
 FAULTY_DIVERGENCE = "divergence"
 
 _ERROR_TO_FAILURE = {
-    "connection": FAULTY_CONNECTION,
-    "component_unavailable": FAULTY_HTTP,
-    "exception": FAULTY_KEYWORD,
-    "ttl_expired": FAULTY_KEYWORD,
-    "session_lost": FAULTY_APP_CHECK,
+    ERR_CONNECTION: FAULTY_CONNECTION,
+    ERR_UNAVAILABLE: FAULTY_HTTP,
+    ERR_EXCEPTION: FAULTY_KEYWORD,
+    ERR_TTL: FAULTY_KEYWORD,
+    ERR_SESSION: FAULTY_APP_CHECK,
 }
 
 
@@ -44,10 +45,8 @@ def classify_response(detector: DetectorConfig, outcome: str, divergent: bool,
     `divergent` marks an ok response whose content differs from the fault-free
     rendering; only the comparison detector sees that.
     """
-    verdict: str | None = None
-    if outcome.startswith("error:"):
-        verdict = _ERROR_TO_FAILURE.get(outcome[len("error:"):], FAULTY_KEYWORD)
-    elif divergent and detector.kind == "comparison":
+    verdict = _ERROR_TO_FAILURE.get(outcome)
+    if verdict is None and divergent and detector.kind == "comparison":
         verdict = FAULTY_DIVERGENCE
     if verdict is None:
         if detector.fp_rate > 0.0 and rng.random() < detector.fp_rate:

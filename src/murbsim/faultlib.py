@@ -1,4 +1,5 @@
-"""Fault injection: the fault-class and recovery-level tables, cure semantics.
+"""Fault injection: the fault-class and recovery-level tables, cure semantics,
+and the outcomes requests complete with.
 
 `FAULT_CLASSES` and `RECOVERY_LEVELS` are the only places that spell out a
 fault class or a recovery level; everything else reads their records. Each
@@ -12,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-# Outcomes that faults and recovery actions give requests.
+# Request outcomes; every other module uses these names.
+OK = "ok"
 ERR_CONNECTION = "error:connection"
 ERR_UNAVAILABLE = "error:component_unavailable"
 ERR_EXCEPTION = "error:exception"
+ERR_TTL = "error:ttl_expired"
+ERR_SESSION = "error:session_lost"
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from .cluster import six_nines_budget
 from .config import (ClusterConfig, DetectorConfig, FaultConfig, PolicyConfig,
                      RejuvenationConfig, Scenario, ScriptedRecovery, StoreConfig,
                      WorkloadConfig)
-from .faultlib import (FAULT_CLASSES, RECOVERY_LEVELS, SITE_COMPONENT, SITE_PROCESS,
-                       FaultError, cure_profile)
+from .faultlib import (ERR_SESSION, FAULT_CLASSES, OK, RECOVERY_LEVELS, SITE_COMPONENT,
+                       SITE_PROCESS, FaultError, cure_profile)
 from .recoverymgr import detection_headroom, fp_headroom
 from .runtime import CatalogError, DeployError, load_catalog
 from .workload import BAD, latency_stats
@@ -220,7 +220,7 @@ def functional_group_timeline(world: World) -> dict[str, list[tuple[int, int]]]:
     ledger = world.ledger
     for op_name, issued, done, outcome in zip(ledger.op_name, ledger.issued_at,
                                               ledger.completed_at, ledger.outcome):
-        if done < 0 or outcome == "ok":
+        if done < 0 or outcome == OK:
             continue
         group = ops[op_name].functional_group
         raw.setdefault(group, []).append((issued, done))
@@ -261,7 +261,7 @@ def _incidents(world: World, recovery_log: list[dict]) -> list[dict]:
         if status[action] == BAD and (k := window(resolved[action])) >= 0 \
                 and starts[k] <= issued < ends[k]:
             issued_in_window[k] += 1
-        if outcome == "error:session_lost" and (k := window(done)) >= 0 \
+        if outcome == ERR_SESSION and (k := window(done)) >= 0 \
                 and done >= first_done[k]:
             post_loss[k] += 1
     recoveries: list[list[dict]] = [[] for _ in faults]
@@ -290,7 +290,7 @@ def export_summary(world: World) -> dict:
     duration_s = scenario.duration_ms / 1000.0
     stats = latency_stats(ledger)
 
-    session_lost = ledger.outcome.count("error:session_lost")
+    session_lost = ledger.outcome.count(ERR_SESSION)
     recovery_log = [{
         "time_ms": op.started_at,
         "node": op.node,

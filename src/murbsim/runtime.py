@@ -98,6 +98,10 @@ class Registry:
             for dep in sorted(s.depends_on):
                 if dep not in known:
                     raise DeployError(f"{s.name} depends on unknown component {dep}")
+        for o in overrides:
+            for m in sorted(o.members):
+                if m not in known:
+                    raise DeployError(f"group {o.name} names unknown component {m}")
         self.specs: dict[str, ComponentSpec] = {s.name: s for s in specs}   # catalog order
         # The name service: the lookup of every component that is not BOUND.
         self.impaired: dict[str, Lookup] = {}

@@ -13,6 +13,11 @@ import random
 from typing import Callable
 
 
+# Ints: _dispatch compares against its limits per event, and math.inf is slower.
+_NO_LIMIT = 1 << 62
+_DRAIN_EVENT_LIMIT = 50_000_000
+
+
 class SimError(Exception):
     """Programming error against the kernel's contract."""
 
@@ -76,6 +81,16 @@ class EventLoop:
         """Dispatch every event with timestamp <= t_end; leave now == t_end."""
         if t_end < self.now:
             raise SimError(f"run_until t={t_end} is in the past (now={self.now})")
+        dispatched = self._dispatch(t_end, _NO_LIMIT)
+        self.now = t_end
+        return dispatched
+
+    def drain(self) -> int:
+        """Dispatch until the queue is empty; clock follows the events."""
+        return self._dispatch(_NO_LIMIT, _DRAIN_EVENT_LIMIT)
+
+    def _dispatch(self, t_end: int, limit: int) -> int:
+        """Dispatch events due by `t_end`, at most `limit` of them."""
         dispatched = 0
         heap = self._heap
         cancelled = self._cancelled
@@ -88,26 +103,8 @@ class EventLoop:
             self.now = at
             fn()
             dispatched += 1
-        self.now = t_end
-        self.dispatched += dispatched
-        return dispatched
-
-    def drain(self, hard_limit: int = 50_000_000) -> int:
-        """Dispatch until the queue is empty; clock follows the events."""
-        dispatched = 0
-        heap = self._heap
-        cancelled = self._cancelled
-        pop = heapq.heappop
-        while heap:
-            at, seq, fn = pop(heap)
-            if cancelled and seq in cancelled:
-                cancelled.remove(seq)
-                continue
-            self.now = at
-            fn()
-            dispatched += 1
-            if dispatched > hard_limit:
-                raise SimError("drain exceeded event limit; runaway event source?")
+            if dispatched > limit:
+                raise SimError("dispatch exceeded event limit; runaway event source?")
         self.dispatched += dispatched
         return dispatched
 
@@ -122,19 +119,13 @@ def _derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-class RngStream:
-    """A labeled random stream.
+class RngRoot:
+    """A seed that labeled streams fork from; it seeds no generator itself."""
 
-    Forking is keyed on the stream's own seed plus the child label, so child
-    sequences are independent of when (or how often) other forks happen.
-    """
-
-    __slots__ = ("seed", "_rng", "random")
+    __slots__ = ("seed",)
 
     def __init__(self, seed: int):
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
-        self._rng = random.Random(self.seed)
-        self.random = self._rng.random      # the generator's own bound method
 
     def fork(self, *labels: str) -> "RngStream":
         """The stream at label path `labels` below this one.
@@ -148,6 +139,21 @@ class RngStream:
         for label in labels:
             seed = _derive_seed(seed, label)
         return RngStream(seed)
+
+
+class RngStream(RngRoot):
+    """A labeled random stream.
+
+    Forking is keyed on the stream's own seed plus the child label, so child
+    sequences are independent of when (or how often) other forks happen.
+    """
+
+    __slots__ = ("_rng", "random")
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self._rng = random.Random(self.seed)
+        self.random = self._rng.random      # the generator's own bound method
 
     def randrange(self, n: int) -> int:
         return self._rng.randrange(n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-READ_OK = "ok"
+READ_OK = "found"
 READ_MISSING = "missing"
 READ_DISCARDED = "discarded"
 
@@ -143,8 +143,8 @@ class TransactionalStore:
     def read(self, row_key: str) -> TxRecord | None:
         return self.rows.get(row_key)
 
-    def taint_row(self, row_key: str, value: bytes = b"wrong") -> None:
-        self.rows[row_key] = TxRecord(row_key, value, tainted=True)
+    def taint_row(self, row_key: str) -> None:
+        self.rows[row_key] = TxRecord(row_key, b"wrong", tainted=True)
 
     def repair(self, row_key: str) -> bool:
         rec = self.rows.get(row_key)

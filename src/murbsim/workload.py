@@ -14,6 +14,7 @@ from math import log
 from typing import Iterator, NamedTuple
 
 from .app import AppCatalog
+from .faultlib import OK
 
 GOOD = "good"
 BAD = "bad"
@@ -84,7 +85,7 @@ class TawLedger:
         status = self.action_status[action]
         if status != PENDING:
             raise RuntimeError(f"action {action} already resolved")
-        if outcome != "ok":
+        if outcome != OK:
             status = BAD
         elif is_commit_point:
             status = GOOD
@@ -151,11 +152,11 @@ class TawLedger:
         }
 
 
-def latency_stats(ledger: TawLedger, threshold_ms: int = 8_000) -> dict[str, float]:
+def latency_stats(ledger: TawLedger) -> dict[str, float]:
     """Latency statistics over completed, non-failed requests."""
     lat = sorted(done - issued for done, issued, outcome
                  in zip(ledger.completed_at, ledger.issued_at, ledger.outcome)
-                 if done >= 0 and outcome == "ok")
+                 if done >= 0 and outcome == OK)
     if not lat:
         return {"count": 0, "mean": 0.0, "p95": 0.0, "count_over_threshold": 0}
     p95 = lat[min(len(lat) - 1, max(0, (95 * len(lat) + 99) // 100 - 1))]
@@ -163,7 +164,7 @@ def latency_stats(ledger: TawLedger, threshold_ms: int = 8_000) -> dict[str, flo
         "count": len(lat),
         "mean": sum(lat) / len(lat),
         "p95": float(p95),
-        "count_over_threshold": sum(1 for v in lat if v > threshold_ms),
+        "count_over_threshold": sum(1 for v in lat if v > 8_000),
     }
 
 

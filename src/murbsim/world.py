@@ -12,23 +12,20 @@ from __future__ import annotations
 from functools import partial
 
 from . import runtime
-from .app import AppCatalog, OpType, canonical_fingerprint, load_app_catalog
+from .app import (SESSION_CREATE, SESSION_DELETE, SESSION_NONE, SESSION_UPDATE, AppCatalog,
+                  OpType, canonical_fingerprint, load_app_catalog)
 from .cluster import LoadBalancer, Node, handle_sentinel
 from .config import Scenario
 from .detect import FailureReport, ReportChannel, classify_response
-from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_UNAVAILABLE, MURB_GROUP,
-                       MURB_WEB, PARK, REBOOT_NODE, RECOVERY_LEVELS, RESTART_PROCESS,
-                       SITE_COMPONENT, SITE_PROCESS, SITE_SESSION, Fault, FaultPlan,
-                       Level, RecoveryOp)
+from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_SESSION, ERR_TTL,
+                       ERR_UNAVAILABLE, MURB_GROUP, MURB_WEB, OK, PARK, REBOOT_NODE,
+                       RECOVERY_LEVELS, RESTART_PROCESS, SITE_COMPONENT, SITE_PROCESS,
+                       SITE_SESSION, Fault, FaultPlan, Level, RecoveryOp)
 from .recoverymgr import RecoveryManager, RejuvenationService
 from .runtime import HeapLedger, load_catalog
-from .simcore import EventLoop, RngStream
+from .simcore import EventLoop, RngRoot
 from .statestore import READ_DISCARDED, READ_MISSING, SessionStore, TransactionalStore
 from .workload import PENDING, Client, RequestView, TawLedger
-
-OK = "ok"
-ERR_TTL = "error:ttl_expired"
-ERR_SESSION = "error:session_lost"
 
 _GC_SWEEP_MS = 10_000
 
@@ -61,7 +58,7 @@ class World:
         self._think_max = wl.think_max_ms
         self._ttl_ms = wl.request_ttl_ms
         self.loop = EventLoop()
-        self.rng = RngStream(scenario.seed)
+        self.rng = RngRoot(scenario.seed)
         self.catalog: AppCatalog = load_app_catalog(scenario.ops_path, scenario.matrix_path)
 
         specs, overrides = load_catalog(scenario.catalog_path)
@@ -181,9 +178,6 @@ class World:
             return
         ctx.node_id = node_id
         node = self.nodes[node_id]
-        if not node.up:
-            self._complete(ctx, ERR_CONNECTION)
-            return
         if node.workers_busy < node.worker_capacity:
             node.workers_busy += 1
             self._start(ctx)
@@ -197,13 +191,11 @@ class World:
             return
         node.pumping = True
         try:
-            # _start can fail a request synchronously, which re-enters
+            # _start can complete a request synchronously, which re-enters
             # _release_worker; the guard keeps this loop iterative.
             while node.up and node.worker_queue and \
                     node.workers_busy < node.worker_capacity:
                 nxt = node.worker_queue.popleft()
-                if nxt.state != "queued":
-                    continue
                 node.workers_busy += 1
                 self._start(nxt)
         finally:
@@ -212,9 +204,6 @@ class World:
     def _start(self, ctx: _ReqCtx) -> None:
         ctx.state = "active"
         node = self.nodes[ctx.node_id]
-        if not node.up:
-            self._fail_in_worker(ctx, node, ERR_CONNECTION)
-            return
         registry = node.registry
         op = ctx.op
         impaired = registry.impaired
@@ -228,12 +217,12 @@ class World:
                     self._sentinel_hit(ctx, node, comp)
                     return
                 if look.state == runtime.NOT_BOUND:
-                    self._fail_in_worker(ctx, node, ERR_UNAVAILABLE)
+                    self._complete(ctx, ERR_UNAVAILABLE)
                     return
                 # wrong binding: an unusable target errs overtly, a plausible
                 # one silently serves the wrong content
                 if look.arg is None:
-                    self._fail_in_worker(ctx, node, ERR_EXCEPTION)
+                    self._complete(ctx, ERR_EXCEPTION)
                     return
                 ctx.divergent = True
         hooks = self._fault_hooks[ctx.node_id]
@@ -252,11 +241,7 @@ class World:
             ctx.state = "new"
             self.loop.after(delay, partial(self._route_and_admit, ctx))
         else:
-            self._fail_in_worker(ctx, node, ERR_UNAVAILABLE)
-
-    def _fail_in_worker(self, ctx: _ReqCtx, node: Node, outcome: str) -> None:
-        self._release_worker(node)
-        self._complete(ctx, outcome)
+            self._complete(ctx, ERR_UNAVAILABLE)
 
     def _apply_fault_hooks(self, ctx: _ReqCtx, node: Node, hooks: dict) -> bool:
         """Evaluate armed faults against this request; False if it was consumed."""
@@ -285,16 +270,12 @@ class World:
         else:
             if not fault.active:          # the symptom cleared its own fault
                 self._rebuild_fault_hooks()
-            self._fail_in_worker(ctx, node, verdict)
+            self._complete(ctx, verdict)
         return False
 
     def _ttl_abort(self, ctx: _ReqCtx) -> None:
-        if ctx.state != "parked":
-            return
         ctx.ttl_handle = None             # spent: nothing left for _complete to cancel
-        node = self.nodes[ctx.node_id]
-        node.parked.pop(ctx, None)
-        self._fail_in_worker(ctx, node, ERR_TTL)
+        self._complete(ctx, ERR_TTL)
 
     def _cpu_done(self, ctx: _ReqCtx) -> None:
         if ctx.state != "active":
@@ -302,14 +283,14 @@ class World:
         outcome = OK
         store_ms = 0
         touch = ctx.op.session_touch
-        if touch != "none":
+        if touch != SESSION_NONE:
             store = self._session_stores[ctx.node_id]
             client = ctx.client
             store_ms = store.access_latency_ms
-            if touch == "delete":
+            if touch == SESSION_DELETE:
                 if client.logged_in:
                     store.delete(client.session_id)
-            elif touch != "create":   # read or update
+            elif touch != SESSION_CREATE:   # read or update
                 status, payload = store.read(client.session_id, self.loop.now)
                 if status in (READ_MISSING, READ_DISCARDED):
                     outcome = ERR_SESSION
@@ -317,7 +298,7 @@ class World:
                     hit = self._inproc_session_symptom(ctx, client.session_id)
                     if hit is not None:
                         outcome = hit
-                    elif touch == "update":
+                    elif touch == SESSION_UPDATE:
                         store_ms += store.access_latency_ms
                         store.write(client.session_id, payload, self.loop.now)
         if store_ms > 0:
@@ -347,29 +328,35 @@ class World:
             value = canonical_fingerprint(op.name, str(ctx.client.client_id)).encode()
             owner = op.path[1] if len(op.path) > 1 else op.path[0]
             self.tx_store.execute([(row, value)], owner=owner, taint=True)
-        node = self.nodes[ctx.node_id]
-        node.inflight.pop(ctx, None)
-        self._release_worker(node)
         self._complete(ctx, outcome)
 
     def _complete(self, ctx: _ReqCtx, outcome: str) -> None:
-        if ctx.state == "done":
+        """The one way a request ends. One holding a worker leaves its node and
+        gives the worker back first: the release can start queued work at once."""
+        state = ctx.state
+        if state == "done":
             return
         ctx.state = "done"
-        if ctx.ttl_handle is not None:
-            ctx.ttl_handle.cancel()
-            ctx.ttl_handle = None
+        if state == "active" or state == "parked":
+            node = self.nodes[ctx.node_id]
+            if state == "active":
+                node.inflight.pop(ctx, None)
+            else:
+                node.parked.pop(ctx, None)
+                if ctx.ttl_handle is not None:
+                    ctx.ttl_handle.cancel()
+            self._release_worker(node)
         now = self.loop.now
         client = ctx.client
         op = ctx.op
 
         if outcome == OK:
-            if op.session_touch == "create":
+            if op.session_touch == SESSION_CREATE:
                 session = client.begin_session()
                 payload = canonical_fingerprint(op.name, session).encode()
                 self._session_stores[ctx.node_id].write(session, payload, now)
                 self.lb.establish(session, ctx.node_id)
-            elif op.session_touch == "delete" and client.logged_in:
+            elif op.session_touch == SESSION_DELETE and client.logged_in:
                 self.lb.forget(client.session_id)
                 client.end_session()
         elif outcome == ERR_SESSION:
@@ -501,12 +488,8 @@ class World:
     def _abort(self, node: Node, members: frozenset[str], outcome: str) -> None:
         """Cut off the requests in service or hung on any of `members`."""
         for ctx in [c for c, paths in node.inflight.items() if paths & members]:
-            node.inflight.pop(ctx, None)
-            self._release_worker(node)
             self._complete(ctx, outcome)
         for ctx in [c for c, comp in node.parked.items() if comp in members]:
-            node.parked.pop(ctx, None)
-            self._release_worker(node)
             self._complete(ctx, outcome)
 
     def _murb_destroy(self, op: RecoveryOp) -> None:
@@ -527,7 +510,7 @@ class World:
         err = level.abort_outcome
         process_dies = level.rank >= RESTART_PROCESS.rank
         if process_dies:
-            node.up = False     # before aborts, so pumped work fails fast
+            node.up = False     # before aborts, so their releases start no queued work
         node.registry.stop_all()
         self._abort(node, op.members, err)
         node.heap.release_all_app()
@@ -536,8 +519,7 @@ class World:
                 self._unpin_if_needed(fault)
         if process_dies:
             for ctx in list(node.worker_queue):
-                if ctx.state == "queued":
-                    self._complete(ctx, err)
+                self._complete(ctx, err)
             node.reset_processing()
             node.in_process_store.clear()
             node.heap.release_unattributed()

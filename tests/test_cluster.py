@@ -1,7 +1,11 @@
-import pytest
+from types import SimpleNamespace
 
-from murbsim.cluster import ClusterError, handle_sentinel, six_nines_budget
+import pytest
+from hypothesis import given, strategies as st
+
+from murbsim.cluster import ClusterError, LoadBalancer, handle_sentinel, six_nines_budget
 from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
+from murbsim.simcore import RngStream
 from murbsim.world import World
 
 
@@ -13,7 +17,33 @@ def two_node_world():
     return World(s)
 
 
+SESSIONS = ("s0", "s1", "s2", "s3")
+
+
+@st.composite
+def balancer_states(draw):
+    n = draw(st.integers(1, 4))
+    node_ids = st.integers(0, n - 1)
+    sessions = st.sampled_from(SESSIONS)
+    return (n, draw(st.sets(node_ids)), draw(st.sets(node_ids)),
+            draw(st.dictionaries(sessions, node_ids)), draw(st.dictionaries(sessions, node_ids)))
+
+
 class TestRouting:
+    @given(balancer_states())
+    def test_route_picks_only_up_serving_nodes(self, state):
+        # World._route_and_admit relies on this: it never checks node.up itself.
+        n, down, failover, homes, rehomes = state
+        nodes = [SimpleNamespace(node_id=i, up=i not in down) for i in range(n)]
+        lb = LoadBalancer(nodes, RngStream(1))
+        lb.failover_set = set(failover)
+        lb.affinity = dict(homes)
+        lb.rehome = dict(rehomes)
+        serving = {i for i in range(n) if i not in down and i not in failover}
+        for session in (None, *SESSIONS) * 2:     # twice: a re-home is kept
+            picked = lb.route(session)
+            assert picked in serving if serving else picked is None
+
     def test_logins_spread_evenly(self, two_node_world):
         lb = two_node_world.lb
         picks = [lb.route(None) for _ in range(4)]

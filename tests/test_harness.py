@@ -8,8 +8,8 @@ import pytest
 from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
                             PolicyConfig, Scenario, ScriptedRecovery,
                             StoreConfig, WorkloadConfig)
-from murbsim.faultlib import (MURB_GROUP, RECOVERY_LEVELS, RESTART_APPLICATION,
-                              RESTART_PROCESS)
+from murbsim.faultlib import (ERR_CONNECTION, ERR_TTL, ERR_UNAVAILABLE, MURB_GROUP,
+                              RECOVERY_LEVELS, RESTART_APPLICATION, RESTART_PROCESS)
 from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, main,
                              parse_scenario, run_scenario, write_outputs)
@@ -449,6 +449,47 @@ class TestRecoveryOps:
         assert {op.result for op in episode.actions} == {"persisted"}
         assert {op.result for op in w.recoveries if op.reason != "episode"} == {""}
 
+    def test_workers_busy_counts_held_requests_at_every_step(self):
+        # Every exit of a request that holds a worker goes through
+        # World._complete. Stepping the run 50 ms at a time through hangs,
+        # TTL expiries, retries and three recovery levels, each node's busy
+        # workers are exactly its in-flight and parked requests.
+        s = Scenario(duration_ms=20_000, seed=1, policy=quiet_policy())
+        s.cluster = ClusterConfig(nodes=2, workers_per_node=4, retries=True,
+                                  retry_after_ms=300)
+        s.workload = WorkloadConfig(clients_per_node=40, think_mean_ms=400,
+                                    think_max_ms=4_000, request_ttl_ms=3_000)
+        s.faults = [FaultConfig(1_000, "deadlock", "ViewItem", node=0),
+                    FaultConfig(1_500, "infinite_loop", "BrowseCategories", node=1)]
+        s.scripted_recoveries = [murb(6_000, "ViewItem"),
+                                 ScriptedRecovery(8_000, "restart_process", node=1),
+                                 ScriptedRecovery(12_000, "restart_application")]
+        w = World(s)
+        loop = w.loop
+        run_until = loop.run_until
+        deepest = {"queued": 0, "parked": 0}
+
+        def check():
+            for node in w.nodes:
+                held = len(node.inflight) + len(node.parked)
+                assert node.workers_busy == held <= node.worker_capacity, \
+                    (loop.now, node.node_id, node.workers_busy, held)
+                deepest["queued"] = max(deepest["queued"], len(node.worker_queue))
+                deepest["parked"] = max(deepest["parked"], len(node.parked))
+
+        def stepped(t_end):
+            while loop.now < t_end:
+                run_until(min(loop.now + 50, t_end))
+                check()
+
+        loop.run_until = stepped
+        w.run()
+        for node in w.nodes:
+            assert (node.workers_busy, len(node.inflight), len(node.parked),
+                    len(node.worker_queue)) == (0, 0, 0, 0)
+        assert deepest["queued"] > 0 and deepest["parked"] > 0
+        assert {ERR_TTL, ERR_UNAVAILABLE, ERR_CONNECTION} <= set(w.ledger.outcome)
+
     def test_fault_keeps_each_op_it_saw_while_active(self):
         s = Scenario(duration_ms=60_000, seed=1, policy=quiet_policy())
         s.faults = [FaultConfig(1_000, "transient_exception", "BrowseCategories")]
@@ -837,8 +878,15 @@ class TestCli:
         # mid-run with "SimError: schedule at t=598 is in the past", a traceback
         ("ops_path", ("service_ms=2 ", "service_ms=-50 "), "",
          "line 9: service_ms must be >= 0, got -50"),
+        # accepted, exit 0; logged-out clients ran AboutMe without a session,
+        # and in a 20-client world 3 of the 4 resolved actions were bad
+        ("ops_path", ("session=read ", "session=reed "), "",
+         "line 17: unknown session 'reed'"),
+        # accepted, exit 0; the override's crash/init cost and label never applied
+        ("catalog_path", ("members=Bid,Category,", "members=Bid,Categry,"), "",
+         "group EntityGroup names unknown component Categry"),
     ], ids=["bad_kind", "no_web_fault", "no_web_murb", "bare_row", "probability",
-            "service_ms", "negative_service_ms"])
+            "service_ms", "negative_service_ms", "bad_session", "unknown_group_member"])
     def test_bad_data_file_exit_code(self, tmp_path, capsys, key, edit, events, message):
         name = {"catalog_path": "catalog.txt", "matrix_path": "transitions.txt",
                 "ops_path": "ops.txt"}[key]

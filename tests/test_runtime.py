@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from murbsim.runtime import (CatalogError, ComponentSpec, DeployError, HeapLedger,
-                             deploy, load_catalog, parse_catalog)
+from murbsim.runtime import (CatalogError, ComponentSpec, DeployError, GroupOverride,
+                             HeapLedger, deploy, load_catalog, parse_catalog)
 
 from oracles import BindingModel
 
@@ -36,6 +36,12 @@ class TestDeploy:
     def test_dangling_dependency_named(self):
         with pytest.raises(DeployError, match="Ghost"):
             deploy([spec("A", deps=["Ghost"])])
+
+    def test_group_override_with_unknown_member_named(self):
+        # An override whose members match no recovery group never applies.
+        override = GroupOverride("AB", frozenset({"A", "Bee"}), 1, 1)
+        with pytest.raises(DeployError, match="group AB names unknown component Bee"):
+            deploy([spec("A"), spec("B", deps=["A"])], [override])
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(DeployError, match="A"):

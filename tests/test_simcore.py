@@ -181,8 +181,8 @@ def test_world_seeds_only_streams_that_draw(monkeypatch):
     monkeypatch.setattr(random.Random, "seed", counting_seed)
     World(Scenario(seed=3, cluster=ClusterConfig(nodes=1),
                    workload=WorkloadConfig(clients_per_node=10)))
-    # two per client (transition, think); root, lb, detector, channel, faults
-    assert len(seeded) == 2 * 10 + 5
+    # two per client (transition, think); lb, detector, channel, faults
+    assert len(seeded) == 2 * 10 + 4
 
 
 def test_adding_client_stream_does_not_perturb_others():

@@ -1,12 +1,14 @@
-"""The fault-class and recovery-level tables in faultlib are the only places
-that spell out those taxonomies. These tests keep string switches from
-coming back and tie the tables to their independent ground truth."""
+"""The fault-class and recovery-level tables and the request outcomes in
+faultlib are the only places that spell those out. These tests keep string
+switches from coming back and tie the tables to their independent ground
+truth."""
 
 import ast
 import pathlib
 import re
 
-from murbsim.faultlib import FAULT_CLASSES, LEVELS, RECOVERY_LEVELS
+from murbsim.faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_SESSION, ERR_TTL,
+                              ERR_UNAVAILABLE, FAULT_CLASSES, LEVELS, OK, RECOVERY_LEVELS)
 from murbsim.harness import TABLE2_ROWS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -86,6 +88,26 @@ def test_execute_recovery_is_the_only_door():
                  ast.parse(path.read_text(encoding="utf-8")), {"murb", "full_restart"})}
     assert calls == {("world.py", "World.execute_recovery", "murb"),
                      ("world.py", "World.execute_recovery", "full_restart")}
+
+
+def test_outcomes_are_spelled_only_in_faultlib():
+    # Each request outcome is one faultlib name; a copy of its string
+    # elsewhere (a detector key, a ledger check) would drift from it unseen.
+    outcomes = {OK, ERR_CONNECTION, ERR_UNAVAILABLE, ERR_EXCEPTION, ERR_TTL, ERR_SESSION}
+    hits = [f"{path.name}:{node.lineno}: {node.value}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "faultlib.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and node.value in outcomes]
+    assert hits == []
+
+
+def test_only_complete_and_a_retry_release_a_worker():
+    # World._complete is the one way a request ends; it gives the worker back.
+    # The only other release is a sentinel retry, which re-routes the request.
+    calls = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope, _ in _calls_by_scope(
+                 ast.parse(path.read_text(encoding="utf-8")), {"_release_worker"})}
+    assert calls == {("world.py", "World._complete"), ("world.py", "World._sentinel_hit")}
 
 
 def test_table2_rows_cover_every_class_and_required_mode():
