@@ -105,11 +105,16 @@ class Registry:
         self.specs: dict[str, ComponentSpec] = {s.name: s for s in specs}   # catalog order
         # The name service: the lookup of every component that is not BOUND.
         self.impaired: dict[str, Lookup] = {}
-        self.overrides = {o.members: o for o in overrides}
         self._dependents = self._reverse_edges()
         self.groups: dict[str, RecoveryGroup] = {
             n: self._closure(n) for n in names
         }
+        closures = {g.members for g in self.groups.values()}
+        for o in overrides:
+            if o.members not in closures:
+                raise DeployError(f"group {o.name} members {','.join(sorted(o.members))} "
+                                  f"are not the members of any recovery group")
+        self.overrides = {o.members: o for o in overrides}
         self.web_component = next((n for n in names if self.specs[n].kind == KIND_WEB), None)
 
     def _reverse_edges(self) -> dict[str, set[str]]:

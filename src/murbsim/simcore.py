@@ -10,8 +10,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from typing import Callable
+from array import array
+from itertools import chain, repeat, starmap
+from typing import Callable, Iterator
 
+
+# Doubles a DrawStream holds at a time: 512 bytes, against about 2.5 kB for
+# a seeded random.Random.
+_BLOCK = 64
 
 # Ints: _dispatch compares against its limits per event, and math.inf is slower.
 _NO_LIMIT = 1 << 62
@@ -127,18 +133,29 @@ class RngRoot:
     def __init__(self, seed: int):
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
 
-    def fork(self, *labels: str) -> "RngStream":
-        """The stream at label path `labels` below this one.
-
-        `fork("a", "b")` draws the same sequence as `fork("a").fork("b")`:
-        each label derives the next seed from the one before it. Only the
-        stream at the end of the path gets a generator, so a caller that
-        draws only from leaves never seeds the streams between.
-        """
+    def _path_seed(self, labels: tuple[str, ...]) -> int:
+        # `fork("a", "b")` and `fork("a").fork("b")` meet at the same seed:
+        # each label derives the next seed from the one before it.
         seed = self.seed
         for label in labels:
             seed = _derive_seed(seed, label)
-        return RngStream(seed)
+        return seed
+
+    def root(self, *labels: str) -> RngRoot:
+        """The seed at label path `labels`, to fork several streams from."""
+        return RngRoot(self._path_seed(labels))
+
+    def fork(self, *labels: str) -> RngStream:
+        """The stream at label path `labels` below this one.
+
+        Only the stream at the end of the path gets a generator, so a caller
+        that draws only from leaves never seeds the streams between.
+        """
+        return RngStream(self._path_seed(labels))
+
+    def draws(self, *labels: str) -> DrawStream:
+        """fork(*labels) for a caller that only calls random()."""
+        return DrawStream(self._path_seed(labels))
 
 
 class RngStream(RngRoot):
@@ -160,3 +177,34 @@ class RngStream(RngRoot):
 
     def expovariate(self, mean: float) -> float:
         return self._rng.expovariate(1.0 / mean)
+
+
+def _block(seed: int, drawn: int) -> array:
+    """Doubles `drawn` to `drawn + _BLOCK` of random.Random(seed).random()."""
+    rng = random.Random(seed)
+    rng.getrandbits(64 * drawn)       # random() takes two 32-bit words per double
+    # _BLOCK calls of rng.random() with no Python loop, sized before the copy
+    return array("d", list(starmap(rng.random, repeat((), _BLOCK))))
+
+
+def _blocks(seed: int, block: array) -> Iterator[array]:
+    drawn = 0
+    while True:
+        yield block
+        drawn += _BLOCK
+        block = _block(seed, drawn)
+
+
+class DrawStream:
+    """The draws of RngStream(seed).random(), held as a block of _BLOCK doubles.
+
+    The stream seeds a generator only to fill a block: the first here, each
+    later one by re-seeding and skipping the doubles already drawn. random()
+    is the C-level next() of a chain over the blocks, so a draw runs no
+    Python frame.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, seed: int):
+        self.random = chain.from_iterable(_blocks(seed, _block(seed, 0))).__next__

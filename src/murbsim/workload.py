@@ -185,9 +185,9 @@ class Client:
         self.logged_in = False
         self.session_id = ""
         self.session_seq = 0
-        prefix = f"client/{client_id}"
-        self.rng_transition = rng_root.fork(prefix, "transition")
-        self.rng_think = rng_root.fork(prefix, "think")
+        rng = rng_root.root(f"client/{client_id}")
+        self.rng_transition = rng.draws("transition")
+        self.rng_think = rng.draws("think")
         self.action: int | None = None     # ledger handle of the open action
         self.stopped = False
 

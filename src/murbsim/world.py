@@ -480,9 +480,9 @@ class World:
                            partial(self._murb_rebind, op))
 
     def _group_label(self, node: Node, members: frozenset[str]) -> str:
-        for override in node.registry.overrides.values():
-            if override.members == members:
-                return override.name
+        override = node.registry.overrides.get(members)
+        if override is not None:
+            return override.name
         return ",".join(sorted(members)) if len(members) > 1 else next(iter(members))
 
     def _abort(self, node: Node, members: frozenset[str], outcome: str) -> None:

@@ -885,8 +885,16 @@ class TestCli:
         # accepted, exit 0; the override's crash/init cost and label never applied
         ("catalog_path", ("members=Bid,Category,", "members=Bid,Categry,"), "",
          "group EntityGroup names unknown component Categry"),
+        # accepted, exit 0; a scripted murb_group of Item took 460 ms under the
+        # label Bid,Category,Item,Region,User, not 825 ms as EntityGroup
+        ("catalog_path", ("members=Bid,Category,Item,Region,User ",
+                          "members=Bid,Category,Item,Region "),
+         "[recovery]\nat 1000\nlevel murb_group\ntarget Item\n",
+         "group EntityGroup members Bid,Category,Item,Region are not the members "
+         "of any recovery group"),
     ], ids=["bad_kind", "no_web_fault", "no_web_murb", "bare_row", "probability",
-            "service_ms", "negative_service_ms", "bad_session", "unknown_group_member"])
+            "service_ms", "negative_service_ms", "bad_session", "unknown_group_member",
+            "group_not_a_recovery_group"])
     def test_bad_data_file_exit_code(self, tmp_path, capsys, key, edit, events, message):
         name = {"catalog_path": "catalog.txt", "matrix_path": "transitions.txt",
                 "ops_path": "ops.txt"}[key]

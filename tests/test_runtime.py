@@ -43,6 +43,16 @@ class TestDeploy:
         with pytest.raises(DeployError, match="group AB names unknown component Bee"):
             deploy([spec("A"), spec("B", deps=["A"])], [override])
 
+    def test_group_override_that_is_no_recovery_group_named(self):
+        # B depends on A, so A's recovery group is {A, B}; {A} alone is none.
+        override = GroupOverride("A1", frozenset({"A"}), 1, 1)
+        with pytest.raises(DeployError, match="group A1 members A are not the members "
+                                              "of any recovery group"):
+            deploy([spec("A"), spec("B", deps=["A"])], [override])
+        override = GroupOverride("AB", frozenset({"A", "B"}), 1, 1)
+        assert deploy([spec("A"), spec("B", deps=["A"])], [override]).group_cost(
+            frozenset({"A", "B"})) == (1, 1)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(DeployError, match="A"):
             deploy([spec("A"), spec("A")])

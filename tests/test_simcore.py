@@ -1,10 +1,11 @@
+import gc
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
-from murbsim.simcore import EventLoop, RngStream, SimError
+from murbsim.simcore import EventLoop, RngRoot, RngStream, SimError
 from murbsim.world import World
 
 
@@ -183,6 +184,54 @@ def test_world_seeds_only_streams_that_draw(monkeypatch):
                    workload=WorkloadConfig(clients_per_node=10)))
     # two per client (transition, think); lb, detector, channel, faults
     assert len(seeded) == 2 * 10 + 4
+
+
+_CLIENT_LEAF = RngRoot(1).fork("client/7", "think").seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, _CLIENT_LEAF])
+def test_draw_stream_equals_generator_across_refills(seed):
+    # 300 draws span four refills of the 64-double block
+    stream = RngRoot(seed).draws()
+    reference = random.Random(seed)
+    assert [stream.random() for _ in range(300)] == \
+        [reference.random() for _ in range(300)]
+
+
+def test_client_draw_stream_is_its_forked_leaf():
+    stream = RngRoot(1).root("client/7").draws("think")
+    reference = random.Random(_CLIENT_LEAF)
+    assert [stream.random() for _ in range(200)] == \
+        [reference.random() for _ in range(200)]
+
+
+def test_interleaved_draw_streams_share_no_state():
+    a, b = RngRoot(5).draws("a"), RngRoot(5).draws("b")
+    ref_a, ref_b = RngRoot(5).fork("a"), RngRoot(5).fork("b")
+    draws, want = [], []
+    for i in range(400):
+        # uneven interleaving, so the two streams refill at different calls
+        stream, ref = (a, ref_a) if i % 3 else (b, ref_b)
+        draws.append(stream.random())
+        want.append(ref.random())
+    assert draws == want
+
+
+def _live_generators() -> int:
+    gc.collect()
+    return sum(isinstance(o, random.Random) for o in gc.get_objects())
+
+
+def test_world_holds_no_generator_per_client():
+    def held(clients, run=False):
+        world = World(Scenario(seed=3, duration_ms=20_000, cluster=ClusterConfig(nodes=1),
+                               workload=WorkloadConfig(clients_per_node=clients)))
+        if run:
+            world.run()
+        return _live_generators()
+
+    # the world's own four: lb, detector, channel, faults
+    assert held(10) == held(200) == held(200, run=True) == _live_generators() + 4
 
 
 def test_adding_client_stream_does_not_perturb_others():
