@@ -2,10 +2,17 @@
 """Print the memory each benchmark world holds at seed 1, in traced MB, as JSON.
 
 Each of `steady`, `campaign` and `overload` is parsed from the scenario text
-of perfbench/workloads.py at size full, then built and run in this process
-under tracemalloc. Per workload it prints the bytes still allocated after
-`World(...)`, the bytes still allocated after `World.run`, and the traced
-peak, counted from just before `World(...)`:
+of perfbench/workloads.py at size full, then built, run and exported in this
+process under tracemalloc. Per workload it prints:
+
+- `after_world_mb`: the bytes still allocated after `World(...)`;
+- `after_run_mb`: the bytes still allocated after `World.run`;
+- `peak_mb`: the traced peak from just before `World(...)` to the end of
+  `World.run`;
+- `ledger_bytes_per_request`: the `sys.getsizeof` of the ledger's
+  per-request columns over the number of requests;
+- `export_peak_mb`: the traced peak during `write_outputs`, above the bytes
+  held when it starts.
 
     python3 scripts/world_memory.py
 
@@ -17,13 +24,14 @@ PYTHONHASHSEED.
 import json
 import os
 import sys
+import tempfile
 import tracemalloc
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from murbsim.harness import parse_scenario  # noqa: E402
+from murbsim.harness import parse_scenario, write_outputs  # noqa: E402
 from murbsim.world import World  # noqa: E402
 from workloads import WORKLOADS, scenario_text  # noqa: E402
 
@@ -39,11 +47,20 @@ def traced_mb(workload: str) -> dict[str, float]:
         after_world = tracemalloc.get_traced_memory()[0]
         world.run()
         after_run, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with tempfile.TemporaryDirectory() as out_dir:
+            write_outputs(world, out_dir)
+            export_peak = tracemalloc.get_traced_memory()[1] - after_run
     finally:
         tracemalloc.stop()
+    ledger = world.ledger
+    column_bytes = sum(sys.getsizeof(getattr(ledger, name))
+                       for name in ledger.REQUEST_COLUMNS)
     return {"after_world_mb": round(after_world / MB, 3),
             "after_run_mb": round(after_run / MB, 3),
-            "peak_mb": round(peak / MB, 3)}
+            "peak_mb": round(peak / MB, 3),
+            "ledger_bytes_per_request": round(column_bytes / len(ledger.action_of), 2),
+            "export_peak_mb": round(export_peak / MB, 3)}
 
 
 def main() -> int:

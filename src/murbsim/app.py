@@ -25,6 +25,9 @@ SESSION_UPDATE = "update"
 SESSION_DELETE = "delete"
 SESSION_TOUCHES = (SESSION_NONE, SESSION_CREATE, SESSION_READ, SESSION_UPDATE, SESSION_DELETE)
 
+# The ledger keeps each request's op as an array("H") code.
+MAX_OPS = 1 << 16
+
 
 class OpCatalogError(Exception):
     pass
@@ -104,6 +107,8 @@ def parse_ops(text: str) -> list[OpType]:
         if op.session_touch not in SESSION_TOUCHES:
             raise OpCatalogError(f"line {lineno}: unknown session {op.session_touch!r}")
         ops.append(op)
+    if len(ops) > MAX_OPS:
+        raise OpCatalogError(f"{len(ops)} ops; a catalog holds at most {MAX_OPS}")
     return ops
 
 

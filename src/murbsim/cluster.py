@@ -17,13 +17,19 @@ class ClusterError(Exception):
 
 class CpuQueue:
     """FIFO service stations; capacity can shrink while a runaway computation
-    pins a slot."""
+    pins a slot.
+
+    A pin that finds every slot busy waits, and takes the next slot that
+    work frees before any queued work does, so busy + pinned never exceeds
+    slots.
+    """
 
     def __init__(self, loop, slots: int):
         self.loop = loop
         self.slots = slots
         self.busy = 0
         self.pinned = 0
+        self.waiting_pins = 0
         self.queue: deque = deque()
         self.epoch = 0                   # invalidates in-service work across resets
 
@@ -39,7 +45,10 @@ class CpuQueue:
         if epoch != self.epoch:
             return
         self.busy -= 1
-        if self.queue:
+        if self.waiting_pins:
+            self.waiting_pins -= 1
+            self.pinned += 1
+        elif self.queue:
             self._pump()
         done()
 
@@ -51,10 +60,15 @@ class CpuQueue:
                                partial(self._finish, self.epoch, done))
 
     def pin_slot(self) -> None:
-        self.pinned += 1
+        if self.busy + self.pinned < self.slots:
+            self.pinned += 1
+        else:
+            self.waiting_pins += 1
 
     def unpin_slot(self) -> None:
-        if self.pinned > 0:
+        if self.waiting_pins:
+            self.waiting_pins -= 1
+        elif self.pinned > 0:
             self.pinned -= 1
             self._pump()
 
@@ -62,6 +76,7 @@ class CpuQueue:
         self.epoch += 1
         self.busy = 0
         self.pinned = 0
+        self.waiting_pins = 0
         self.queue.clear()
 
 

@@ -218,8 +218,8 @@ def functional_group_timeline(world: World) -> dict[str, list[tuple[int, int]]]:
     raw: dict[str, list[tuple[int, int]]] = {}
     ops = world.catalog.ops
     ledger = world.ledger
-    for op_name, issued, done, outcome in zip(ledger.op_name, ledger.issued_at,
-                                              ledger.completed_at, ledger.outcome):
+    for op_name, issued, done, outcome in zip(ledger.ops(), ledger.issued_at,
+                                              ledger.completed_at, ledger.outcomes()):
         if done < 0 or outcome == OK:
             continue
         group = ops[op_name].functional_group
@@ -256,12 +256,13 @@ def _incidents(world: World, recovery_log: list[dict]) -> list[dict]:
     completions = sorted(op.completed_at for op in world.recoveries
                          if op.completed_at >= 0) + [1 << 62]
     first_done = [completions[bisect_left(completions, s)] for s in starts]
-    for issued, done, action, outcome in zip(ledger.issued_at, ledger.completed_at,
-                                             ledger.action_of, ledger.outcome):
+    session_lost = ledger.outcome_names.get(ERR_SESSION)
+    for issued, done, action, code in zip(ledger.issued_at, ledger.completed_at,
+                                          ledger.action_of, ledger.outcome_code):
         if status[action] == BAD and (k := window(resolved[action])) >= 0 \
                 and starts[k] <= issued < ends[k]:
             issued_in_window[k] += 1
-        if outcome == ERR_SESSION and (k := window(done)) >= 0 \
+        if code == session_lost and (k := window(done)) >= 0 \
                 and done >= first_done[k]:
             post_loss[k] += 1
     recoveries: list[list[dict]] = [[] for _ in faults]
@@ -290,7 +291,7 @@ def export_summary(world: World) -> dict:
     duration_s = scenario.duration_ms / 1000.0
     stats = latency_stats(ledger)
 
-    session_lost = ledger.outcome.count(ERR_SESSION)
+    session_lost = ledger.count_outcome(ERR_SESSION)
     recovery_log = [{
         "time_ms": op.started_at,
         "node": op.node,
@@ -372,8 +373,8 @@ def write_outputs(world: World, out_dir: str) -> dict:
     with open(os.path.join(out_dir, "latency.csv"), "w", encoding="utf-8") as fh:
         fh.write(LATENCY_HEADER + "\n")
         for request_id, (op_name, issued, done, outcome) in enumerate(zip(
-                ledger.op_name, ledger.issued_at, ledger.completed_at,
-                ledger.outcome), start=1):
+                ledger.ops(), ledger.issued_at, ledger.completed_at,
+                ledger.outcomes()), start=1):
             latency = done - issued if done >= 0 else -1
             fh.write(f"{request_id},{op_name},{issued},{latency},{outcome}\n")
 

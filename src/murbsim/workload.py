@@ -10,8 +10,9 @@ open when a session ends without either outcome count toward neither tally.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from math import log
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .app import AppCatalog
 from .faultlib import OK
@@ -38,22 +39,52 @@ class RequestView(NamedTuple):
         return self.completed_at - self.issued_at if self.completed_at >= 0 else -1
 
 
+class NameTable(dict):
+    """Small int codes for names, given out in order of first use.
+
+    `table[name]` is the name's code, assigned on first sight;
+    `table.names[code]` is the name again.
+    """
+
+    def __init__(self, *names: str):
+        super().__init__()
+        self.names: list[str] = []
+        for name in names:
+            self[name]
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = len(self.names)
+        self.names.append(name)
+        return code
+
+    def decode(self, codes: Iterable[int]) -> Iterator[str]:
+        return map(self.names.__getitem__, codes)
+
+
 class TawLedger:
     """Per-second good/bad request and action tallies, kept as columns.
 
     Requests and actions are int handles into parallel columns, so no object
-    per request outlives its completion. A request only joins a pending
-    action, and resolving an action classifies all of its requests at once,
-    so a request's final class is its action's status, read when needed.
+    per request outlives its completion. Every per-request column is a typed
+    array: a request's op and outcome are codes into the ledger's own name
+    tables, and its methods take and return the names. A request only joins
+    a pending action, and resolving an action classifies all of its requests
+    at once, so a request's final class is its action's status, read when
+    needed.
     """
 
+    # The per-request columns, 23 bytes a request.
+    REQUEST_COLUMNS = ("op_code", "issued_at", "completed_at", "outcome_code", "action_of")
+
     def __init__(self) -> None:
-        # one entry per request
-        self.op_name: list[str] = []
+        self.op_names = NameTable()
+        self.outcome_names = NameTable("")     # code 0: still in flight
+        # one entry per request; app.MAX_OPS keeps every op code within "H"
+        self.op_code = array("H")
         self.issued_at = array("q")
         self.completed_at = array("q")
-        self.outcome: list[str] = []
-        self.action_of = array("q")
+        self.outcome_code = array("B")
+        self.action_of = array("I")
         # one entry per action
         self.action_status: list[str] = []
         self.action_resolved_at = array("q")
@@ -69,17 +100,17 @@ class TawLedger:
         if self.action_status[action] != PENDING:
             raise RuntimeError(f"action {action} already resolved")
         self.action_size[action] += 1
-        self.op_name.append(op_name)
+        self.op_code.append(self.op_names[op_name])
         self.issued_at.append(issued_at)
         self.completed_at.append(-1)
-        self.outcome.append("")
+        self.outcome_code.append(0)
         self.action_of.append(action)
         return len(self.action_of) - 1
 
     def record_outcome(self, req: int, outcome: str, completed_at: int,
                        is_commit_point: bool) -> str:
         """Attach a completed request; returns the action's status afterwards."""
-        self.outcome[req] = outcome
+        self.outcome_code[req] = self.outcome_names[outcome]
         self.completed_at[req] = completed_at
         action = self.action_of[req]
         status = self.action_status[action]
@@ -101,10 +132,23 @@ class TawLedger:
             self.action_status[action] = ABANDONED
             self.action_resolved_at[action] = at
 
+    def ops(self) -> Iterator[str]:
+        """Each request's op name in issue order, decoded lazily."""
+        return self.op_names.decode(self.op_code)
+
+    def outcomes(self) -> Iterator[str]:
+        """Each request's outcome in issue order ("" while in flight), decoded lazily."""
+        return self.outcome_names.decode(self.outcome_code)
+
+    def count_outcome(self, outcome: str) -> int:
+        # get() gives out no code; an outcome never recorded has None, counted 0 times
+        return self.outcome_code.count(self.outcome_names.get(outcome))
+
     def record(self, req: int) -> RequestView:
         action = self.action_of[req]
-        return RequestView(req + 1, action, self.op_name[req], self.issued_at[req],
-                           self.completed_at[req], self.outcome[req],
+        return RequestView(req + 1, action, self.op_names.names[self.op_code[req]],
+                           self.issued_at[req], self.completed_at[req],
+                           self.outcome_names.names[self.outcome_code[req]],
                            self.action_status[action])
 
     def records(self) -> Iterator[RequestView]:
@@ -153,18 +197,29 @@ class TawLedger:
 
 
 def latency_stats(ledger: TawLedger) -> dict[str, float]:
-    """Latency statistics over completed, non-failed requests."""
-    lat = sorted(done - issued for done, issued, outcome
-                 in zip(ledger.completed_at, ledger.issued_at, ledger.outcome)
-                 if done >= 0 and outcome == OK)
-    if not lat:
+    """Latency statistics over completed, non-failed requests.
+
+    Read from a histogram of latencies, not a sorted list of them: the
+    count, the integer sum and the p95 rank are the sorted list's own.
+    """
+    ok = ledger.outcome_names.get(OK)         # an OK code means completed
+    hist = Counter(done - issued for done, issued, code
+                   in zip(ledger.completed_at, ledger.issued_at, ledger.outcome_code)
+                   if code == ok)
+    n = hist.total()
+    if not n:
         return {"count": 0, "mean": 0.0, "p95": 0.0, "count_over_threshold": 0}
-    p95 = lat[min(len(lat) - 1, max(0, (95 * len(lat) + 99) // 100 - 1))]
+    rank = (95 * n + 99) // 100 - 1          # ceil(0.95 n) - 1, within [0, n - 1]
+    below = 0
+    for p95 in sorted(hist):
+        below += hist[p95]
+        if below > rank:
+            break
     return {
-        "count": len(lat),
-        "mean": sum(lat) / len(lat),
+        "count": n,
+        "mean": sum(v * c for v, c in hist.items()) / n,
         "p95": float(p95),
-        "count_over_threshold": sum(1 for v in lat if v > 8_000),
+        "count_over_threshold": sum(c for v, c in hist.items() if v > 8_000),
     }
 
 

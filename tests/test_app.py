@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from murbsim.app import (OpCatalogError, load_app_catalog, parse_matrix,
+from murbsim.app import (OpCatalogError, load_app_catalog, parse_matrix, parse_ops,
                          stationary_distribution, workload_mix_check)
 
 TABLE_MIX = {"read_only": 32, "session_init": 23, "static": 12,
@@ -13,7 +13,19 @@ def catalog():
     return load_app_catalog()
 
 
+def op_lines(n: int) -> str:
+    return "".join(f"op Op{i} category=static path=WebUI commit=no idempotent=yes "
+                   f"session=none tx=no service_ms=1 fgroup=search\n" for i in range(n))
+
+
 class TestOpCatalog:
+    def test_catalog_size_limited_to_the_ledgers_op_codes(self, monkeypatch):
+        # the boundary, at a small limit; TestCli runs the real one end to end
+        monkeypatch.setattr("murbsim.app.MAX_OPS", 3)
+        assert len(parse_ops(op_lines(3))) == 3
+        with pytest.raises(OpCatalogError, match="4 ops; a catalog holds at most 3"):
+            parse_ops(op_lines(4))
+
     def test_exactly_25_operations(self, catalog):
         assert len(catalog.op_list) == 25
 

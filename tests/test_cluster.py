@@ -3,9 +3,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from murbsim.cluster import ClusterError, LoadBalancer, handle_sentinel, six_nines_budget
+from murbsim.cluster import (ClusterError, CpuQueue, LoadBalancer, handle_sentinel,
+                             six_nines_budget)
 from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
-from murbsim.simcore import RngStream
+from murbsim.simcore import EventLoop, RngStream
 from murbsim.world import World
 
 
@@ -79,6 +80,73 @@ class TestRouting:
         lb.set_failover(0, True)
         lb.set_failover(1, True)
         assert lb.route(None) is None
+
+
+class TestCpuQueue:
+    """Two slots; each job records (name, finish time) when its service ends."""
+
+    @pytest.fixture
+    def cpu(self):
+        loop = EventLoop()
+        cpu = CpuQueue(loop, 2)
+        cpu.done = []
+        cpu.job = lambda name, ms: cpu.submit(
+            ms, lambda: cpu.done.append((name, loop.now)))
+        return cpu
+
+    def test_fifo_service(self, cpu):
+        for name, ms in (("a", 10), ("b", 30), ("c", 5), ("d", 5)):
+            cpu.job(name, ms)
+        assert (cpu.busy, len(cpu.queue)) == (2, 2)
+        cpu.loop.run_until(100)
+        # c waits for a's slot, d for c's
+        assert cpu.done == [("a", 10), ("c", 15), ("d", 20), ("b", 30)]
+        assert (cpu.busy, len(cpu.queue)) == (0, 0)
+
+    def test_work_from_before_a_reset_is_ignored(self, cpu):
+        cpu.job("old", 10)
+        cpu.loop.run_until(5)
+        cpu.reset()
+        cpu.job("new", 10)
+        cpu.loop.run_until(100)
+        assert cpu.done == [("new", 15)]
+        assert cpu.busy == 0
+
+    def test_pin_takes_a_free_slot(self, cpu):
+        cpu.pin_slot()
+        cpu.job("a", 10)
+        cpu.job("b", 10)
+        assert (cpu.busy, cpu.pinned, len(cpu.queue)) == (1, 1, 1)
+        cpu.loop.run_until(100)
+        assert cpu.done == [("a", 10), ("b", 20)]
+        cpu.unpin_slot()
+        assert cpu.pinned == 0
+
+    def test_pin_with_every_slot_busy_waits_for_the_next_free_one(self, cpu):
+        for name in "abc":
+            cpu.job(name, 10)
+        cpu.pin_slot()
+        assert (cpu.busy, cpu.pinned, cpu.waiting_pins) == (2, 0, 1)
+        seen = []
+        for _ in range(3):
+            cpu.loop.run_until(cpu.loop.now + 10)
+            seen.append((cpu.busy, cpu.pinned, cpu.waiting_pins))
+            assert cpu.busy + cpu.pinned <= cpu.slots
+        # the pin takes a's slot before queued c does; c then runs on one slot
+        assert cpu.done == [("a", 10), ("b", 10), ("c", 20)]
+        assert seen == [(1, 1, 0), (0, 1, 0), (0, 1, 0)]
+
+    def test_unpin_while_the_pin_still_waits(self, cpu):
+        cpu.job("a", 10)
+        cpu.job("b", 10)
+        cpu.pin_slot()
+        cpu.unpin_slot()
+        assert (cpu.busy, cpu.pinned, cpu.waiting_pins) == (2, 0, 0)
+        cpu.job("c", 10)
+        cpu.loop.run_until(100)
+        # the dropped pin took no slot, so c ran as soon as one was free
+        assert cpu.done == [("a", 10), ("b", 10), ("c", 20)]
+        assert (cpu.busy, cpu.pinned) == (0, 0)
 
 
 class TestSentinelHandling:

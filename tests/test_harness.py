@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from murbsim.app import MAX_OPS
 from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
                             PolicyConfig, Scenario, ScriptedRecovery,
                             StoreConfig, WorkloadConfig)
@@ -14,6 +15,8 @@ from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, main,
                              parse_scenario, run_scenario, write_outputs)
 from murbsim.world import World
+
+from test_app import op_lines
 
 
 def run_world(scenario):
@@ -488,7 +491,7 @@ class TestRecoveryOps:
             assert (node.workers_busy, len(node.inflight), len(node.parked),
                     len(node.worker_queue)) == (0, 0, 0, 0)
         assert deepest["queued"] > 0 and deepest["parked"] > 0
-        assert {ERR_TTL, ERR_UNAVAILABLE, ERR_CONNECTION} <= set(w.ledger.outcome)
+        assert {ERR_TTL, ERR_UNAVAILABLE, ERR_CONNECTION} <= set(w.ledger.outcomes())
 
     def test_fault_keeps_each_op_it_saw_while_active(self):
         s = Scenario(duration_ms=60_000, seed=1, policy=quiet_policy())
@@ -907,6 +910,18 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"{data}: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()       # failed before the first event
+
+    def test_too_many_ops_exit_code(self, tmp_path, capsys):
+        # more ops than the ledger's op codes can name; 65,536 parse
+        data = tmp_path / "ops.txt"
+        data.write_text(op_lines(MAX_OPS + 1))
+        scenario = tmp_path / "bad.txt"
+        scenario.write_text(f"{FIVE_SECONDS}[scenario]\nops_path {data}\n")
+        assert main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{data}: {MAX_OPS + 1} ops; a catalog holds at most {MAX_OPS}\n" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("detector", "kind", "comparision"),

@@ -95,5 +95,5 @@ def test_traced_run_dispatches_every_event_through_schedule(monkeypatch):
     metrics = child.layer_metrics(tracer, world, before, after, run_s)
     assert metrics["simcore.events"] == world.loop.dispatched
     assert metrics["simcore.cancelled"] > 0
-    outcomes = set(world.ledger.outcome)
+    outcomes = set(world.ledger.outcomes())
     assert {"error:ttl_expired", "error:component_unavailable"} <= outcomes

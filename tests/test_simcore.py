@@ -257,3 +257,34 @@ def test_no_event_loss(times):
     # dispatch order respects timestamps
     dispatched_times = [times[i] for i in seen]
     assert dispatched_times == sorted(dispatched_times)
+
+
+def _runaway_source(loop: EventLoop, delay: int) -> list[int]:
+    """An event that schedules itself again `delay` ms later, forever."""
+    seen = []
+
+    def tick():
+        seen.append(loop.now)
+        loop.after(delay, tick)
+
+    loop.schedule(0, tick)
+    return seen
+
+
+@pytest.mark.parametrize("delay", [0, 1])
+def test_drain_stops_a_runaway_source(monkeypatch, delay):
+    monkeypatch.setattr("murbsim.simcore._DRAIN_EVENT_LIMIT", 1_000)
+    loop = EventLoop()
+    seen = _runaway_source(loop, delay)
+    with pytest.raises(SimError, match="event limit"):
+        loop.drain()
+    assert len(seen) == 1_001
+
+
+def test_run_until_stops_a_runaway_source_at_its_end(monkeypatch):
+    # run_until has no event limit: its t_end is the bound
+    monkeypatch.setattr("murbsim.simcore._DRAIN_EVENT_LIMIT", 1_000)
+    loop = EventLoop()
+    seen = _runaway_source(loop, 1)
+    assert loop.run_until(5_000) == 5_001
+    assert (loop.now, seen[-1], loop.pending()) == (5_000, 5_000, 1)

@@ -1,7 +1,10 @@
+import sys
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from murbsim.app import load_app_catalog
+from murbsim.app import MAX_OPS, load_app_catalog
 from murbsim.simcore import RngStream
 from murbsim.workload import Client, TawLedger, latency_stats, sample_think_ms
 
@@ -141,6 +144,35 @@ class TestLedger:
         assert ledger.record(open_req).latency_ms == -1
         assert [r.request_id for r in ledger.records()] == [1, 2]
 
+    def test_op_and_outcome_codes_decode_to_the_names_given(self):
+        ledger = TawLedger()
+        for op, outcome in (("Login", "ok"), ("ViewItem", "error:session_lost"),
+                            ("Login", "error:session_lost"), ("Home", None)):
+            req = ledger.new_request(ledger.new_action(), op, 10)
+            if outcome is not None:
+                ledger.record_outcome(req, outcome, 20, False)
+        assert list(ledger.ops()) == ["Login", "ViewItem", "Login", "Home"]
+        assert list(ledger.outcomes()) == ["ok", "error:session_lost",
+                                           "error:session_lost", ""]
+        assert list(ledger.op_code) == [0, 1, 0, 2]
+        assert ledger.count_outcome("error:session_lost") == 2
+        assert ledger.count_outcome("error:ttl_expired") == 0
+        assert "error:ttl_expired" not in ledger.outcome_names   # counting gave no code
+        assert [r.outcome for r in ledger.records()] == list(ledger.outcomes())
+
+    def test_every_per_request_column_is_a_typed_array(self, baseline_run):
+        # a short fault-free world; the parent kept 40 B of 8-byte slots and
+        # str pointers per request, and a list of op names and of outcomes
+        ledger = baseline_run.ledger
+        n = len(ledger.action_of)
+        columns = [getattr(ledger, name) for name in ledger.REQUEST_COLUMNS]
+        assert all(type(col) is array and len(col) == n for col in columns)
+        assert sum(col.itemsize for col in columns) <= 24
+        held = sum(sys.getsizeof(col) for col in columns)
+        # on top of that, each array over-allocates by up to 1/16 as it grows
+        assert held <= 24 * n * 17 / 16
+        assert 1 << 8 * ledger.op_code.itemsize == MAX_OPS
+
     def test_random_trace_matches_replay_oracle(self):
         for seed in range(30):
             events = random_trace(seed, 2_000)
@@ -190,6 +222,41 @@ class TestLatencyStats:
         req = ledger.new_request(action, "Op", 0)
         ledger.record_outcome(req, "error:exception", 9_000, False)
         assert latency_stats(ledger)["count"] == 0
+
+    @staticmethod
+    def sorted_list_stats(latencies):
+        # the definition: statistics of the sorted list of OK latencies
+        lat = sorted(latencies)
+        if not lat:
+            return {"count": 0, "mean": 0.0, "p95": 0.0, "count_over_threshold": 0}
+        return {"count": len(lat), "mean": sum(lat) / len(lat),
+                "p95": float(lat[min(len(lat) - 1, max(0, (95 * len(lat) + 99) // 100 - 1))]),
+                "count_over_threshold": sum(1 for v in lat if v > 8_000)}
+
+    @pytest.mark.parametrize("latencies", [
+        [], [0], [7], [5, 5, 5, 5], [8_000, 8_001, 8_001, 12_345, 3],
+        [1] * 19 + [9_000], [1] * 20 + [9_000], list(range(100, 0, -1)),
+        [3, 1, 2, 3, 3, 1, 40_000, 2, 2, 8_000] * 7,
+    ])
+    def test_equal_to_the_sorted_list_definition(self, latencies):
+        ledger = TawLedger()
+        for i, lat in enumerate(latencies):
+            action = ledger.new_action()
+            req = ledger.new_request(action, "Op", 1_000 * i)
+            ledger.record_outcome(req, "ok", 1_000 * i + lat, False)
+            failed = ledger.new_request(ledger.new_action(), "Op", 1_000 * i)
+            ledger.record_outcome(failed, "error:exception", 1_000 * i + 99_999, False)
+        ledger.new_request(ledger.new_action(), "Op", 0)        # still in flight
+        assert latency_stats(ledger) == self.sorted_list_stats(latencies)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(st.integers(min_value=0, max_value=20_000), max_size=300))
+    def test_equal_to_the_sorted_list_definition_on_any_latencies(self, latencies):
+        ledger = TawLedger()
+        action = ledger.new_action()
+        for lat in latencies:
+            ledger.record_outcome(ledger.new_request(action, "Op", 7), "ok", 7 + lat, False)
+        assert latency_stats(ledger) == self.sorted_list_stats(latencies)
 
     def test_baseline_run_mean_near_calibration(self, baseline_run):
         stats = latency_stats(baseline_run.ledger)
