@@ -44,6 +44,7 @@ class OpType:
     tx_writes: bool
     service_ms_mean: int
     functional_group: str
+    code: int                    # its index in the catalog; the ledger keeps it
 
     @property
     def needs_session(self) -> bool:
@@ -67,6 +68,7 @@ def _flag(value: str, lineno: int) -> bool:
 
 def parse_ops(text: str) -> list[OpType]:
     ops: list[OpType] = []
+    names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -74,6 +76,9 @@ def parse_ops(text: str) -> list[OpType]:
         tokens = line.split()
         if tokens[0] != "op" or len(tokens) < 2:
             raise OpCatalogError(f"line {lineno}: expected 'op <name> ...'")
+        if tokens[1] in names:
+            raise OpCatalogError(f"line {lineno}: duplicate op {tokens[1]!r}")
+        names.add(tokens[1])
         kv = {}
         for tok in tokens[2:]:
             if "=" not in tok:
@@ -91,6 +96,7 @@ def parse_ops(text: str) -> list[OpType]:
                 tx_writes=_flag(kv["tx"], lineno),
                 service_ms_mean=int(kv["service_ms"]),
                 functional_group=kv["fgroup"],
+                code=len(ops),
             )
         except KeyError as exc:
             raise OpCatalogError(f"line {lineno}: missing field {exc}") from None
@@ -154,6 +160,11 @@ def parse_matrix(text: str) -> TransitionMatrix:
             if len(tokens) != 2 + len(states):
                 raise OpCatalogError(f"line {lineno}: expected 'row <state>' and "
                                      f"{len(states)} probabilities")
+            if tokens[1] not in states:
+                raise OpCatalogError(f"line {lineno}: row for {tokens[1]!r}, "
+                                     f"which is not in 'states'")
+            if tokens[1] in rows:
+                raise OpCatalogError(f"line {lineno}: duplicate row {tokens[1]!r}")
             try:
                 rows[tokens[1]] = [float(t) for t in tokens[2:]]
             except ValueError as exc:
@@ -195,34 +206,3 @@ def load_app_catalog(ops_path: str = "", matrix_path: str = "") -> AppCatalog:
         matrix.check_stochastic()
     with data_file(ops_path, "ops.txt", OpCatalogError) as text:
         return AppCatalog(parse_ops(text), matrix)
-
-
-def stationary_distribution(matrix: TransitionMatrix) -> dict[str, float]:
-    """Stationary vector by power iteration on the row-stochastic matrix."""
-    matrix.check_stochastic()
-    n = len(matrix.states)
-    pi = [1.0 / n] * n
-    rows = [matrix.rows[s] for s in matrix.states]
-    for _ in range(2_000):
-        nxt = [0.0] * n
-        for i, weight in enumerate(pi):
-            if weight == 0.0:
-                continue
-            row = rows[i]
-            for j in range(n):
-                if row[j]:
-                    nxt[j] += weight * row[j]
-        delta = sum(abs(a - b) for a, b in zip(nxt, pi))
-        pi = nxt
-        if delta < 1e-12:
-            break
-    return dict(zip(matrix.states, pi))
-
-
-def workload_mix_check(catalog: AppCatalog) -> dict[str, float]:
-    """Per-category stationary percentages of the client chain."""
-    pi = stationary_distribution(catalog.matrix)
-    mix = {c: 0.0 for c in CATEGORIES}
-    for name, weight in pi.items():
-        mix[catalog.ops[name].category] += 100.0 * weight
-    return mix

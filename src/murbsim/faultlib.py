@@ -20,6 +20,9 @@ ERR_UNAVAILABLE = "error:component_unavailable"
 ERR_EXCEPTION = "error:exception"
 ERR_TTL = "error:ttl_expired"
 ERR_SESSION = "error:session_lost"
+# An outcome's code is its place here; code 0, "", is a request still in flight.
+OUTCOMES = ("", OK, ERR_CONNECTION, ERR_UNAVAILABLE, ERR_EXCEPTION, ERR_TTL, ERR_SESSION)
+OUTCOME_CODE = {outcome: code for code, outcome in enumerate(OUTCOMES)}
 
 
 @dataclass(frozen=True)

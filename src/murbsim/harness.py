@@ -21,8 +21,8 @@ from .cluster import six_nines_budget
 from .config import (ClusterConfig, DetectorConfig, FaultConfig, PolicyConfig,
                      RejuvenationConfig, Scenario, ScriptedRecovery, StoreConfig,
                      WorkloadConfig)
-from .faultlib import (ERR_SESSION, FAULT_CLASSES, OK, RECOVERY_LEVELS, SITE_COMPONENT,
-                       SITE_PROCESS, FaultError, cure_profile)
+from .faultlib import (ERR_SESSION, FAULT_CLASSES, OK, OUTCOME_CODE, RECOVERY_LEVELS,
+                       SITE_COMPONENT, SITE_PROCESS, FaultError, cure_profile)
 from .recoverymgr import detection_headroom, fp_headroom
 from .runtime import CatalogError, DeployError, load_catalog
 from .workload import BAD, latency_stats
@@ -202,29 +202,28 @@ def load_scenario(path: str) -> Scenario:
 
 # -- summary and export -------------------------------------------------------
 
-def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for start, end in sorted(intervals):
-        if out and start <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], end))
-        else:
-            out.append((start, end))
-    return out
-
-
 def functional_group_timeline(world: World) -> dict[str, list[tuple[int, int]]]:
     """Unavailability intervals per functional group, from response-level
-    failures spanning [issue, completion]."""
-    raw: dict[str, list[tuple[int, int]]] = {}
-    ops = world.catalog.ops
+    failures spanning [issue, completion], merged where they touch.
+
+    The ledger holds requests in issue order, so each failure starts no
+    earlier than its group's last interval, and merges into it or follows it.
+    """
+    group_of = [op.functional_group for op in world.catalog.op_list]
+    ok = OUTCOME_CODE[OK]
+    merged: dict[str, list[tuple[int, int]]] = {}
     ledger = world.ledger
-    for op_name, issued, done, outcome in zip(ledger.ops(), ledger.issued_at,
-                                              ledger.completed_at, ledger.outcomes()):
-        if done < 0 or outcome == OK:
+    for code, issued, done, outcome in zip(ledger.op_code, ledger.issued_at,
+                                           ledger.completed_at, ledger.outcome_code):
+        if done < 0 or outcome == ok:
             continue
-        group = ops[op_name].functional_group
-        raw.setdefault(group, []).append((issued, done))
-    return {g: _merge_intervals(v) for g, v in sorted(raw.items())}
+        intervals = merged.setdefault(group_of[code], [])
+        if intervals and issued <= intervals[-1][1]:
+            if done > intervals[-1][1]:
+                intervals[-1] = (intervals[-1][0], done)
+        else:
+            intervals.append((issued, done))
+    return dict(sorted(merged.items()))
 
 
 def _incidents(world: World, recovery_log: list[dict]) -> list[dict]:
@@ -256,7 +255,7 @@ def _incidents(world: World, recovery_log: list[dict]) -> list[dict]:
     completions = sorted(op.completed_at for op in world.recoveries
                          if op.completed_at >= 0) + [1 << 62]
     first_done = [completions[bisect_left(completions, s)] for s in starts]
-    session_lost = ledger.outcome_names.get(ERR_SESSION)
+    session_lost = OUTCOME_CODE[ERR_SESSION]
     for issued, done, action, code in zip(ledger.issued_at, ledger.completed_at,
                                           ledger.action_of, ledger.outcome_code):
         if status[action] == BAD and (k := window(resolved[action])) >= 0 \

@@ -12,10 +12,10 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from math import log
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .app import AppCatalog
-from .faultlib import OK
+from .faultlib import OK, OUTCOME_CODE, OUTCOMES
 
 GOOD = "good"
 BAD = "bad"
@@ -39,46 +39,23 @@ class RequestView(NamedTuple):
         return self.completed_at - self.issued_at if self.completed_at >= 0 else -1
 
 
-class NameTable(dict):
-    """Small int codes for names, given out in order of first use.
-
-    `table[name]` is the name's code, assigned on first sight;
-    `table.names[code]` is the name again.
-    """
-
-    def __init__(self, *names: str):
-        super().__init__()
-        self.names: list[str] = []
-        for name in names:
-            self[name]
-
-    def __missing__(self, name: str) -> int:
-        code = self[name] = len(self.names)
-        self.names.append(name)
-        return code
-
-    def decode(self, codes: Iterable[int]) -> Iterator[str]:
-        return map(self.names.__getitem__, codes)
-
-
 class TawLedger:
     """Per-second good/bad request and action tallies, kept as columns.
 
     Requests and actions are int handles into parallel columns, so no object
     per request outlives its completion. Every per-request column is a typed
-    array: a request's op and outcome are codes into the ledger's own name
-    tables, and its methods take and return the names. A request only joins
-    a pending action, and resolving an action classifies all of its requests
-    at once, so a request's final class is its action's status, read when
-    needed.
+    array: a request's op is its catalog code (`OpType.code`, decoded by
+    `op_names`) and its outcome its code in `faultlib.OUTCOMES`. A request
+    only joins a pending action, and resolving an action classifies all of
+    its requests at once, so a request's final class is its action's status,
+    read when needed.
     """
 
     # The per-request columns, 23 bytes a request.
     REQUEST_COLUMNS = ("op_code", "issued_at", "completed_at", "outcome_code", "action_of")
 
-    def __init__(self) -> None:
-        self.op_names = NameTable()
-        self.outcome_names = NameTable("")     # code 0: still in flight
+    def __init__(self, op_names: Sequence[str]) -> None:
+        self.op_names = tuple(op_names)        # the catalog's, in code order
         # one entry per request; app.MAX_OPS keeps every op code within "H"
         self.op_code = array("H")
         self.issued_at = array("q")
@@ -96,11 +73,11 @@ class TawLedger:
         self.action_size.append(0)
         return len(self.action_status) - 1
 
-    def new_request(self, action: int, op_name: str, issued_at: int) -> int:
+    def new_request(self, action: int, op_code: int, issued_at: int) -> int:
         if self.action_status[action] != PENDING:
             raise RuntimeError(f"action {action} already resolved")
         self.action_size[action] += 1
-        self.op_code.append(self.op_names[op_name])
+        self.op_code.append(op_code)
         self.issued_at.append(issued_at)
         self.completed_at.append(-1)
         self.outcome_code.append(0)
@@ -110,7 +87,7 @@ class TawLedger:
     def record_outcome(self, req: int, outcome: str, completed_at: int,
                        is_commit_point: bool) -> str:
         """Attach a completed request; returns the action's status afterwards."""
-        self.outcome_code[req] = self.outcome_names[outcome]
+        self.outcome_code[req] = OUTCOME_CODE[outcome]
         self.completed_at[req] = completed_at
         action = self.action_of[req]
         status = self.action_status[action]
@@ -134,21 +111,20 @@ class TawLedger:
 
     def ops(self) -> Iterator[str]:
         """Each request's op name in issue order, decoded lazily."""
-        return self.op_names.decode(self.op_code)
+        return map(self.op_names.__getitem__, self.op_code)
 
     def outcomes(self) -> Iterator[str]:
         """Each request's outcome in issue order ("" while in flight), decoded lazily."""
-        return self.outcome_names.decode(self.outcome_code)
+        return map(OUTCOMES.__getitem__, self.outcome_code)
 
     def count_outcome(self, outcome: str) -> int:
-        # get() gives out no code; an outcome never recorded has None, counted 0 times
-        return self.outcome_code.count(self.outcome_names.get(outcome))
+        return self.outcome_code.count(OUTCOME_CODE[outcome])
 
     def record(self, req: int) -> RequestView:
         action = self.action_of[req]
-        return RequestView(req + 1, action, self.op_names.names[self.op_code[req]],
+        return RequestView(req + 1, action, self.op_names[self.op_code[req]],
                            self.issued_at[req], self.completed_at[req],
-                           self.outcome_names.names[self.outcome_code[req]],
+                           OUTCOMES[self.outcome_code[req]],
                            self.action_status[action])
 
     def records(self) -> Iterator[RequestView]:
@@ -202,7 +178,7 @@ def latency_stats(ledger: TawLedger) -> dict[str, float]:
     Read from a histogram of latencies, not a sorted list of them: the
     count, the integer sum and the p95 rank are the sorted list's own.
     """
-    ok = ledger.outcome_names.get(OK)         # an OK code means completed
+    ok = OUTCOME_CODE[OK]
     hist = Counter(done - issued for done, issued, code
                    in zip(ledger.completed_at, ledger.issued_at, ledger.outcome_code)
                    if code == ok)
@@ -221,10 +197,6 @@ def latency_stats(ledger: TawLedger) -> dict[str, float]:
         "p95": float(p95),
         "count_over_threshold": sum(c for v, c in hist.items() if v > 8_000),
     }
-
-
-def sample_think_ms(rng, mean_ms: int, max_ms: int) -> int:
-    return min(int(rng.expovariate(float(mean_ms))), max_ms)
 
 
 class Client:

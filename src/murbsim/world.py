@@ -25,7 +25,7 @@ from .recoverymgr import RecoveryManager, RejuvenationService
 from .runtime import HeapLedger, load_catalog
 from .simcore import EventLoop, RngRoot
 from .statestore import READ_DISCARDED, READ_MISSING, SessionStore, TransactionalStore
-from .workload import PENDING, Client, RequestView, TawLedger
+from .workload import PENDING, Client, TawLedger
 
 _GC_SWEEP_MS = 10_000
 
@@ -82,7 +82,7 @@ class World:
         # the session store serving each node
         self._session_stores = [self.external_store if self._external_sessions
                                 else node.in_process_store for node in self.nodes]
-        self._path_sets = {op.name: frozenset(op.path) for op in self.catalog.op_list}
+        self._path_sets = [frozenset(op.path) for op in self.catalog.op_list]   # by op code
 
         self.detector = scenario.detector
         self._detector_rng = self.rng.fork("detector")
@@ -92,7 +92,7 @@ class World:
             scenario.detector.channel_delay_ms, scenario.detector.drop_rate,
             self.rm.ingest_report)
 
-        self.ledger = TawLedger()
+        self.ledger = TawLedger([op.name for op in self.catalog.op_list])
         self.clients: list[Client] = []
         per_node = scenario.workload.clients_per_node
         for i in range(per_node * cl.nodes):
@@ -167,8 +167,8 @@ class World:
         if action is None or ledger.action_status[action] != PENDING:
             action = client.action = ledger.new_action()
         now = self.loop.now
-        return _ReqCtx(ledger.new_request(action, op_name, now), now,
-                       self.catalog.ops[op_name], client)
+        op = self.catalog.ops[op_name]
+        return _ReqCtx(ledger.new_request(action, op.code, now), now, op, client)
 
     def _route_and_admit(self, ctx: _ReqCtx) -> None:
         client = ctx.client
@@ -228,7 +228,7 @@ class World:
         hooks = self._fault_hooks[ctx.node_id]
         if hooks["any"] and not self._apply_fault_hooks(ctx, node, hooks):
             return
-        node.inflight[ctx] = self._path_sets[op.name]
+        node.inflight[ctx] = self._path_sets[op.code]
         node.cpu.submit(op.service_ms_mean, partial(self._cpu_done, ctx))
 
     def _sentinel_hit(self, ctx: _ReqCtx, node: Node, comp: str) -> None:
@@ -543,17 +543,3 @@ class World:
             registry = self.nodes[sr.node].registry
             members = registry.groups[sr.target or registry.web_component].members
         self.execute_recovery(sr.node, level, members, None, reason="scripted")
-
-    # -- inspection helpers (tests, summaries) --------------------------------
-
-    def run_single_request(self, client: Client, op_name: str) -> RequestView:
-        """Drive one operation to completion; test helper, not the hot path."""
-        ctx = self._issue(client, op_name)
-        client.stopped = True          # suppress the follow-up think event
-        self._route_and_admit(ctx)
-        guard = 0
-        while self.ledger.completed_at[ctx.req] < 0 and self.loop.pending() and \
-                guard < 10_000:
-            self.loop.run_until(self.loop.now + 1_000)
-            guard += 1
-        return self.ledger.record(ctx.req)

@@ -4,6 +4,7 @@ import hashlib
 import os
 import random
 
+from murbsim.app import CATEGORIES
 from murbsim.workload import TawLedger
 
 EVENT_KINDS = ("ok", "ok_commit", "fail", "session_end")
@@ -45,9 +46,10 @@ def random_trace(seed: int, n_events: int, n_clients: int = 20):
 
 
 def drive_ledger(events):
-    """Feed a trace through the ledger the way the world does; returns the
-    ledger and the request handles in completion order."""
-    ledger = TawLedger()
+    """Feed a trace through the ledger the way the world does, each request
+    passing its op code; returns the ledger and the request handles in
+    completion order."""
+    ledger = TawLedger(("Op",))
     open_actions = {}
     reqs = []
     for t, client, kind in events:
@@ -60,7 +62,7 @@ def drive_ledger(events):
         if action is None:
             action = ledger.new_action()
             open_actions[client] = action
-        req = ledger.new_request(action, "Op", issued_at=max(t - 1, 0))
+        req = ledger.new_request(action, 0, issued_at=max(t - 1, 0))
         reqs.append(req)
         outcome = "error:exception" if kind == "fail" else "ok"
         status = ledger.record_outcome(req, outcome, t, kind == "ok_commit")
@@ -95,6 +97,64 @@ def replay_classify(events):
         for i in pending.pop(client):
             classes[i] = "abandoned"
     return classes
+
+
+def sorted_merge_timeline(catalog, records):
+    """The functional-group timeline's definition: each group's failed
+    requests as [issued, completed] intervals, sorted, and merged where they
+    touch. A reference for `harness.functional_group_timeline`."""
+    raw: dict[str, list[tuple[int, int]]] = {}
+    for r in records:
+        if r.completed_at >= 0 and r.outcome != "ok":
+            group = catalog.ops[r.op_name].functional_group
+            raw.setdefault(group, []).append((r.issued_at, r.completed_at))
+    timeline = {}
+    for group, intervals in sorted(raw.items()):
+        out: list[tuple[int, int]] = []
+        for start, end in sorted(intervals):
+            if out and start <= out[-1][1]:
+                out[-1] = (out[-1][0], max(out[-1][1], end))
+            else:
+                out.append((start, end))
+        timeline[group] = out
+    return timeline
+
+
+def sample_think_ms(rng, mean_ms: int, max_ms: int) -> int:
+    """A think time by `random.expovariate`, capped; a reference for
+    `Client.think_ms`."""
+    return min(int(rng.expovariate(float(mean_ms))), max_ms)
+
+
+def stationary_distribution(matrix) -> dict[str, float]:
+    """Stationary vector by power iteration on the row-stochastic matrix."""
+    matrix.check_stochastic()
+    n = len(matrix.states)
+    pi = [1.0 / n] * n
+    rows = [matrix.rows[s] for s in matrix.states]
+    for _ in range(2_000):
+        nxt = [0.0] * n
+        for i, weight in enumerate(pi):
+            if weight == 0.0:
+                continue
+            row = rows[i]
+            for j in range(n):
+                if row[j]:
+                    nxt[j] += weight * row[j]
+        delta = sum(abs(a - b) for a, b in zip(nxt, pi))
+        pi = nxt
+        if delta < 1e-12:
+            break
+    return dict(zip(matrix.states, pi))
+
+
+def workload_mix_check(catalog) -> dict[str, float]:
+    """Per-category stationary percentages of the client chain."""
+    pi = stationary_distribution(catalog.matrix)
+    mix = {c: 0.0 for c in CATEGORIES}
+    for name, weight in pi.items():
+        mix[catalog.ops[name].category] += 100.0 * weight
+    return mix
 
 
 def digest_tree(root: str) -> str:

@@ -19,12 +19,12 @@ from murbsim.config import Scenario, ScriptedRecovery, WorkloadConfig
 from murbsim.harness import PRESETS, run_preset, run_scenario
 from murbsim.recoverymgr import detection_headroom, fp_headroom
 from murbsim.runtime import ComponentSpec, deploy, load_catalog
-from murbsim.app import load_app_catalog, workload_mix_check
+from murbsim.app import load_app_catalog
 from murbsim.simcore import RngStream
-from murbsim.workload import sample_think_ms
 from murbsim.world import World
 
-from oracles import digest_tree, drive_ledger, random_trace, replay_classify
+from oracles import (digest_tree, drive_ledger, random_trace, replay_classify,
+                     sample_think_ms, workload_mix_check)
 
 _CACHE: dict[str, tuple[dict, float, str]] = {}
 

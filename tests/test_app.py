@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from murbsim.app import (OpCatalogError, load_app_catalog, parse_matrix, parse_ops,
-                         stationary_distribution, workload_mix_check)
+from murbsim.app import OpCatalogError, load_app_catalog, parse_matrix, parse_ops
+
+from oracles import stationary_distribution, workload_mix_check
 
 TABLE_MIX = {"read_only": 32, "session_init": 23, "static": 12,
              "search": 12, "session_update": 11, "db_update": 10}
@@ -25,6 +26,17 @@ class TestOpCatalog:
         assert len(parse_ops(op_lines(3))) == 3
         with pytest.raises(OpCatalogError, match="4 ops; a catalog holds at most 3"):
             parse_ops(op_lines(4))
+
+    def test_duplicate_op_rejected(self):
+        # accepted once: op_list kept both lines and ops only the second, so
+        # the second line's fields served the op
+        with pytest.raises(OpCatalogError, match="line 4: duplicate op 'Op0'"):
+            parse_ops(op_lines(3) + op_lines(1))
+
+    def test_op_code_is_its_index_in_the_catalog(self, catalog):
+        assert [op.code for op in catalog.op_list] == list(range(len(catalog.op_list)))
+        for op in catalog.ops.values():
+            assert catalog.op_list[op.code] is op
 
     def test_exactly_25_operations(self, catalog):
         assert len(catalog.op_list) == 25
@@ -69,6 +81,20 @@ class TestOpCatalog:
                 assert op.idempotent, op.name
             if op.name.startswith("Commit"):
                 assert op.is_commit_point and not op.idempotent
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("text, message", [
+        # accepted once, and the row was never sampled
+        ("states a b\nrow a 0.5 0.5\nrow b 0.5 0.5\nrow c 1.0 0.0\n",
+         "line 4: row for 'c', which is not in 'states'"),
+        # accepted once, the second row silently replacing the first
+        ("states a b\nrow a 0.5 0.5\nrow b 0.5 0.5\nrow a 1.0 0.0\n",
+         "line 4: duplicate row 'a'"),
+    ], ids=["unknown_state", "repeated_row"])
+    def test_bad_row_rejected(self, text, message):
+        with pytest.raises(OpCatalogError, match=message):
+            parse_matrix(text)
 
 
 class TestWorkloadMix:

@@ -2,20 +2,24 @@ import json
 import os
 import re
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from murbsim.app import MAX_OPS
+from murbsim.app import MAX_OPS, load_app_catalog
 from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
                             PolicyConfig, Scenario, ScriptedRecovery,
                             StoreConfig, WorkloadConfig)
 from murbsim.faultlib import (ERR_CONNECTION, ERR_TTL, ERR_UNAVAILABLE, MURB_GROUP,
                               RECOVERY_LEVELS, RESTART_APPLICATION, RESTART_PROCESS)
 from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
-                             ScenarioError, export_summary, main,
-                             parse_scenario, run_scenario, write_outputs)
+                             ScenarioError, export_summary, functional_group_timeline,
+                             main, parse_scenario, run_scenario, write_outputs)
+from murbsim.workload import TawLedger
 from murbsim.world import World
 
+from oracles import sorted_merge_timeline
 from test_app import op_lines
 
 
@@ -31,6 +35,19 @@ def quiet_policy():
 
 def murb(at_ms, target):
     return ScriptedRecovery(at_ms, "murb_group", target)
+
+
+def run_single_request(world, client, op_name):
+    """Drive one operation to completion and read it back from the ledger."""
+    ctx = world._issue(client, op_name)
+    client.stopped = True          # suppress the follow-up think event
+    world._route_and_admit(ctx)
+    guard = 0
+    while world.ledger.completed_at[ctx.req] < 0 and world.loop.pending() and \
+            guard < 10_000:
+        world.loop.run_until(world.loop.now + 1_000)
+        guard += 1
+    return world.ledger.record(ctx.req)
 
 
 def completions(world):
@@ -574,8 +591,8 @@ class TestMaskingAndSessions:
         w.loop.run_until(6_000)
         from murbsim.workload import Client
         client = Client(0, w.rng)
-        w.run_single_request(client, "Login")
-        rec = w.run_single_request(client, "ViewItem")
+        run_single_request(w, client, "Login")
+        rec = run_single_request(w, client, "ViewItem")
         assert rec.outcome == "ok"    # looks valid, but the content is wrong
         # the fast detector cannot see it; the divergence shows up on comparison
         assert w.channel.sent == 0
@@ -583,7 +600,7 @@ class TestMaskingAndSessions:
         w.detector.kind = "comparison"
         seen = []
         w.channel.sink = seen.append
-        rec = w.run_single_request(client, "ViewItem")
+        rec = run_single_request(w, client, "ViewItem")
         assert rec.outcome == "ok"
         assert [(r.op_name, r.failure_class) for r in seen] == [("ViewItem", "divergence")]
 
@@ -623,7 +640,7 @@ class TestMaskingAndSessions:
         w = World(s)
         w.loop.run_until(0)                      # arms the fault
         assert not w.manual_repair_flagged(0)
-        view = w.run_single_request(w.clients[0], "RegisterNewUser")   # routed to node 1
+        view = run_single_request(w, w.clients[0], "RegisterNewUser")   # routed to node 1
         assert view.outcome == "ok"
         assert w.tx_store.tainted_rows() == [f"RegisterNewUser:{view.request_id}"]
         # node 0 has no fault of its own: the stored row alone flags it
@@ -778,12 +795,35 @@ class TestOutputs:
             murb(30_000 + i * 5_000, "RegisterNewUser")
             for i in range(10)]
         w = run_world(s)
-        from murbsim.harness import functional_group_timeline
         timeline = functional_group_timeline(w)
         assert timeline.get("user_account"), "expected visible user-account gaps"
         for group in ("browse_view", "search", "bid_buy_sell"):
             for start, end in timeline.get(group, []):
                 assert end < 30_000 or start > 80_000, (group, start, end)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=50),                 # gap to the last issue
+        st.integers(min_value=0, max_value=24),                 # op code
+        st.one_of(st.none(), st.integers(min_value=0, max_value=300)),  # latency
+        st.sampled_from(("ok", "error:exception", "error:ttl_expired"))), max_size=120))
+    # a tie at one issue time, an interval nested in another, one touching
+    # the next, and an in-flight request within a failure
+    @example([(0, 0, 100, "error:exception"), (0, 0, 5, "error:exception"),
+              (10, 1, 20, "error:exception"), (0, 2, None, "error:exception"),
+              (90, 0, 30, "error:exception"), (200, 0, 0, "ok")])
+    def test_timeline_equals_the_sorted_merge(self, requests):
+        catalog = load_app_catalog()
+        ledger = TawLedger([op.name for op in catalog.op_list])
+        now = 0
+        for gap, code, latency, outcome in requests:
+            now += gap
+            req = ledger.new_request(ledger.new_action(), code, now)
+            if latency is not None:
+                ledger.record_outcome(req, outcome, now + latency, False)
+        world = SimpleNamespace(catalog=catalog, ledger=ledger)
+        assert functional_group_timeline(world) == \
+            sorted_merge_timeline(catalog, ledger.records())
 
     def test_same_seed_byte_identical(self, tmp_path):
         s1 = Scenario(duration_ms=30_000, seed=17)
@@ -881,6 +921,10 @@ class TestCli:
         # mid-run with "SimError: schedule at t=598 is in the past", a traceback
         ("ops_path", ("service_ms=2 ", "service_ms=-50 "), "",
          "line 9: service_ms must be >= 0, got -50"),
+        # accepted, exit 0; op_list held both Home lines and ops the second,
+        # so Home served in 500 ms
+        ("ops_path", (r"^(op Home .*service_ms=)2(.*)", r"\g<0>\n\g<1>500\g<2>"), "",
+         "line 10: duplicate op 'Home'"),
         # accepted, exit 0; logged-out clients ran AboutMe without a session,
         # and in a 20-client world 3 of the 4 resolved actions were bad
         ("ops_path", ("session=read ", "session=reed "), "",
@@ -896,8 +940,8 @@ class TestCli:
          "group EntityGroup members Bid,Category,Item,Region are not the members "
          "of any recovery group"),
     ], ids=["bad_kind", "no_web_fault", "no_web_murb", "bare_row", "probability",
-            "service_ms", "negative_service_ms", "bad_session", "unknown_group_member",
-            "group_not_a_recovery_group"])
+            "service_ms", "negative_service_ms", "duplicate_op", "bad_session",
+            "unknown_group_member", "group_not_a_recovery_group"])
     def test_bad_data_file_exit_code(self, tmp_path, capsys, key, edit, events, message):
         name = {"catalog_path": "catalog.txt", "matrix_path": "transitions.txt",
                 "ops_path": "ops.txt"}[key]

@@ -7,9 +7,11 @@ import ast
 import pathlib
 import re
 
-from murbsim.faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_SESSION, ERR_TTL,
-                              ERR_UNAVAILABLE, FAULT_CLASSES, LEVELS, OK, RECOVERY_LEVELS)
+from murbsim import faultlib
+from murbsim.faultlib import (FAULT_CLASSES, LEVELS, OUTCOME_CODE, OUTCOMES,
+                              RECOVERY_LEVELS)
 from murbsim.harness import TABLE2_ROWS
+from murbsim.workload import TawLedger
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "murbsim"
@@ -93,12 +95,22 @@ def test_execute_recovery_is_the_only_door():
 def test_outcomes_are_spelled_only_in_faultlib():
     # Each request outcome is one faultlib name; a copy of its string
     # elsewhere (a detector key, a ledger check) would drift from it unseen.
-    outcomes = {OK, ERR_CONNECTION, ERR_UNAVAILABLE, ERR_EXCEPTION, ERR_TTL, ERR_SESSION}
+    outcomes = set(OUTCOMES) - {""}        # code 0, in flight, is no outcome
     hits = [f"{path.name}:{node.lineno}: {node.value}"
             for path in sorted(SRC.glob("*.py")) if path.name != "faultlib.py"
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Constant) and node.value in outcomes]
     assert hits == []
+
+
+def test_every_outcome_has_one_code():
+    constants = [value for name, value in vars(faultlib).items()
+                 if name == "OK" or name.startswith("ERR_")]
+    assert OUTCOMES[0] == ""
+    assert sorted(OUTCOMES[1:]) == sorted(constants)      # each exactly once
+    assert len(set(OUTCOMES)) == len(OUTCOMES)
+    assert all(OUTCOMES[code] == outcome for outcome, code in OUTCOME_CODE.items())
+    assert len(OUTCOMES) <= 1 << 8 * TawLedger(()).outcome_code.itemsize
 
 
 def test_only_complete_and_a_retry_release_a_worker():

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from murbsim.app import MAX_OPS, load_app_catalog
 from murbsim.simcore import RngStream
-from murbsim.workload import Client, TawLedger, latency_stats, sample_think_ms
+from murbsim.workload import Client, TawLedger, latency_stats
 
-from oracles import drive_ledger, random_trace, replay_classify
+from oracles import (drive_ledger, random_trace, replay_classify, sample_think_ms,
+                     stationary_distribution)
 
 
 class TestThinkTime:
@@ -66,7 +67,6 @@ class TestClientChain:
         for _ in range(n):
             state = catalog.matrix.sample(state, rng)
             counts[state] += 1
-        from murbsim.app import stationary_distribution
         pi = stationary_distribution(catalog.matrix)
         observed = [counts[s] for s in catalog.matrix.states]
         expected = [pi[s] * n for s in catalog.matrix.states]
@@ -79,12 +79,12 @@ class TestClientChain:
 
 class TestLedger:
     def test_commit_failure_reclassifies_earlier_seconds(self):
-        ledger = TawLedger()
+        ledger = TawLedger(("Op",))
         action = ledger.new_action()
         for t_s in (5, 7):
-            req = ledger.new_request(action, "Op", t_s * 1000 - 50)
+            req = ledger.new_request(action, 0, t_s * 1000 - 50)
             ledger.record_outcome(req, "ok", t_s * 1000, False)
-        req = ledger.new_request(action, "Op", 8_950)
+        req = ledger.new_request(action, 0, 8_950)
         ledger.record_outcome(req, "error:exception", 9_000, True)
         rows = ledger.taw_series(10_000)
         by_second = {r[0]: r for r in rows}
@@ -94,19 +94,19 @@ class TestLedger:
         assert by_second[9][4] == 1               # the action resolves bad at 9
 
     def test_all_ok_action_counts_good(self):
-        ledger = TawLedger()
+        ledger = TawLedger(("Op",))
         action = ledger.new_action()
         for t_s in (1, 2, 3):
-            req = ledger.new_request(action, "Op", t_s * 1000 - 10)
+            req = ledger.new_request(action, 0, t_s * 1000 - 10)
             ledger.record_outcome(req, "ok", t_s * 1000, t_s == 3)
         totals = ledger.totals()
         assert totals["good_requests"] == 3
         assert totals["good_actions"] == 1
 
     def test_abandoned_actions_count_nowhere(self):
-        ledger = TawLedger()
+        ledger = TawLedger(("Op",))
         action = ledger.new_action()
-        req = ledger.new_request(action, "Op", 0)
+        req = ledger.new_request(action, 0, 0)
         ledger.record_outcome(req, "ok", 100, False)
         ledger.abandon(action, 200)
         totals = ledger.totals()
@@ -114,9 +114,9 @@ class TestLedger:
         assert totals["abandoned_requests"] == 1
 
     def test_series_requires_resolution(self):
-        ledger = TawLedger()
+        ledger = TawLedger(("Op",))
         action = ledger.new_action()
-        req = ledger.new_request(action, "Op", 0)
+        req = ledger.new_request(action, 0, 0)
         ledger.record_outcome(req, "ok", 100, False)
         with pytest.raises(RuntimeError):
             ledger.taw_series(1_000)
@@ -124,30 +124,30 @@ class TestLedger:
     def test_request_cannot_join_resolved_action(self):
         # A request's class is read from its action, which is sound only
         # because no request joins an action after it resolved.
-        ledger = TawLedger()
+        ledger = TawLedger(("Op",))
         action = ledger.new_action()
-        req = ledger.new_request(action, "Op", 0)
+        req = ledger.new_request(action, 0, 0)
         ledger.record_outcome(req, "ok", 100, True)
         with pytest.raises(RuntimeError):
-            ledger.new_request(action, "Op", 200)
+            ledger.new_request(action, 0, 200)
         with pytest.raises(RuntimeError):
             ledger.record_outcome(req, "ok", 300, True)
 
     def test_record_view(self):
-        ledger = TawLedger()
+        ledger = TawLedger(("Login", "ViewItem"))
         action = ledger.new_action()
-        done = ledger.new_request(action, "Login", 40)
+        done = ledger.new_request(action, 0, 40)
         ledger.record_outcome(done, "ok", 55, False)
-        open_req = ledger.new_request(action, "ViewItem", 60)
+        open_req = ledger.new_request(action, 1, 60)
         assert ledger.record(done) == (1, action, "Login", 40, 55, "ok", "pending")
         assert ledger.record(done).latency_ms == 15
         assert ledger.record(open_req).latency_ms == -1
         assert [r.request_id for r in ledger.records()] == [1, 2]
 
     def test_op_and_outcome_codes_decode_to_the_names_given(self):
-        ledger = TawLedger()
-        for op, outcome in (("Login", "ok"), ("ViewItem", "error:session_lost"),
-                            ("Login", "error:session_lost"), ("Home", None)):
+        ledger = TawLedger(("Login", "ViewItem", "Home"))
+        for op, outcome in ((0, "ok"), (1, "error:session_lost"),
+                            (0, "error:session_lost"), (2, None)):
             req = ledger.new_request(ledger.new_action(), op, 10)
             if outcome is not None:
                 ledger.record_outcome(req, outcome, 20, False)
@@ -157,8 +157,16 @@ class TestLedger:
         assert list(ledger.op_code) == [0, 1, 0, 2]
         assert ledger.count_outcome("error:session_lost") == 2
         assert ledger.count_outcome("error:ttl_expired") == 0
-        assert "error:ttl_expired" not in ledger.outcome_names   # counting gave no code
         assert [r.outcome for r in ledger.records()] == list(ledger.outcomes())
+
+    def test_unknown_outcome_rejected_before_it_is_recorded(self):
+        # every outcome has a fixed code in faultlib; none is given out on sight
+        ledger = TawLedger(("Op",))
+        action = ledger.new_action()
+        req = ledger.new_request(action, 0, 10)
+        with pytest.raises(KeyError):
+            ledger.record_outcome(req, "error:gremlins", 20, False)
+        assert ledger.record(req) == (1, action, "Op", 10, -1, "", "pending")
 
     def test_every_per_request_column_is_a_typed_array(self, baseline_run):
         # a short fault-free world; the parent kept 40 B of 8-byte slots and
@@ -207,19 +215,19 @@ def test_action_atomicity_property(seed, n_events):
 
 class TestLatencyStats:
     def test_instant_requests_none_over_threshold(self):
-        ledger = TawLedger()
+        ledger = TawLedger(("Op",))
         action = ledger.new_action()
         for i in range(10):
-            req = ledger.new_request(action, "Op", i * 1000)
+            req = ledger.new_request(action, 0, i * 1000)
             ledger.record_outcome(req, "ok", i * 1000, False)
         stats = latency_stats(ledger)
         assert stats["count_over_threshold"] == 0
         assert stats["mean"] == 0.0
 
     def test_failed_requests_excluded(self):
-        ledger = TawLedger()
+        ledger = TawLedger(("Op",))
         action = ledger.new_action()
-        req = ledger.new_request(action, "Op", 0)
+        req = ledger.new_request(action, 0, 0)
         ledger.record_outcome(req, "error:exception", 9_000, False)
         assert latency_stats(ledger)["count"] == 0
 
@@ -239,23 +247,23 @@ class TestLatencyStats:
         [3, 1, 2, 3, 3, 1, 40_000, 2, 2, 8_000] * 7,
     ])
     def test_equal_to_the_sorted_list_definition(self, latencies):
-        ledger = TawLedger()
+        ledger = TawLedger(("Op",))
         for i, lat in enumerate(latencies):
             action = ledger.new_action()
-            req = ledger.new_request(action, "Op", 1_000 * i)
+            req = ledger.new_request(action, 0, 1_000 * i)
             ledger.record_outcome(req, "ok", 1_000 * i + lat, False)
-            failed = ledger.new_request(ledger.new_action(), "Op", 1_000 * i)
+            failed = ledger.new_request(ledger.new_action(), 0, 1_000 * i)
             ledger.record_outcome(failed, "error:exception", 1_000 * i + 99_999, False)
-        ledger.new_request(ledger.new_action(), "Op", 0)        # still in flight
+        ledger.new_request(ledger.new_action(), 0, 0)        # still in flight
         assert latency_stats(ledger) == self.sorted_list_stats(latencies)
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.integers(min_value=0, max_value=20_000), max_size=300))
     def test_equal_to_the_sorted_list_definition_on_any_latencies(self, latencies):
-        ledger = TawLedger()
+        ledger = TawLedger(("Op",))
         action = ledger.new_action()
         for lat in latencies:
-            ledger.record_outcome(ledger.new_request(action, "Op", 7), "ok", 7 + lat, False)
+            ledger.record_outcome(ledger.new_request(action, 0, 7), "ok", 7 + lat, False)
         assert latency_stats(ledger) == self.sorted_list_stats(latencies)
 
     def test_baseline_run_mean_near_calibration(self, baseline_run):
