@@ -15,7 +15,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from murbsim.harness import PRESETS, run_preset  # noqa: E402
+from murbsim.cli import PRESETS, run_preset  # noqa: E402
 from oracles import digest_tree  # noqa: E402
 
 

@@ -9,7 +9,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from murbsim.harness import PRESETS, run_preset  # noqa: E402
+from murbsim.cli import PRESETS, run_preset  # noqa: E402
 
 
 def main() -> int:

@@ -35,6 +35,7 @@ class OpCatalogError(Exception):
 
 @dataclass(frozen=True)
 class OpType:
+    """One user operation: component path, session and database traffic, service time."""
     name: str
     category: str
     path: tuple[str, ...]
@@ -154,6 +155,8 @@ def parse_matrix(text: str) -> TransitionMatrix:
         tokens = line.split()
         if tokens[0] == "states":
             states = tokens[1:]
+            if repeated := [s for i, s in enumerate(states) if s in states[:i]]:
+                raise OpCatalogError(f"line {lineno}: state {repeated[0]!r} listed twice")
         elif tokens[0] == "row":
             if not states:
                 raise OpCatalogError(f"line {lineno}: 'row' before 'states'")

@@ -8,11 +8,10 @@ range, which the scenario parser checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Annotated, Literal
+from typing import Annotated, Literal, NamedTuple
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(NamedTuple):
     """Closed interval a numeric field must lie in; hi None: no upper bound."""
 
     lo: float
@@ -34,6 +33,7 @@ Probability = Annotated[float, Range(0.0, 1.0)]
 
 @dataclass
 class ClusterConfig:
+    """Nodes, their capacities, and the cost of each restart scope."""
     nodes: AtLeastOne = 1
     workers_per_node: AtLeastOne = 200
     cpu_slots_per_node: AtLeastOne = 2
@@ -49,6 +49,7 @@ class ClusterConfig:
 
 @dataclass
 class WorkloadConfig:
+    """Closed-loop clients per node, their think time, and the request TTL."""
     clients_per_node: NonNegative = 500
     think_mean_ms: AtLeastOne = 7_000
     think_max_ms: NonNegative = 70_000
@@ -57,6 +58,7 @@ class WorkloadConfig:
 
 @dataclass
 class StoreConfig:
+    """Where sessions live, and each store's latency and lease."""
     session_store: Literal["in_process", "external"] = "in_process"
     in_process_latency_ms: NonNegative = 0
     external_latency_ms: NonNegative = 13
@@ -65,6 +67,7 @@ class StoreConfig:
 
 @dataclass
 class DetectorConfig:
+    """The failure detector's kind, delay and error rates, and its report channel."""
     kind: Literal["fast", "comparison"] = "fast"
     t_det_ms: NonNegative = 0
     fp_rate: Probability = 0.0
@@ -75,6 +78,7 @@ class DetectorConfig:
 
 @dataclass
 class PolicyConfig:
+    """The recovery manager's diagnosis threshold, score decay and escalation."""
     enabled: bool = True
     threshold: NonNegativeFloat = 3.0
     half_life_ms: AtLeastOne = 10_000
@@ -87,6 +91,7 @@ class PolicyConfig:
 
 @dataclass
 class RejuvenationConfig:
+    """Heap-threshold rejuvenation: when it acts and what it restarts."""
     enabled: bool = False
     mode: Literal["murb", "restart"] = "murb"   # murb: rolling component reboots; restart: whole process
     poll_ms: AtLeastOne = 1_000
@@ -96,6 +101,7 @@ class RejuvenationConfig:
 
 @dataclass
 class FaultConfig:
+    """One fault, injected at a fixed time."""
     inject_at_ms: NonNegative
     fault_class: str
     target: str = ""
@@ -117,6 +123,7 @@ class ScriptedRecovery:
 
 @dataclass
 class Scenario:
+    """Everything one world is built from: seed, duration, sections and events."""
     duration_ms: NonNegative = 60_000
     seed: int = 1
     cluster: ClusterConfig = field(default_factory=ClusterConfig)

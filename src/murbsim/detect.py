@@ -9,7 +9,7 @@ best-effort channel with configurable delay and drop probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DetectorConfig
 from .faultlib import ERR_CONNECTION, ERR_EXCEPTION, ERR_SESSION, ERR_TTL, ERR_UNAVAILABLE
@@ -29,8 +29,7 @@ _ERROR_TO_FAILURE = {
 }
 
 
-@dataclass(frozen=True)
-class FailureReport:
+class FailureReport(NamedTuple):
     op_name: str
     failure_class: str
     observed_at: int

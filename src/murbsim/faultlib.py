@@ -11,7 +11,7 @@ fault's target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # Request outcomes; every other module uses these names.
 OK = "ok"
@@ -25,8 +25,7 @@ OUTCOMES = ("", OK, ERR_CONNECTION, ERR_UNAVAILABLE, ERR_EXCEPTION, ERR_TTL, ERR
 OUTCOME_CODE = {outcome: code for code, outcome in enumerate(OUTCOMES)}
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     name: str
     rank: int | None              # escalation order; None: a human takes over
     microreboot: bool
@@ -64,8 +63,7 @@ class FaultError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CureProfile:
+class CureProfile(NamedTuple):
     min_cure_level: str
     requires_manual_data_repair: bool
 
@@ -168,8 +166,7 @@ SITE_PROCESS = "process"      # every request its node starts
 SITE_SESSION = "session"      # in-process session reads of the target key ("" = all)
 
 
-@dataclass(frozen=True)
-class FaultClass:
+class FaultClass(NamedTuple):
     name: str
     profiles: dict[str, CureProfile]   # allowed modes ("" = none) -> ground truth
     site: str | None = SITE_COMPONENT  # None: no per-request hook

@@ -53,6 +53,7 @@ class ScoreBoard:
 
 @dataclass
 class Episode:
+    """One diagnosis on a node, its ladder of actions, and how it ended."""
     node: int
     started_at: int
     anchor: str

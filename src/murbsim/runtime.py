@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 KIND_ENTITY = "entity"
 KIND_STATELESS = "stateless"
@@ -33,8 +34,7 @@ class CatalogError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(NamedTuple):
     name: str
     kind: str
     depends_on: frozenset[str]
@@ -45,6 +45,7 @@ class ComponentSpec:
 
 @dataclass
 class LeaseRecord:
+    """Heap bytes charged to a holder under one resource id."""
     resource_id: str
     holder: str                      # component name or "unattributed"
     bytes: int
@@ -52,14 +53,12 @@ class LeaseRecord:
     acquired_via_runtime: bool = True
 
 
-@dataclass(frozen=True)
-class RecoveryGroup:
+class RecoveryGroup(NamedTuple):
     anchor: str
     members: frozenset[str]
 
 
-@dataclass
-class GroupOverride:
+class GroupOverride(NamedTuple):
     name: str
     members: frozenset[str]
     crash_ms: int

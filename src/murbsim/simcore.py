@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from _random import Random as _Generator      # random.Random's C base; seeds alike
 from array import array
 from itertools import chain, repeat, starmap
 from typing import Callable, Iterator
@@ -118,10 +119,8 @@ class EventLoop:
         return len(self._heap) - len(self._cancelled)
 
 
-def _derive_seed(seed: int, label: str) -> int:
-    digest = hashlib.blake2b(
-        seed.to_bytes(8, "little") + label.encode("utf-8"), digest_size=8
-    ).digest()
+def _derive_seed(seed: int, label: bytes) -> int:
+    digest = hashlib.blake2b(seed.to_bytes(8, "little") + label, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
@@ -138,12 +137,8 @@ class RngRoot:
         # each label derives the next seed from the one before it.
         seed = self.seed
         for label in labels:
-            seed = _derive_seed(seed, label)
+            seed = _derive_seed(seed, label.encode())
         return seed
-
-    def root(self, *labels: str) -> RngRoot:
-        """The seed at label path `labels`, to fork several streams from."""
-        return RngRoot(self._path_seed(labels))
 
     def fork(self, *labels: str) -> RngStream:
         """The stream at label path `labels` below this one.
@@ -156,6 +151,12 @@ class RngRoot:
     def draws(self, *labels: str) -> DrawStream:
         """fork(*labels) for a caller that only calls random()."""
         return DrawStream(self._path_seed(labels))
+
+    def leaf_draws(self, label: str, leaves: tuple[bytes, ...]) -> list[DrawStream]:
+        """draws(label, leaf) for each leaf, given as its UTF-8 bytes: each client
+        of a world derives its `client/<id>` seed once for both of its streams."""
+        seed = _derive_seed(self.seed, label.encode())
+        return [DrawStream(_derive_seed(seed, leaf)) for leaf in leaves]
 
 
 class RngStream(RngRoot):
@@ -181,7 +182,7 @@ class RngStream(RngRoot):
 
 def _block(seed: int, drawn: int) -> array:
     """Doubles `drawn` to `drawn + _BLOCK` of random.Random(seed).random()."""
-    rng = random.Random(seed)
+    rng = _Generator(seed)
     rng.getrandbits(64 * drawn)       # random() takes two 32-bit words per double
     # _BLOCK calls of rng.random() with no Python loop, sized before the copy
     return array("d", list(starmap(rng.random, repeat((), _BLOCK))))

@@ -25,6 +25,7 @@ def checksum(payload: bytes) -> int:
 
 @dataclass
 class SessionRecord:
+    """A stored session: payload, lease expiry and checksum."""
     payload: bytes
     lease_expires_at: int
     checksum: int
@@ -87,6 +88,7 @@ class SessionStore:
 
 @dataclass
 class TxRecord:
+    """A committed row; tainted while it holds wrong-value damage."""
     row_key: str
     value: bytes
     tainted: bool = False

@@ -212,9 +212,8 @@ class Client:
         self.logged_in = False
         self.session_id = ""
         self.session_seq = 0
-        rng = rng_root.root(f"client/{client_id}")
-        self.rng_transition = rng.draws("transition")
-        self.rng_think = rng.draws("think")
+        self.rng_transition, self.rng_think = rng_root.leaf_draws(
+            f"client/{client_id}", (b"transition", b"think"))
         self.action: int | None = None     # ledger handle of the open action
         self.stopped = False
 

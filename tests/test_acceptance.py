@@ -16,7 +16,8 @@ import pytest
 
 from murbsim.cluster import six_nines_budget
 from murbsim.config import Scenario, ScriptedRecovery, WorkloadConfig
-from murbsim.harness import PRESETS, run_preset, run_scenario
+from murbsim.cli import PRESETS, run_preset
+from murbsim.harness import run_scenario
 from murbsim.recoverymgr import detection_headroom, fp_headroom
 from murbsim.runtime import ComponentSpec, deploy, load_catalog
 from murbsim.app import load_app_catalog
@@ -266,7 +267,7 @@ def test_golden_preset_digest(name, preset_root):
 def test_golden_digest_under_fixed_hash_seed(hash_seed, tmp_path):
     out_dir = str(tmp_path / "fig5b")
     code = ("import sys\n"
-            "from murbsim.harness import run_preset\n"
+            "from murbsim.cli import run_preset\n"
             "from oracles import digest_tree\n"
             "run_preset('fig5b', sys.argv[1], seed=1)\n"
             "print(digest_tree(sys.argv[1]))\n")

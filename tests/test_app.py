@@ -91,7 +91,11 @@ class TestMatrix:
         # accepted once, the second row silently replacing the first
         ("states a b\nrow a 0.5 0.5\nrow b 0.5 0.5\nrow a 1.0 0.0\n",
          "line 4: duplicate row 'a'"),
-    ], ids=["unknown_state", "repeated_row"])
+        # accepted once: sample() returned 'a' for both of its columns, so
+        # their probabilities silently added up
+        ("states a b a\nrow a 0.2 0.3 0.5\nrow b 0.2 0.3 0.5\n",
+         "line 1: state 'a' listed twice"),
+    ], ids=["unknown_state", "repeated_row", "repeated_state"])
     def test_bad_row_rejected(self, text, message):
         with pytest.raises(OpCatalogError, match=message):
             parse_matrix(text)

@@ -13,9 +13,10 @@ from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
                             StoreConfig, WorkloadConfig)
 from murbsim.faultlib import (ERR_CONNECTION, ERR_TTL, ERR_UNAVAILABLE, MURB_GROUP,
                               RECOVERY_LEVELS, RESTART_APPLICATION, RESTART_PROCESS)
+from murbsim.cli import main
 from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, functional_group_timeline,
-                             main, parse_scenario, run_scenario, write_outputs)
+                             parse_scenario, run_scenario, write_outputs)
 from murbsim.workload import TawLedger
 from murbsim.world import World
 
@@ -911,6 +912,9 @@ class TestCli:
         # an IndexError traceback, exit 1
         ("matrix_path", (r"^row Home .*", "row"), "",
          "line 7: expected 'row <state>' and 25 probabilities"),
+        # exit 2, but blamed the row of BrowseMenu, the state the repeat displaced
+        ("matrix_path", (r"^states Home BrowseMenu ", "states Home Home "), "",
+         "line 6: state 'Home' listed twice"),
         # "error: could not convert string to float", exit 1, no file or line
         ("matrix_path", (r"0\.057", "zero.057"), "",
          "line 7: could not convert string to float: 'zero.057'"),
@@ -939,8 +943,8 @@ class TestCli:
          "[recovery]\nat 1000\nlevel murb_group\ntarget Item\n",
          "group EntityGroup members Bid,Category,Item,Region are not the members "
          "of any recovery group"),
-    ], ids=["bad_kind", "no_web_fault", "no_web_murb", "bare_row", "probability",
-            "service_ms", "negative_service_ms", "duplicate_op", "bad_session",
+    ], ids=["bad_kind", "no_web_fault", "no_web_murb", "bare_row", "repeated_state",
+            "probability", "service_ms", "negative_service_ms", "duplicate_op", "bad_session",
             "unknown_group_member", "group_not_a_recovery_group"])
     def test_bad_data_file_exit_code(self, tmp_path, capsys, key, edit, events, message):
         name = {"catalog_path": "catalog.txt", "matrix_path": "transitions.txt",

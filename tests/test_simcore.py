@@ -1,9 +1,11 @@
+import _random
 import gc
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from murbsim import simcore
 from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
 from murbsim.simcore import EventLoop, RngRoot, RngStream, SimError
 from murbsim.world import World
@@ -179,7 +181,13 @@ def test_world_seeds_only_streams_that_draw(monkeypatch):
         seeded.append(args)
         return real_seed(self, *args, **kwargs)
 
+    class CountingGenerator(_random.Random):      # what a client's stream seeds
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
     monkeypatch.setattr(random.Random, "seed", counting_seed)
+    monkeypatch.setattr(simcore, "_Generator", CountingGenerator)
     World(Scenario(seed=3, cluster=ClusterConfig(nodes=1),
                    workload=WorkloadConfig(clients_per_node=10)))
     # two per client (transition, think); lb, detector, channel, faults
@@ -199,7 +207,7 @@ def test_draw_stream_equals_generator_across_refills(seed):
 
 
 def test_client_draw_stream_is_its_forked_leaf():
-    stream = RngRoot(1).root("client/7").draws("think")
+    stream = RngRoot(1).leaf_draws("client/7", (b"think",))[0]
     reference = random.Random(_CLIENT_LEAF)
     assert [stream.random() for _ in range(200)] == \
         [reference.random() for _ in range(200)]
@@ -217,9 +225,37 @@ def test_interleaved_draw_streams_share_no_state():
     assert draws == want
 
 
+def test_world_client_streams_are_their_forked_leaves():
+    world = World(Scenario(seed=11, cluster=ClusterConfig(nodes=1),
+                           workload=WorkloadConfig(clients_per_node=5)))
+    for client in world.clients[:3]:
+        for label, stream in (("transition", client.rng_transition),
+                              ("think", client.rng_think)):
+            leaf = RngRoot(11).fork(f"client/{client.client_id}", label).seed
+            reference = random.Random(leaf)
+            # 200 draws span four blocks of 64
+            assert [stream.random() for _ in range(200)] == \
+                [reference.random() for _ in range(200)], (client.client_id, label)
+
+
 def _live_generators() -> int:
+    """Live _random.Random instances: random.Random's and bare C generators.
+
+    The collector tracks no bare generator, as it holds no references, so
+    each is found as a referent of a tracked object, through any chain of
+    untracked ones (a tuple of atoms is untracked too).
+    """
     gc.collect()
-    return sum(isinstance(o, random.Random) for o in gc.get_objects())
+    seen: set[int] = set()
+    count = 0
+    stack = gc.get_objects()
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if not gc.is_tracked(ref) and id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+                count += isinstance(ref, _random.Random)
+    return count + sum(isinstance(o, _random.Random) for o in gc.get_objects())
 
 
 def test_world_holds_no_generator_per_client():

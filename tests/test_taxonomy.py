@@ -10,7 +10,7 @@ import re
 from murbsim import faultlib
 from murbsim.faultlib import (FAULT_CLASSES, LEVELS, OUTCOME_CODE, OUTCOMES,
                               RECOVERY_LEVELS)
-from murbsim.harness import TABLE2_ROWS
+from murbsim.cli import TABLE2_ROWS
 from murbsim.workload import TawLedger
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
