@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+import struct
 from _random import Random as _Generator      # random.Random's C base; seeds alike
 from array import array
 from itertools import chain, repeat, starmap
@@ -19,6 +20,7 @@ from typing import Callable, Iterator
 # Doubles a DrawStream holds at a time: 512 bytes, against about 2.5 kB for
 # a seeded random.Random.
 _BLOCK = 64
+_PACK_BLOCK = struct.Struct(f"{_BLOCK}d").pack      # the machine's doubles, as array('d')
 
 # Ints: _dispatch compares against its limits per event, and math.inf is slower.
 _NO_LIMIT = 1 << 62
@@ -148,15 +150,11 @@ class RngRoot:
         """
         return RngStream(self._path_seed(labels))
 
-    def draws(self, *labels: str) -> DrawStream:
-        """fork(*labels) for a caller that only calls random()."""
-        return DrawStream(self._path_seed(labels))
-
-    def leaf_draws(self, label: str, leaves: tuple[bytes, ...]) -> list[DrawStream]:
-        """draws(label, leaf) for each leaf, given as its UTF-8 bytes: each client
-        of a world derives its `client/<id>` seed once for both of its streams."""
+    def leaf_draws(self, label: str, *leaves: str) -> list[DrawStream]:
+        """The draws of fork(label, leaf) for each leaf, for a caller that only
+        calls random(); `label`'s seed is derived once for all of them."""
         seed = _derive_seed(self.seed, label.encode())
-        return [DrawStream(_derive_seed(seed, leaf)) for leaf in leaves]
+        return [DrawStream(_derive_seed(seed, leaf.encode())) for leaf in leaves]
 
 
 class RngStream(RngRoot):
@@ -184,8 +182,8 @@ def _block(seed: int, drawn: int) -> array:
     """Doubles `drawn` to `drawn + _BLOCK` of random.Random(seed).random()."""
     rng = _Generator(seed)
     rng.getrandbits(64 * drawn)       # random() takes two 32-bit words per double
-    # _BLOCK calls of rng.random() with no Python loop, sized before the copy
-    return array("d", list(starmap(rng.random, repeat((), _BLOCK))))
+    # _BLOCK calls of rng.random() with no Python loop, copied as raw doubles
+    return array("d", _PACK_BLOCK(*starmap(rng.random, repeat((), _BLOCK))))
 
 
 def _blocks(seed: int, block: array) -> Iterator[array]:

@@ -213,7 +213,7 @@ class Client:
         self.session_id = ""
         self.session_seq = 0
         self.rng_transition, self.rng_think = rng_root.leaf_draws(
-            f"client/{client_id}", (b"transition", b"think"))
+            f"client/{client_id}", "transition", "think")
         self.action: int | None = None     # ledger handle of the open action
         self.stopped = False
 

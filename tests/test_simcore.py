@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from murbsim import simcore
 from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
-from murbsim.simcore import EventLoop, RngRoot, RngStream, SimError
+from murbsim.simcore import DrawStream, EventLoop, RngRoot, RngStream, SimError
 from murbsim.world import World
 
 
@@ -200,21 +200,21 @@ _CLIENT_LEAF = RngRoot(1).fork("client/7", "think").seed
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, _CLIENT_LEAF])
 def test_draw_stream_equals_generator_across_refills(seed):
     # 300 draws span four refills of the 64-double block
-    stream = RngRoot(seed).draws()
+    stream = DrawStream(seed)
     reference = random.Random(seed)
     assert [stream.random() for _ in range(300)] == \
         [reference.random() for _ in range(300)]
 
 
 def test_client_draw_stream_is_its_forked_leaf():
-    stream = RngRoot(1).leaf_draws("client/7", (b"think",))[0]
+    stream = RngRoot(1).leaf_draws("client/7", "think")[0]
     reference = random.Random(_CLIENT_LEAF)
     assert [stream.random() for _ in range(200)] == \
         [reference.random() for _ in range(200)]
 
 
 def test_interleaved_draw_streams_share_no_state():
-    a, b = RngRoot(5).draws("a"), RngRoot(5).draws("b")
+    a, b = DrawStream(RngRoot(5).fork("a").seed), DrawStream(RngRoot(5).fork("b").seed)
     ref_a, ref_b = RngRoot(5).fork("a"), RngRoot(5).fork("b")
     draws, want = [], []
     for i in range(400):
