@@ -28,17 +28,22 @@ def main() -> int:
         if members in seen:
             continue
         seen.add(members)
-        s.scripted_recoveries.append(ScriptedRecovery(at, "murb_group", name))
+        # the level the world records: the web rung for the web component's group
+        level = "murb_web" if registry.web_component in members else "murb_group"
+        s.scripted_recoveries.append(ScriptedRecovery(at, level, name))
         at += 10_000
     s.duration_ms = at + 30_000
 
     world = World(s)
     world.run()
     print(f"{'target':24s} {'window_ms':>9s} {'failed_requests':>15s}")
-    bad = [r for r in world.ledger.records() if r.final_class == "bad"]
+    ledger = world.ledger
+    status = ledger.action_status
+    bad_issued = [issued for issued, action in zip(ledger.issued_at, ledger.action_of)
+                  if status[action] == "bad"]
     for op in world.recoveries:
         t0, t1 = op.started_at, op.started_at + 10_000
-        failed = sum(1 for r in bad if t0 <= r.issued_at < t1)
+        failed = sum(1 for issued in bad_issued if t0 <= issued < t1)
         print(f"{op.target:24s} {op.duration_ms:9d} {failed:15d}")
     return 0
 

@@ -12,7 +12,7 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .runtime import data_file
+from .runtime import _parse_kv, data_file
 
 CATEGORIES = ("static", "session_init", "read_only", "search",
               "session_update", "db_update")
@@ -80,12 +80,7 @@ def parse_ops(text: str) -> list[OpType]:
         if tokens[1] in names:
             raise OpCatalogError(f"line {lineno}: duplicate op {tokens[1]!r}")
         names.add(tokens[1])
-        kv = {}
-        for tok in tokens[2:]:
-            if "=" not in tok:
-                raise OpCatalogError(f"line {lineno}: expected key=value, got {tok!r}")
-            k, v = tok.split("=", 1)
-            kv[k] = v
+        kv = _parse_kv(tokens[2:], lineno, OpCatalogError)
         try:
             op = OpType(
                 name=tokens[1],

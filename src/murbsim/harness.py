@@ -16,9 +16,9 @@ from bisect import bisect_left, bisect_right
 
 from .cluster import six_nines_budget
 from .config import FaultConfig, Scenario, ScriptedRecovery
-from .faultlib import (ERR_SESSION, FAULT_CLASSES, OK, OUTCOME_CODE, RECOVERY_LEVELS,
-                       SITE_COMPONENT, SITE_PROCESS, FaultError, cure_profile)
-from .runtime import load_catalog
+from .faultlib import (ERR_SESSION, FAULT_CLASSES, MURB_GROUP, MURB_WEB, OK, OUTCOME_CODE,
+                       RECOVERY_LEVELS, SITE_COMPONENT, SITE_PROCESS, FaultError, cure_profile)
+from .runtime import Registry, load_catalog
 from .workload import BAD, latency_stats
 from .world import World
 
@@ -33,15 +33,10 @@ class ScenarioError(Exception):
 
 # -- scenario files -----------------------------------------------------------
 
-_SECTION_TO_FIELD = {
-    "scenario": None,
-    "cluster": "cluster",
-    "workload": "workload",
-    "stores": "stores",
-    "detector": "detector",
-    "policy": "policy",
-    "rejuvenation": "rejuvenation",
-}
+# [scenario] sets Scenario's own settings, any other of these sections the
+# settings of Scenario's sub-config of the same name.
+_SETTINGS_SECTIONS = ("scenario", "cluster", "workload", "stores", "detector", "policy",
+                      "rejuvenation")
 
 # Repeatable sections, each adding one event: (config class, Scenario list,
 # file keys that differ from the field name, fixed fields, required keys).
@@ -58,8 +53,10 @@ _EVENT_SECTIONS = {
 
 @functools.cache
 def _field_types(cls) -> dict:
-    """A config class's field types, with the ranges config.py attaches."""
-    return typing.get_type_hints(cls, include_extras=True)
+    """The types of a config class's settings, with the ranges config.py
+    attaches; a sub-config or an event list is not a setting."""
+    return {name: t for name, t in typing.get_type_hints(cls, include_extras=True).items()
+            if not dataclasses.is_dataclass(t) and typing.get_origin(t) is not list}
 
 
 def _coerce(value: str, target_type, lineno: int):
@@ -115,7 +112,7 @@ def parse_scenario(text: str) -> Scenario:
         if line.startswith("[") and line.endswith("]"):
             flush_pending()
             name = line[1:-1]
-            if name in _SECTION_TO_FIELD:
+            if name in _SETTINGS_SECTIONS:
                 section = name
             elif name in _EVENT_SECTIONS:
                 section = name
@@ -140,19 +137,11 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if section is None:
             raise ScenarioError(f"line {lineno}: key outside any section")
-        if section == "scenario":
-            if key in ("duration_ms", "seed"):
-                setattr(scenario, key, _coerce(value, _field_types(Scenario)[key], lineno))
-            elif key in ("catalog_path", "ops_path", "matrix_path"):
-                setattr(scenario, key, value)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r} in [scenario]")
-        else:
-            target = getattr(scenario, _SECTION_TO_FIELD[section])
-            field_types = _field_types(type(target))
-            if key not in field_types:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
-            setattr(target, key, _coerce(value, field_types[key], lineno))
+        target = scenario if section == "scenario" else getattr(scenario, section)
+        field_types = _field_types(type(target))
+        if key not in field_types:
+            raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        setattr(target, key, _coerce(value, field_types[key], lineno))
     flush_pending()
     _check_events(scenario, events)
     return scenario
@@ -160,10 +149,12 @@ def parse_scenario(text: str) -> Scenario:
 
 def _check_events(scenario: Scenario, events: list[tuple[int, str, object]]) -> None:
     """Reject a fault class, mode, level, node or target the world could not
-    act on, so a bad event fails here rather than when the simulation reaches it."""
-    components = None
+    act on, and a microreboot level the world would not record, so a bad
+    event fails here rather than when the simulation reaches it."""
+    registry = None
     for lineno, section, event in events:
         where = f"line {lineno}: [{section}]"
+        murb = None                                      # a scripted microreboot's level
         if isinstance(event, FaultConfig):
             try:
                 cure_profile(event.fault_class, event.mode)
@@ -179,14 +170,23 @@ def _check_events(scenario: Scenario, events: list[tuple[int, str, object]]) -> 
                 raise ScenarioError(f"{where} unknown level {event.level!r}")
             # an empty microreboot target means the web component
             names_component = level.microreboot and event.target != ""
+            murb = level if level.microreboot else None
         if not 0 <= event.node < scenario.cluster.nodes:
             raise ScenarioError(f"{where} node {event.node} outside the cluster "
                                 f"of {scenario.cluster.nodes}")
-        if names_component:
-            if components is None:
-                components = {spec.name for spec in load_catalog(scenario.catalog_path)[0]}
-            if event.target not in components:
+        if names_component or murb:
+            if registry is None:
+                registry = Registry(*load_catalog(scenario.catalog_path))
+            if names_component and event.target not in registry.specs:
                 raise ScenarioError(f"{where} unknown target component {event.target!r}")
+        if murb:
+            # World.murb records the web rung for a group that holds the web component
+            target = event.target or registry.web_component
+            holds_web = registry.web_component in registry.groups[target].members
+            recorded = MURB_WEB if holds_web else MURB_GROUP
+            if murb is not recorded:
+                raise ScenarioError(f"{where} a microreboot of {target}'s group is level "
+                                    f"{recorded.name}, not {murb.name}")
 
 
 def load_scenario(path: str) -> Scenario:

@@ -74,9 +74,6 @@ class Lookup:
         self.state = state
         self.arg = arg
 
-    def __repr__(self) -> str:
-        return f"Lookup({self.state}, {self.arg!r})"
-
 
 _BOUND = Lookup(BOUND)
 _NOT_BOUND = Lookup(NOT_BOUND)
@@ -248,11 +245,11 @@ class HeapLedger:
 
 # --- catalog file handling ---------------------------------------------------
 
-def _parse_kv(tokens: list[str], lineno: int) -> dict[str, str]:
+def _parse_kv(tokens: list[str], lineno: int, error: type = CatalogError) -> dict[str, str]:
     out = {}
     for tok in tokens:
         if "=" not in tok:
-            raise CatalogError(f"line {lineno}: expected key=value, got {tok!r}")
+            raise error(f"line {lineno}: expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
         out[k] = v
     return out
@@ -318,9 +315,5 @@ def data_file(path: str, bundled: str, errors: type | tuple[type, ...]):
 def load_catalog(path: str = "") -> tuple[list[ComponentSpec], list[GroupOverride]]:
     with data_file(path, "catalog.txt", (CatalogError, DeployError)) as text:
         specs, overrides = parse_catalog(text)
-        deploy(specs, overrides)         # checks names and dependencies
+        Registry(specs, overrides)       # checks names and dependencies
     return specs, overrides
-
-
-def deploy(specs: list[ComponentSpec], overrides: list[GroupOverride] | None = None) -> Registry:
-    return Registry(specs, overrides or [])

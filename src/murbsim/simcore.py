@@ -117,9 +117,6 @@ class EventLoop:
         self.dispatched += dispatched
         return dispatched
 
-    def pending(self) -> int:
-        return len(self._heap) - len(self._cancelled)
-
 
 def _derive_seed(seed: int, label: bytes) -> int:
     digest = hashlib.blake2b(seed.to_bytes(8, "little") + label, digest_size=8).digest()
@@ -135,47 +132,24 @@ class RngRoot:
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
 
     def _path_seed(self, labels: tuple[str, ...]) -> int:
-        # `fork("a", "b")` and `fork("a").fork("b")` meet at the same seed:
-        # each label derives the next seed from the one before it.
         seed = self.seed
         for label in labels:
             seed = _derive_seed(seed, label.encode())
         return seed
 
-    def fork(self, *labels: str) -> RngStream:
-        """The stream at label path `labels` below this one.
+    def fork(self, *labels: str) -> random.Random:
+        """The generator of the stream at label path `labels` below this seed.
 
         Only the stream at the end of the path gets a generator, so a caller
         that draws only from leaves never seeds the streams between.
         """
-        return RngStream(self._path_seed(labels))
+        return random.Random(self._path_seed(labels))
 
     def leaf_draws(self, label: str, *leaves: str) -> list[DrawStream]:
         """The draws of fork(label, leaf) for each leaf, for a caller that only
         calls random(); `label`'s seed is derived once for all of them."""
         seed = _derive_seed(self.seed, label.encode())
         return [DrawStream(_derive_seed(seed, leaf.encode())) for leaf in leaves]
-
-
-class RngStream(RngRoot):
-    """A labeled random stream.
-
-    Forking is keyed on the stream's own seed plus the child label, so child
-    sequences are independent of when (or how often) other forks happen.
-    """
-
-    __slots__ = ("_rng", "random")
-
-    def __init__(self, seed: int):
-        super().__init__(seed)
-        self._rng = random.Random(self.seed)
-        self.random = self._rng.random      # the generator's own bound method
-
-    def randrange(self, n: int) -> int:
-        return self._rng.randrange(n)
-
-    def expovariate(self, mean: float) -> float:
-        return self._rng.expovariate(1.0 / mean)
 
 
 def _block(seed: int, drawn: int) -> array:
@@ -195,7 +169,7 @@ def _blocks(seed: int, block: array) -> Iterator[array]:
 
 
 class DrawStream:
-    """The draws of RngStream(seed).random(), held as a block of _BLOCK doubles.
+    """The draws of random.Random(seed).random(), held as a block of _BLOCK doubles.
 
     The stream seeds a generator only to fill a block: the first here, each
     later one by re-seeding and skipping the doubles already drawn. random()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from math import log
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .app import AppCatalog
 from .faultlib import OK, OUTCOME_CODE, OUTCOMES
@@ -21,22 +21,6 @@ GOOD = "good"
 BAD = "bad"
 PENDING = "pending"
 ABANDONED = "abandoned"
-
-
-class RequestView(NamedTuple):
-    """One request read back from the ledger: a copy, not a live record."""
-
-    request_id: int          # 1-based, as in latency.csv
-    action: int              # action handle
-    op_name: str
-    issued_at: int
-    completed_at: int        # -1 while in flight
-    outcome: str             # "" while in flight
-    final_class: str
-
-    @property
-    def latency_ms(self) -> int:
-        return self.completed_at - self.issued_at if self.completed_at >= 0 else -1
 
 
 class TawLedger:
@@ -119,17 +103,6 @@ class TawLedger:
 
     def count_outcome(self, outcome: str) -> int:
         return self.outcome_code.count(OUTCOME_CODE[outcome])
-
-    def record(self, req: int) -> RequestView:
-        action = self.action_of[req]
-        return RequestView(req + 1, action, self.op_names[self.op_code[req]],
-                           self.issued_at[req], self.completed_at[req],
-                           OUTCOMES[self.outcome_code[req]],
-                           self.action_status[action])
-
-    def records(self) -> Iterator[RequestView]:
-        """Every request in issue order, built lazily; for tests and scripts."""
-        return map(self.record, range(len(self.action_of)))
 
     def taw_series(self, duration_ms: int) -> list[tuple[int, int, int, int, int]]:
         """(second, good_requests, bad_requests, good_actions, bad_actions) rows."""

@@ -22,7 +22,7 @@ from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_SESSION, ERR_TTL,
                        RECOVERY_LEVELS, RESTART_PROCESS, SITE_COMPONENT, SITE_PROCESS,
                        SITE_SESSION, Fault, FaultPlan, Level, RecoveryOp)
 from .recoverymgr import RecoveryManager, RejuvenationService
-from .runtime import HeapLedger, load_catalog
+from .runtime import HeapLedger, Registry, load_catalog
 from .simcore import EventLoop, RngRoot
 from .statestore import READ_DISCARDED, READ_MISSING, SessionStore, TransactionalStore
 from .workload import PENDING, Client, TawLedger
@@ -68,7 +68,7 @@ class World:
         st = scenario.stores
         self.nodes: list[Node] = []
         for i in range(cl.nodes):
-            registry = runtime.deploy(specs, overrides)
+            registry = Registry(specs, overrides)
             heap = HeapLedger(cl.heap_bytes_per_node, registry)
             store = SessionStore(st.in_process_latency_ms,
                                  st.session_lease_ms, verify_checksums=False)

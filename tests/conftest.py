@@ -1,7 +1,7 @@
 import pytest
 
 from murbsim.config import Scenario, WorkloadConfig
-from murbsim.runtime import deploy, load_catalog
+from murbsim.runtime import Registry, load_catalog
 from murbsim.world import World
 
 
@@ -14,7 +14,7 @@ def demo_catalog():
 @pytest.fixture
 def registry(demo_catalog):
     specs, overrides = demo_catalog
-    return deploy(specs, overrides)
+    return Registry(specs, overrides)
 
 
 @pytest.fixture

@@ -99,15 +99,16 @@ def replay_classify(events):
     return classes
 
 
-def sorted_merge_timeline(catalog, records):
+def sorted_merge_timeline(catalog, requests):
     """The functional-group timeline's definition: each group's failed
     requests as [issued, completed] intervals, sorted, and merged where they
-    touch. A reference for `harness.functional_group_timeline`."""
+    touch. `requests` holds (op name, issued, completed, outcome) rows. A
+    reference for `harness.functional_group_timeline`."""
     raw: dict[str, list[tuple[int, int]]] = {}
-    for r in records:
-        if r.completed_at >= 0 and r.outcome != "ok":
-            group = catalog.ops[r.op_name].functional_group
-            raw.setdefault(group, []).append((r.issued_at, r.completed_at))
+    for op_name, issued, completed, outcome in requests:
+        if completed >= 0 and outcome != "ok":
+            group = catalog.ops[op_name].functional_group
+            raw.setdefault(group, []).append((issued, completed))
     timeline = {}
     for group, intervals in sorted(raw.items()):
         out: list[tuple[int, int]] = []
@@ -121,9 +122,9 @@ def sorted_merge_timeline(catalog, records):
 
 
 def sample_think_ms(rng, mean_ms: int, max_ms: int) -> int:
-    """A think time by `random.expovariate`, capped; a reference for
+    """A think time by `random.Random.expovariate`, capped; a reference for
     `Client.think_ms`."""
-    return min(int(rng.expovariate(float(mean_ms))), max_ms)
+    return min(int(rng.expovariate(1.0 / mean_ms)), max_ms)
 
 
 def stationary_distribution(matrix) -> dict[str, float]:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from murbsim.cluster import (ClusterError, CpuQueue, LoadBalancer, handle_sentinel,
                              six_nines_budget)
 from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
-from murbsim.simcore import EventLoop, RngStream
+from murbsim.simcore import EventLoop, RngRoot
 from murbsim.world import World
 
 
@@ -36,7 +36,7 @@ class TestRouting:
         # World._route_and_admit relies on this: it never checks node.up itself.
         n, down, failover, homes, rehomes = state
         nodes = [SimpleNamespace(node_id=i, up=i not in down) for i in range(n)]
-        lb = LoadBalancer(nodes, RngStream(1))
+        lb = LoadBalancer(nodes, RngRoot(1).fork())
         lb.failover_set = set(failover)
         lb.affinity = dict(homes)
         lb.rehome = dict(rehomes)

@@ -1,12 +1,12 @@
 from murbsim.config import DetectorConfig
 from murbsim.detect import FailureReport, ReportChannel, classify_response
-from murbsim.simcore import EventLoop, RngStream
+from murbsim.simcore import EventLoop, RngRoot
 
 
 class TestFastDetector:
     def setup_method(self):
         self.detector = DetectorConfig(kind="fast")
-        self.rng = RngStream(1)
+        self.rng = RngRoot(1).fork()
 
     def classify(self, outcome="ok", divergent=False):
         return classify_response(self.detector, outcome, divergent, self.rng)
@@ -39,7 +39,7 @@ class TestFastDetector:
 class TestComparisonDetector:
     def setup_method(self):
         self.detector = DetectorConfig(kind="comparison")
-        self.rng = RngStream(1)
+        self.rng = RngRoot(1).fork()
 
     def classify(self, outcome="ok", divergent=False):
         return classify_response(self.detector, outcome, divergent, self.rng)
@@ -59,16 +59,16 @@ class TestComparisonDetector:
 class TestNoise:
     def test_false_positives_at_rate_one(self):
         detector = DetectorConfig(fp_rate=1.0)
-        assert classify_response(detector, "ok", False, RngStream(1)) == "keyword"
+        assert classify_response(detector, "ok", False, RngRoot(1).fork()) == "keyword"
 
     def test_false_negatives_at_rate_one(self):
         detector = DetectorConfig(fn_rate=1.0)
-        assert classify_response(detector, "error:exception", False, RngStream(1)) is None
+        assert classify_response(detector, "error:exception", False, RngRoot(1).fork()) is None
 
     def test_one_draw_per_response(self):
         # every classification draws once when noise is on, whatever the verdict
         detector = DetectorConfig(kind="comparison", fp_rate=0.5, fn_rate=0.5)
-        rng, replay = RngStream(5), RngStream(5)
+        rng, replay = RngRoot(5).fork(), RngRoot(5).fork()
         cases = [("ok", False), ("ok", True), ("error:exception", False)] * 20
         for outcome, divergent in cases:
             got = classify_response(detector, outcome, divergent, rng)
@@ -83,7 +83,7 @@ class TestReportChannel:
     def test_zero_delay_same_tick(self):
         loop = EventLoop()
         seen = []
-        ch = ReportChannel(loop, RngStream(1), delay_ms=0, drop_rate=0.0,
+        ch = ReportChannel(loop, RngRoot(1).fork(), delay_ms=0, drop_rate=0.0,
                            sink=seen.append)
         ch.report(FailureReport("ViewItem", "keyword", observed_at=0,
                                 client_id=1, node_id=0))
@@ -93,7 +93,7 @@ class TestReportChannel:
     def test_delivery_time_is_exact(self):
         loop = EventLoop()
         seen = []
-        ch = ReportChannel(loop, RngStream(1), delay_ms=40, drop_rate=0.0,
+        ch = ReportChannel(loop, RngRoot(1).fork(), delay_ms=40, drop_rate=0.0,
                            sink=lambda r: seen.append(loop.now))
         ch.report(FailureReport("ViewItem", "keyword", observed_at=100,
                                 client_id=1, node_id=0), t_det_ms=7)
@@ -103,7 +103,7 @@ class TestReportChannel:
     def test_drop_rate_one_never_delivers(self):
         loop = EventLoop()
         seen = []
-        ch = ReportChannel(loop, RngStream(1), delay_ms=0, drop_rate=1.0,
+        ch = ReportChannel(loop, RngRoot(1).fork(), delay_ms=0, drop_rate=1.0,
                            sink=seen.append)
         for i in range(20):
             ch.report(FailureReport("ViewItem", "keyword", 0, i, 0))
@@ -113,14 +113,14 @@ class TestReportChannel:
     def test_drop_rate_matches_seeded_binomial(self):
         loop = EventLoop()
         delivered = []
-        rng = RngStream(77).fork("channel")
+        rng = RngRoot(77).fork("channel")
         ch = ReportChannel(loop, rng, delay_ms=0, drop_rate=0.1,
                            sink=delivered.append)
         for i in range(1_000):
             ch.report(FailureReport("ViewItem", "keyword", 0, i, 0))
         loop.run_until(10)
         # oracle: replay the identical stream and count survivors independently
-        replay = RngStream(77).fork("channel")
+        replay = RngRoot(77).fork("channel")
         expected = sum(1 for _ in range(1_000) if not replay.random() < 0.1)
         assert len(delivered) == expected
         assert 850 <= len(delivered) <= 950

@@ -11,8 +11,9 @@ from murbsim.app import MAX_OPS, load_app_catalog
 from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
                             PolicyConfig, Scenario, ScriptedRecovery,
                             StoreConfig, WorkloadConfig)
-from murbsim.faultlib import (ERR_CONNECTION, ERR_TTL, ERR_UNAVAILABLE, MURB_GROUP,
-                              RECOVERY_LEVELS, RESTART_APPLICATION, RESTART_PROCESS)
+from murbsim.faultlib import (ERR_CONNECTION, ERR_SESSION, ERR_TTL, ERR_UNAVAILABLE,
+                              MURB_GROUP, OUTCOMES, RECOVERY_LEVELS, RESTART_APPLICATION,
+                              RESTART_PROCESS)
 from murbsim.cli import main
 from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, functional_group_timeline,
@@ -39,16 +40,21 @@ def murb(at_ms, target):
 
 
 def run_single_request(world, client, op_name):
-    """Drive one operation to completion and read it back from the ledger."""
+    """Drive one operation to completion; returns its outcome and its ledger handle."""
     ctx = world._issue(client, op_name)
     client.stopped = True          # suppress the follow-up think event
     world._route_and_admit(ctx)
     guard = 0
-    while world.ledger.completed_at[ctx.req] < 0 and world.loop.pending() and \
-            guard < 10_000:
+    while world.ledger.completed_at[ctx.req] < 0 and world.loop._heap and guard < 10_000:
         world.loop.run_until(world.loop.now + 1_000)
         guard += 1
-    return world.ledger.record(ctx.req)
+    return OUTCOMES[world.ledger.outcome_code[ctx.req]], ctx.req
+
+
+def request_rows(ledger):
+    """(op name, issued_at, completed_at, outcome) of each request, read from
+    the ledger's columns in issue order."""
+    return zip(ledger.ops(), ledger.issued_at, ledger.completed_at, ledger.outcomes())
 
 
 def completions(world):
@@ -112,6 +118,13 @@ level restart_process
             ("[recovery]\nat 100\nlevel reboot\n", 1, "unknown level 'reboot'"),
             ("[cluster]\nnodes 2\n[murb]\nat 100\ntarget Item\nnode 2\n", 3,
              "node 2 outside the cluster of 2"),
+            # a level other than the one the world records for the target's group
+            ("[recovery]\nat 100\nlevel murb_web\ntarget ViewItem\n", 1,
+             "a microreboot of ViewItem's group is level murb_group, not murb_web"),
+            ("[recovery]\nat 100\nlevel murb_group\n", 1,
+             "a microreboot of WebUI's group is level murb_web, not murb_group"),
+            ("[murb]\nat 100\ntarget WebUI\n", 1,
+             "a microreboot of WebUI's group is level murb_web, not murb_group"),
         ]:
             with pytest.raises(ScenarioError, match=f"^line {line}: .*{message}"):
                 parse_scenario(text)
@@ -249,13 +262,13 @@ class TestMicrorebootMachinery:
         members = w.nodes[0].registry.groups["Item"].members
         ops = w.catalog.ops
         t0 = 30_000
-        spanning = [r for r in w.ledger.records()
-                    if r.issued_at < t0 <= r.completed_at]
-        for r in spanning:
-            if set(ops[r.op_name].path) & members:
-                assert r.outcome == "error:component_unavailable", r.op_name
-            elif r.completed_at < t0 + 825:
-                assert r.outcome == "ok"
+        for op_name, issued, completed, outcome in request_rows(w.ledger):
+            if not issued < t0 <= completed:
+                continue                  # not in service at the microreboot
+            if set(ops[op_name].path) & members:
+                assert outcome == "error:component_unavailable", op_name
+            elif completed < t0 + 825:
+                assert outcome == "ok"
 
     def test_components_outside_group_untouched(self):
         s = Scenario(duration_ms=30_000, seed=1, policy=quiet_policy())
@@ -282,7 +295,7 @@ class TestFullRestart:
         assert op.duration_ms == 19_083
         assert completions(w) == [(49_083, 0)]
         # in-process sessions did not survive; clients had to log back in
-        assert any(r.outcome == "error:session_lost" for r in w.ledger.records())
+        assert w.ledger.count_outcome(ERR_SESSION) > 0
 
     def test_application_restart_keeps_in_process_store(self):
         s = Scenario(duration_ms=60_000, seed=2, policy=quiet_policy())
@@ -291,7 +304,7 @@ class TestFullRestart:
         w = run_world(s)
         op = [op for op in w.recoveries if op.level.name == "restart_application"][0]
         assert op.duration_ms == 7_699
-        assert not any(r.outcome == "error:session_lost" for r in w.ledger.records())
+        assert w.ledger.count_outcome(ERR_SESSION) == 0
 
     def test_node_reboot_with_zero_boot_cost_equals_process_restart(self):
         outcomes = {}
@@ -326,7 +339,8 @@ class TestFullRestart:
         w.loop.schedule(30_000, restart)
         w.run()
         assert caught
-        assert {w.ledger.record(r).outcome for r in caught} == {outcome}
+        outcomes = list(w.ledger.outcomes())
+        assert {outcomes[r] for r in caught} == {outcome}
         assert [op.duration_ms for op in w.recoveries] == [duration_ms]
         assert node.heap.os_leak_bytes == os_leak_after
 
@@ -537,11 +551,11 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=300)
         s.scripted_recoveries = [murb(40_000, "ViewItem")]
         w = run_world(s)
-        retried = [r for r in w.ledger.records()
-                   if r.op_name == "ViewItem" and 40_000 <= r.issued_at < 40_446
-                   and r.outcome == "ok"]
+        retried = [completed - issued for op_name, issued, completed, outcome
+                   in request_rows(w.ledger)
+                   if op_name == "ViewItem" and 40_000 <= issued < 40_446 and outcome == "ok"]
         assert retried, "no masked request found in the window"
-        assert any(r.latency_ms >= 2_000 for r in retried)
+        assert any(latency >= 2_000 for latency in retried)
 
     def test_non_idempotent_fails_on_sentinel(self):
         s = Scenario(duration_ms=80_000, seed=8, policy=quiet_policy())
@@ -549,19 +563,19 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=300)
         s.scripted_recoveries = [murb(40_000, "Item")]
         w = run_world(s)
-        window_fails = [r for r in w.ledger.records()
-                        if 40_000 <= r.issued_at < 40_825
-                        and r.outcome == "error:component_unavailable"]
-        assert any(not w.catalog.ops[r.op_name].idempotent for r in window_fails)
+        window_fails = [op_name for op_name, issued, _, outcome in request_rows(w.ledger)
+                        if 40_000 <= issued < 40_825
+                        and outcome == "error:component_unavailable"]
+        assert any(not w.catalog.ops[op_name].idempotent for op_name in window_fails)
 
     def test_write_during_unrelated_murb_succeeds(self):
         s = Scenario(duration_ms=80_000, seed=8, policy=quiet_policy())
         s.workload = WorkloadConfig(clients_per_node=300)
         s.scripted_recoveries = [murb(40_000, "OldItem")]
         w = run_world(s)
-        ok_sessioned = [r for r in w.ledger.records()
-                        if 40_000 <= r.issued_at < 40_529 and r.outcome == "ok"
-                        and w.catalog.ops[r.op_name].session_touch == "update"]
+        ok_sessioned = [op_name for op_name, issued, _, outcome in request_rows(w.ledger)
+                        if 40_000 <= issued < 40_529 and outcome == "ok"
+                        and w.catalog.ops[op_name].session_touch == "update"]
         assert ok_sessioned
 
     def test_external_store_prevents_all_session_loss(self):
@@ -572,7 +586,7 @@ class TestMaskingAndSessions:
         s.policy = PolicyConfig(recovery_mode="restart")
         w = run_world(s)
         assert w.rm.episodes and w.rm.episodes[0].terminal_level == "restart_process"
-        assert not any(r.outcome == "error:session_lost" for r in w.ledger.records())
+        assert w.ledger.count_outcome(ERR_SESSION) == 0
 
     def test_external_store_latency_delta(self):
         means = {}
@@ -593,16 +607,16 @@ class TestMaskingAndSessions:
         from murbsim.workload import Client
         client = Client(0, w.rng)
         run_single_request(w, client, "Login")
-        rec = run_single_request(w, client, "ViewItem")
-        assert rec.outcome == "ok"    # looks valid, but the content is wrong
+        outcome, _ = run_single_request(w, client, "ViewItem")
+        assert outcome == "ok"        # looks valid, but the content is wrong
         # the fast detector cannot see it; the divergence shows up on comparison
         assert w.channel.sent == 0
 
         w.detector.kind = "comparison"
         seen = []
         w.channel.sink = seen.append
-        rec = run_single_request(w, client, "ViewItem")
-        assert rec.outcome == "ok"
+        outcome, _ = run_single_request(w, client, "ViewItem")
+        assert outcome == "ok"
         assert [(r.op_name, r.failure_class) for r in seen] == [("ViewItem", "divergence")]
 
     def test_leak_accounting_exact(self):
@@ -613,8 +627,8 @@ class TestMaskingAndSessions:
         w = run_world(s)
         free_before = w.nodes[0].heap.capacity - w.nodes[0].heap.footprint_total
         invocations = sum(
-            1 for r in w.ledger.records()
-            if r.issued_at >= 30_000 and "ViewItem" in w.catalog.ops[r.op_name].path)
+            1 for op_name, issued, _, _ in request_rows(w.ledger)
+            if issued >= 30_000 and "ViewItem" in w.catalog.ops[op_name].path)
         assert free_before - w.nodes[0].heap.free == 10_000 * invocations
 
     def test_committed_rows_only_for_successful_requests(self):
@@ -626,7 +640,7 @@ class TestMaskingAndSessions:
         s.scripted_recoveries = [murb(40_000 + i * 8_000, "Item")
                                  for i in range(5)]
         w = run_world(s)
-        outcome_by_id = {r.request_id: r.outcome for r in w.ledger.records()}
+        outcome_by_id = dict(enumerate(w.ledger.outcomes(), start=1))
         assert w.tx_store.rows, "expected committed transactions"
         for row_key, record in w.tx_store.rows.items():
             request_id = int(row_key.rsplit(":", 1)[1])
@@ -641,9 +655,9 @@ class TestMaskingAndSessions:
         w = World(s)
         w.loop.run_until(0)                      # arms the fault
         assert not w.manual_repair_flagged(0)
-        view = run_single_request(w, w.clients[0], "RegisterNewUser")   # routed to node 1
-        assert view.outcome == "ok"
-        assert w.tx_store.tainted_rows() == [f"RegisterNewUser:{view.request_id}"]
+        outcome, req = run_single_request(w, w.clients[0], "RegisterNewUser")   # to node 1
+        assert outcome == "ok"
+        assert w.tx_store.tainted_rows() == [f"RegisterNewUser:{req + 1}"]
         # node 0 has no fault of its own: the stored row alone flags it
         assert w.manual_repair_flagged(0)
 
@@ -680,10 +694,10 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=200)
         s.faults = [FaultConfig(20_000, "transient_exception", "ViewItem")]
         w = run_world(s)
-        failed = [r for r in w.ledger.records() if r.outcome != "ok"]
+        failed = [op_name for op_name, _, _, outcome in request_rows(w.ledger) if outcome != "ok"]
         assert failed
-        for r in failed:
-            assert "ViewItem" in w.catalog.ops[r.op_name].path
+        for op_name in failed:
+            assert "ViewItem" in w.catalog.ops[op_name].path
 
     def test_idle_rejuvenation_takes_no_action(self, small_world):
         svc = small_world.rejuvenators[0]
@@ -695,10 +709,11 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=100)
         s.faults = [FaultConfig(30_000, "deadlock", "MakeBid")]
         w = run_world(s)
-        stuck = [r for r in w.ledger.records() if r.outcome == "error:ttl_expired"]
+        stuck = [(issued, completed) for _, issued, completed, outcome in request_rows(w.ledger)
+                 if outcome == "error:ttl_expired"]
         assert stuck
-        for r in stuck:
-            assert r.completed_at == r.issued_at + 30_000
+        for issued, completed in stuck:
+            assert completed == issued + 30_000
 
 
 class TestDoubledLoadFailover:
@@ -748,11 +763,13 @@ class TestOutputs:
                     FaultConfig(52_000, "transient_exception", "Item")]
         s.scripted_recoveries = [ScriptedRecovery(30_000, "restart_process")]
         w = run_world(s)
-        records = list(w.ledger.records())
+        ledger = w.ledger
         actions: dict[int, list] = {}
-        for r in records:
-            actions.setdefault(r.action, []).append(r)
-        bad = {a: rs for a, rs in actions.items() if rs[0].final_class == "bad"}
+        for req, action in enumerate(ledger.action_of):
+            actions.setdefault(action, []).append(req)
+        bad = {a: rs for a, rs in actions.items() if ledger.action_status[a] == "bad"}
+        lost = [completed for completed, outcome in zip(ledger.completed_at, ledger.outcomes())
+                if outcome == "error:session_lost"]
         starts = [f.inject_at_ms for f in s.faults] + [1 << 62]
         expected = []
         for start, end in zip(starts, starts[1:]):
@@ -762,10 +779,9 @@ class TestOutputs:
                              default=1 << 62)
             expected.append((
                 sum(len(rs) for rs in in_window),
-                sum(1 for rs in in_window for r in rs if start <= r.issued_at < end),
+                sum(1 for rs in in_window for r in rs if start <= ledger.issued_at[r] < end),
                 len(in_window),
-                sum(1 for r in records if r.outcome == "error:session_lost"
-                    and first_done <= r.completed_at < end),
+                sum(1 for t in lost if first_done <= t < end),
                 [{"time_ms": op.started_at, "node": op.node, "level": op.level.name,
                   "target": op.target, "duration_ms": op.duration_ms, "reason": op.reason}
                  for op in w.recoveries if start <= op.started_at < end]))
@@ -774,7 +790,6 @@ class TestOutputs:
                 i["recovery_actions"]) for i in export_summary(w)["incidents"]]
         assert got == expected
         assert got[0][0] == 0 and got[1][0] > 0 and got[2][0] > 0
-        lost = [r.completed_at for r in records if r.outcome == "error:session_lost"]
         first_done = min(t for t, _ in completions(w) if t >= 52_000)
         assert got[2][3] > 0 and any(52_000 <= t < first_done for t in lost)
 
@@ -824,7 +839,7 @@ class TestOutputs:
                 ledger.record_outcome(req, outcome, now + latency, False)
         world = SimpleNamespace(catalog=catalog, ledger=ledger)
         assert functional_group_timeline(world) == \
-            sorted_merge_timeline(catalog, ledger.records())
+            sorted_merge_timeline(catalog, request_rows(ledger))
 
     def test_same_seed_byte_identical(self, tmp_path):
         s1 = Scenario(duration_ms=30_000, seed=17)
@@ -880,6 +895,8 @@ class TestCli:
              "target ViewItem\nnode 3\n", 5),
             # exit 0, no effect
             (FIVE_SECONDS + "[fault]\nat 3000\nclass deadlock\ntarget Nope\n", 5),
+            # exit 0, logged in episodes.log as level=murb_web
+            (FIVE_SECONDS + "[murb]\nat 3000\ntarget WebUI\n", 5),
             # numbers out of range: each ran to exit 0 and wrote a summary
             (FIVE_SECONDS + "[cluster]\nnodes 0\n", 6),
             ("[scenario]\nduration_ms 5000\n[workload]\nclients_per_node -5\n", 4),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from murbsim.config import FaultConfig, Scenario, WorkloadConfig
+from murbsim.config import FaultConfig, PolicyConfig, Scenario, WorkloadConfig
 from murbsim.detect import FailureReport
 from murbsim.faultlib import LEVELS
 from murbsim.recoverymgr import ScoreBoard, detection_headroom, fp_headroom
@@ -122,6 +122,26 @@ class TestLadder:
         w = World(s)
         w.run()
         assert [e.levels for e in w.rm.episodes] == [["murb_group"]]
+
+    def test_recurrence_limit_hands_off_before_the_first_action(self):
+        # Item and User share EntityGroup: with a limit of one recovery per
+        # group and period, the second fault's episode is handed to a human
+        # before it takes any action, and that fault stays active.
+        s = Scenario(duration_ms=60_000, seed=1)
+        s.policy = PolicyConfig(recurrence_limit=1)
+        s.workload = WorkloadConfig(clients_per_node=200)
+        s.faults = [FaultConfig(10_000, "corrupt_tx_map", "Item", "null"),
+                    FaultConfig(50_000, "corrupt_tx_map", "User", "null")]
+        w = World(s)
+        w.run()
+        assert [(e.anchor, e.levels, e.terminal_level, e.cured) for e in w.rm.episodes] == [
+            ("Item", ["murb_group"], "murb_group", True),
+            ("User", [], "escalate_human", False)]
+        assert w.rm.episodes[1].started_at == 51_632
+        assert [(op.level.name, op.target, op.reason) for op in w.recoveries] == [
+            ("murb_group", "EntityGroup", "episode"),
+            ("escalate_human", "operator", "handed_off")]
+        assert [f.active for f in w.fault_plan.faults.values()] == [False, True]
 
 
 class TestRejuvenationBookkeeping:

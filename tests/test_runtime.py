@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from murbsim.runtime import (CatalogError, ComponentSpec, DeployError, GroupOverride,
-                             HeapLedger, deploy, load_catalog, parse_catalog)
+                             HeapLedger, Registry, load_catalog, parse_catalog)
 
 from oracles import BindingModel
 
@@ -30,32 +30,32 @@ class TestDeploy:
         assert len(registry.specs) == 27
 
     def test_empty_specs(self):
-        reg = deploy([])
+        reg = Registry([], [])
         assert reg.specs == {}
 
     def test_dangling_dependency_named(self):
         with pytest.raises(DeployError, match="Ghost"):
-            deploy([spec("A", deps=["Ghost"])])
+            Registry([spec("A", deps=["Ghost"])], [])
 
     def test_group_override_with_unknown_member_named(self):
         # An override whose members match no recovery group never applies.
         override = GroupOverride("AB", frozenset({"A", "Bee"}), 1, 1)
         with pytest.raises(DeployError, match="group AB names unknown component Bee"):
-            deploy([spec("A"), spec("B", deps=["A"])], [override])
+            Registry([spec("A"), spec("B", deps=["A"])], [override])
 
     def test_group_override_that_is_no_recovery_group_named(self):
         # B depends on A, so A's recovery group is {A, B}; {A} alone is none.
         override = GroupOverride("A1", frozenset({"A"}), 1, 1)
         with pytest.raises(DeployError, match="group A1 members A are not the members "
                                               "of any recovery group"):
-            deploy([spec("A"), spec("B", deps=["A"])], [override])
+            Registry([spec("A"), spec("B", deps=["A"])], [override])
         override = GroupOverride("AB", frozenset({"A", "B"}), 1, 1)
-        assert deploy([spec("A"), spec("B", deps=["A"])], [override]).group_cost(
+        assert Registry([spec("A"), spec("B", deps=["A"])], [override]).group_cost(
             frozenset({"A", "B"})) == (1, 1)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(DeployError, match="A"):
-            deploy([spec("A"), spec("A")])
+            Registry([spec("A"), spec("A")], [])
 
     def test_all_active_and_bound_after_deploy(self, registry):
         assert not registry.impaired
@@ -82,7 +82,7 @@ class TestRecoveryGroups:
                 for b in range(n):
                     if a != b and rng.random() < 0.25:
                         edges[names[a]].add(names[b])   # a depends on b
-            reg = deploy([spec(x, deps=edges[x]) for x in names])
+            reg = Registry([spec(x, deps=edges[x]) for x in names], [])
             for anchor in names:
                 # oracle: BFS over reversed depends_on edges
                 want = {anchor}
@@ -106,8 +106,8 @@ class TestCosts:
         assert registry.group_cost(members) == (11, 400)
 
     def test_max_rule_without_override(self):
-        reg = deploy([spec("A", crash=5, init=100), spec("B", deps=["A"], crash=9, init=80)])
-        crash, init = reg.group_cost(frozenset({"A", "B"}))
+        specs = [spec("A", crash=5, init=100), spec("B", deps=["A"], crash=9, init=80)]
+        crash, init = Registry(specs, []).group_cost(frozenset({"A", "B"}))
         assert (crash, init) == (9, 100)
 
 
@@ -153,7 +153,7 @@ _binding_ops = st.one_of(
 def test_impaired_set_tracks_lookups(ops):
     """After any sequence of binding changes, every component's lookup (state
     and WRONG target) and the impaired set match the per-component model."""
-    reg = deploy(_DEMO_SPECS, _DEMO_OVERRIDES)
+    reg = Registry(_DEMO_SPECS, _DEMO_OVERRIDES)
     model = BindingModel(_DEMO_SPECS)
     for name, *args in ops:
         getattr(reg, name)(*args)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from murbsim import simcore
 from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
-from murbsim.simcore import DrawStream, EventLoop, RngRoot, RngStream, SimError
+from murbsim.simcore import DrawStream, EventLoop, RngRoot, SimError
 from murbsim.world import World
 
 
@@ -67,14 +67,13 @@ def test_cancelled_event_not_counted_and_keeps_the_clock_under_drain():
     hits = []
     loop.schedule(5, lambda: hits.append(5))
     handle = loop.schedule_cancellable(50, lambda: hits.append(50))
-    assert loop.pending() == 2
+    assert (len(loop._heap), len(loop._cancelled)) == (2, 0)
     handle.cancel()
-    assert loop.pending() == 1
+    assert (len(loop._heap), len(loop._cancelled)) == (2, 1)
     assert loop.drain() == 1
     assert hits == [5]
     assert loop.dispatched == 1
     assert loop.now == 5          # the cancelled event at 50 never set the clock
-    assert loop.pending() == 0
     assert not loop._heap and not loop._cancelled
 
 
@@ -84,11 +83,11 @@ def test_cancel_after_run_leaves_nothing_behind():
     loop.run_until(10)
     handle.cancel()
     handle.cancel()
-    assert loop.pending() == 0
-    assert not loop._cancelled
+    assert not loop._heap and not loop._cancelled
     loop.schedule(20, lambda: None)
-    assert loop.pending() == 1
+    assert len(loop._heap) == 1
     assert loop.run_until(30) == 1
+    assert not loop._heap
 
 
 def test_cancel_from_inside_its_own_dispatch():
@@ -106,8 +105,7 @@ def test_cancel_from_inside_its_own_dispatch():
     assert loop.run_until(20) == 2
     assert hits == [10, "next"]
     assert loop.dispatched == 2
-    assert loop.pending() == 0
-    assert not loop._cancelled
+    assert not loop._heap and not loop._cancelled
 
 
 def test_cancellable_events_keep_fifo_order():
@@ -118,17 +116,17 @@ def test_cancellable_events_keep_fifo_order():
     drop = loop.schedule_cancellable(100, lambda: order.append("c"))
     loop.schedule(100, lambda: order.append("d"))
     drop.cancel()
-    assert loop.pending() == 3
+    assert (len(loop._heap), len(loop._cancelled)) == (4, 1)
     assert loop.run_until(100) == 3
     assert order == ["a", "b", "d"]
     keep.cancel()                 # already run: a no-op
-    assert loop.pending() == 0
+    assert not loop._heap and not loop._cancelled
 
 
 def test_same_seed_same_dispatch_trace():
     def trace(seed):
         loop = EventLoop()
-        rng = RngStream(seed)
+        rng = RngRoot(seed).fork()
         log = []
 
         def emit(tag):
@@ -145,7 +143,7 @@ def test_same_seed_same_dispatch_trace():
 
 
 def test_fork_deterministic_and_label_sensitive():
-    root = RngStream(99)
+    root = RngRoot(99)
     a1 = root.fork("think")
     a2 = root.fork("think")
     b = root.fork("transition")
@@ -156,20 +154,12 @@ def test_fork_deterministic_and_label_sensitive():
     assert seq_a1 != seq_b
 
 
-def test_fork_independent_of_parent_draw_state():
-    r1 = RngStream(7)
-    child_before = r1.fork("x")
-    _ = [r1.random() for _ in range(100)]
-    child_after = r1.fork("x")
-    assert [child_before.random() for _ in range(3)] == \
-           [child_after.random() for _ in range(3)]
-
-
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
 def test_fork_label_path_equals_nested_forks(seed):
-    path = RngStream(seed).fork("a", "b")
-    nested = RngStream(seed).fork("a").fork("b")
-    assert path.seed == nested.seed
+    root = RngRoot(seed)
+    chained = simcore._derive_seed(simcore._derive_seed(root.seed, b"a"), b"b")
+    assert root._path_seed(("a", "b")) == chained
+    path, nested = root.fork("a", "b"), random.Random(chained)
     assert [path.random() for _ in range(20)] == [nested.random() for _ in range(20)]
 
 
@@ -194,7 +184,7 @@ def test_world_seeds_only_streams_that_draw(monkeypatch):
     assert len(seeded) == 2 * 10 + 4
 
 
-_CLIENT_LEAF = RngRoot(1).fork("client/7", "think").seed
+_CLIENT_LEAF = RngRoot(1)._path_seed(("client/7", "think"))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, _CLIENT_LEAF])
@@ -214,7 +204,7 @@ def test_client_draw_stream_is_its_forked_leaf():
 
 
 def test_interleaved_draw_streams_share_no_state():
-    a, b = DrawStream(RngRoot(5).fork("a").seed), DrawStream(RngRoot(5).fork("b").seed)
+    a, b = DrawStream(RngRoot(5)._path_seed(("a",))), DrawStream(RngRoot(5)._path_seed(("b",)))
     ref_a, ref_b = RngRoot(5).fork("a"), RngRoot(5).fork("b")
     draws, want = [], []
     for i in range(400):
@@ -231,7 +221,7 @@ def test_world_client_streams_are_their_forked_leaves():
     for client in world.clients[:3]:
         for label, stream in (("transition", client.rng_transition),
                               ("think", client.rng_think)):
-            leaf = RngRoot(11).fork(f"client/{client.client_id}", label).seed
+            leaf = RngRoot(11)._path_seed((f"client/{client.client_id}", label))
             reference = random.Random(leaf)
             # 200 draws span four blocks of 64
             assert [stream.random() for _ in range(200)] == \
@@ -272,7 +262,7 @@ def test_world_holds_no_generator_per_client():
 
 def test_adding_client_stream_does_not_perturb_others():
     def draws(client_ids):
-        root = RngStream(1234)
+        root = RngRoot(1234)
         return {cid: [root.fork(f"client/{cid}").random() for _ in range(4)]
                 for cid in client_ids}
 
@@ -323,4 +313,4 @@ def test_run_until_stops_a_runaway_source_at_its_end(monkeypatch):
     loop = EventLoop()
     seen = _runaway_source(loop, 1)
     assert loop.run_until(5_000) == 5_001
-    assert (loop.now, seen[-1], loop.pending()) == (5_000, 5_000, 1)
+    assert (loop.now, seen[-1], len(loop._heap)) == (5_000, 5_000, 1)

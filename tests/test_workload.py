@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from murbsim.app import MAX_OPS, load_app_catalog
-from murbsim.simcore import RngStream
+from murbsim.faultlib import OUTCOMES
+from murbsim.simcore import RngRoot
 from murbsim.workload import Client, TawLedger, latency_stats
 
 from oracles import (drive_ledger, random_trace, replay_classify, sample_think_ms,
@@ -14,22 +15,22 @@ from oracles import (drive_ledger, random_trace, replay_classify, sample_think_m
 
 class TestThinkTime:
     def test_mean_and_cap(self):
-        rng = RngStream(3).fork("think")
+        rng = RngRoot(3).fork("think")
         draws = [sample_think_ms(rng, 7_000, 70_000) for _ in range(100_000)]
         mean = sum(draws) / len(draws)
         assert abs(mean - 7_000) / 7_000 < 0.05
         assert max(draws) <= 70_000
 
     def test_client_draws_match_helper(self):
-        client = Client(4, RngStream(3))
-        reference = RngStream(3).fork("client/4").fork("think")
+        client = Client(4, RngRoot(3))
+        reference = RngRoot(3).fork("client/4", "think")
         assert [client.think_ms(7_000, 70_000) for _ in range(1_000)] == \
             [sample_think_ms(reference, 7_000, 70_000) for _ in range(1_000)]
 
     @pytest.mark.parametrize("mean_ms", [1, 3, 333, 7_000, 12_345, 10**9])
     def test_client_draws_match_expovariate_at_any_mean(self, mean_ms):
-        client = Client(4, RngStream(3))
-        reference = RngStream(3).fork("client/4").fork("think")
+        client = Client(4, RngRoot(3))
+        reference = RngRoot(3).fork("client/4", "think")
         cap = 10**12
         assert [client.think_ms(mean_ms, cap) for _ in range(2_000)] == \
             [sample_think_ms(reference, mean_ms, cap) for _ in range(2_000)]
@@ -38,14 +39,14 @@ class TestThinkTime:
 class TestClientChain:
     def test_logout_leads_to_new_login(self):
         catalog = load_app_catalog()
-        client = Client(0, RngStream(5))
+        client = Client(0, RngRoot(5))
         client.logged_in = True
         client.chain_state = "Logout"
         assert client.next_op_name(catalog) == "Login"
 
     def test_logged_out_client_forced_to_login(self):
         catalog = load_app_catalog()
-        client = Client(0, RngStream(6))
+        client = Client(0, RngRoot(6))
         seen = set()
         for _ in range(50):
             client.logged_in = False
@@ -60,7 +61,7 @@ class TestClientChain:
         import scipy.stats
 
         catalog = load_app_catalog()
-        rng = RngStream(9).fork("transition")
+        rng = RngRoot(9).fork("transition")
         counts = {s: 0 for s in catalog.matrix.states}
         state = "Home"
         n = 1_000_000
@@ -133,16 +134,19 @@ class TestLedger:
         with pytest.raises(RuntimeError):
             ledger.record_outcome(req, "ok", 300, True)
 
-    def test_record_view(self):
+    def test_request_columns(self):
         ledger = TawLedger(("Login", "ViewItem"))
         action = ledger.new_action()
         done = ledger.new_request(action, 0, 40)
         ledger.record_outcome(done, "ok", 55, False)
         open_req = ledger.new_request(action, 1, 60)
-        assert ledger.record(done) == (1, action, "Login", 40, 55, "ok", "pending")
-        assert ledger.record(done).latency_ms == 15
-        assert ledger.record(open_req).latency_ms == -1
-        assert [r.request_id for r in ledger.records()] == [1, 2]
+        assert [done, open_req] == [0, 1]         # latency.csv's request ids 1 and 2
+        assert (ledger.action_of[done], list(ledger.ops())[done], ledger.issued_at[done],
+                ledger.completed_at[done], list(ledger.outcomes())[done],
+                ledger.action_status[ledger.action_of[done]]) == \
+            (action, "Login", 40, 55, "ok", "pending")
+        assert ledger.completed_at[done] - ledger.issued_at[done] == 15
+        assert ledger.completed_at[open_req] == -1
 
     def test_op_and_outcome_codes_decode_to_the_names_given(self):
         ledger = TawLedger(("Login", "ViewItem", "Home"))
@@ -157,7 +161,7 @@ class TestLedger:
         assert list(ledger.op_code) == [0, 1, 0, 2]
         assert ledger.count_outcome("error:session_lost") == 2
         assert ledger.count_outcome("error:ttl_expired") == 0
-        assert [r.outcome for r in ledger.records()] == list(ledger.outcomes())
+        assert [OUTCOMES[code] for code in ledger.outcome_code] == list(ledger.outcomes())
 
     def test_unknown_outcome_rejected_before_it_is_recorded(self):
         # every outcome has a fixed code in faultlib; none is given out on sight
@@ -166,7 +170,9 @@ class TestLedger:
         req = ledger.new_request(action, 0, 10)
         with pytest.raises(KeyError):
             ledger.record_outcome(req, "error:gremlins", 20, False)
-        assert ledger.record(req) == (1, action, "Op", 10, -1, "", "pending")
+        assert (list(ledger.action_of), list(ledger.ops()), list(ledger.issued_at),
+                list(ledger.completed_at), list(ledger.outcomes()),
+                ledger.action_status[action]) == ([action], ["Op"], [10], [-1], [""], "pending")
 
     def test_every_per_request_column_is_a_typed_array(self, baseline_run):
         # a short fault-free world; the parent kept 40 B of 8-byte slots and
@@ -186,7 +192,7 @@ class TestLedger:
             events = random_trace(seed, 2_000)
             ledger, reqs = drive_ledger(events)
             expected = replay_classify(events)
-            assert [ledger.record(r).final_class for r in reqs] == expected
+            assert [ledger.action_status[ledger.action_of[r]] for r in reqs] == expected
 
     def test_conservation(self):
         events = random_trace(123, 5_000)
@@ -206,9 +212,9 @@ def test_action_atomicity_property(seed, n_events):
     ledger, _ = drive_ledger(events)
     classes: dict[int, set[str]] = {}
     sizes: dict[int, int] = {}
-    for r in ledger.records():
-        classes.setdefault(r.action, set()).add(r.final_class)
-        sizes[r.action] = sizes.get(r.action, 0) + 1
+    for action in ledger.action_of:
+        classes.setdefault(action, set()).add(ledger.action_status[action])
+        sizes[action] = sizes.get(action, 0) + 1
     assert all(len(c) == 1 for c in classes.values())
     assert all(ledger.action_size[a] == n for a, n in sizes.items())
 
