@@ -6,6 +6,9 @@ of perfbench/workloads.py at size full, then built, run and exported in this
 process under tracemalloc. Per workload it prints:
 
 - `after_world_mb`: the bytes still allocated after `World(...)`;
+- `after_world_bytes_per_client`: those bytes less the same world's with no
+  clients, over its number of clients: what each client's two streams and
+  its `Client` hold;
 - `after_run_mb`: the bytes still allocated after `World.run`;
 - `peak_mb`: the traced peak from just before `World(...)` to the end of
   `World.run`;
@@ -39,8 +42,22 @@ SEED = 1
 MB = 1e6
 
 
+def world_bytes(scenario) -> int:
+    """The traced bytes a World(scenario) holds once built."""
+    tracemalloc.start()
+    try:
+        world = World(scenario)  # noqa: F841 (held while measured)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def traced_mb(workload: str) -> dict[str, float]:
     scenario = parse_scenario(scenario_text(workload, SEED))
+    no_clients = parse_scenario(scenario_text(workload, SEED))
+    no_clients.workload.clients_per_node = 0
+    clients = scenario.workload.clients_per_node * scenario.cluster.nodes
+    per_client = (world_bytes(scenario) - world_bytes(no_clients)) / clients
     tracemalloc.start()
     try:
         world = World(scenario)
@@ -57,6 +74,7 @@ def traced_mb(workload: str) -> dict[str, float]:
     column_bytes = sum(sys.getsizeof(getattr(ledger, name))
                        for name in ledger.REQUEST_COLUMNS)
     return {"after_world_mb": round(after_world / MB, 3),
+            "after_world_bytes_per_client": round(per_client, 1),
             "after_run_mb": round(after_run / MB, 3),
             "peak_mb": round(peak / MB, 3),
             "ledger_bytes_per_request": round(column_bytes / len(ledger.action_of), 2),

@@ -12,6 +12,7 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .config import MAX_DELAY_MS
 from .runtime import _parse_kv, data_file
 
 CATEGORIES = ("static", "session_init", "read_only", "search",
@@ -99,8 +100,9 @@ def parse_ops(text: str) -> list[OpType]:
         except ValueError:
             raise OpCatalogError(f"line {lineno}: service_ms must be an integer, "
                                  f"got {kv['service_ms']!r}") from None
-        if op.service_ms_mean < 0:
-            raise OpCatalogError(f"line {lineno}: service_ms must be >= 0, "
+        if not 0 <= op.service_ms_mean <= MAX_DELAY_MS:    # a time is int32 ms
+            bound = ">= 0" if op.service_ms_mean < 0 else f"<= {MAX_DELAY_MS}"
+            raise OpCatalogError(f"line {lineno}: service_ms must be {bound}, "
                                  f"got {op.service_ms_mean}")
         if op.category not in CATEGORIES:
             raise OpCatalogError(f"line {lineno}: unknown category {op.category!r}")
@@ -135,9 +137,9 @@ class TransitionMatrix:
             if not abs(total - 1.0) <= 1e-6 or not all(p >= 0 for p in probs):   # NaN fails
                 raise OpCatalogError(f"matrix row {s} is not a probability distribution")
 
-    def sample(self, state: str, rng) -> str:
+    def sample(self, state: str, u: float) -> str:
         # The last cumulative entry is 1.0, so the index is always in range.
-        return self.states[bisect_left(self.cumulative[state], rng.random())]
+        return self.states[bisect_left(self.cumulative[state], u)]
 
 
 def parse_matrix(text: str) -> TransitionMatrix:

@@ -25,8 +25,13 @@ class Range(NamedTuple):
         return value
 
 
+# The ledger keeps times as int32 ms: the end of a run plus 31 of the longest
+# delays in a row still fits in 2**31 - 1 ms.
+MAX_DURATION_MS, MAX_DELAY_MS = 1 << 30, 1 << 25     # about 12.4 days, 9.3 hours
+
 AtLeastOne = Annotated[int, Range(1)]       # counts that must exist; divisors
-NonNegative = Annotated[int, Range(0)]      # times, delays, sizes
+NonNegative = Annotated[int, Range(0)]      # sizes, event times
+Delay = Annotated[int, Range(0, MAX_DELAY_MS)]
 NonNegativeFloat = Annotated[float, Range(0.0)]
 Probability = Annotated[float, Range(0.0, 1.0)]
 
@@ -40,11 +45,11 @@ class ClusterConfig:
     heap_bytes_per_node: AtLeastOne = 1_000_000_000
     failover: bool = False
     retries: bool = False                 # Retry-After masking at the client edge
-    retry_after_ms: NonNegative = 2_000
-    drain_delay_ms: NonNegative = 0       # sentinel-to-destroy delay per microreboot
-    os_boot_ms: NonNegative = 60_000      # added to a process restart for node reboots
-    app_restart_ms: NonNegative = 7_699
-    process_restart_ms: NonNegative = 19_083
+    retry_after_ms: Delay = 2_000
+    drain_delay_ms: Delay = 0             # sentinel-to-destroy delay per microreboot
+    os_boot_ms: Delay = 60_000            # added to a process restart for node reboots
+    app_restart_ms: Delay = 7_699
+    process_restart_ms: Delay = 19_083
 
 
 @dataclass
@@ -52,27 +57,27 @@ class WorkloadConfig:
     """Closed-loop clients per node, their think time, and the request TTL."""
     clients_per_node: NonNegative = 500
     think_mean_ms: AtLeastOne = 7_000
-    think_max_ms: NonNegative = 70_000
-    request_ttl_ms: NonNegative = 30_000
+    think_max_ms: Delay = 70_000
+    request_ttl_ms: Delay = 30_000
 
 
 @dataclass
 class StoreConfig:
     """Where sessions live, and each store's latency and lease."""
     session_store: Literal["in_process", "external"] = "in_process"
-    in_process_latency_ms: NonNegative = 0
-    external_latency_ms: NonNegative = 13
-    session_lease_ms: NonNegative = 1_800_000
+    in_process_latency_ms: Delay = 0
+    external_latency_ms: Delay = 13
+    session_lease_ms: Delay = 1_800_000
 
 
 @dataclass
 class DetectorConfig:
     """The failure detector's kind, delay and error rates, and its report channel."""
     kind: Literal["fast", "comparison"] = "fast"
-    t_det_ms: NonNegative = 0
+    t_det_ms: Delay = 0
     fp_rate: Probability = 0.0
     fn_rate: Probability = 0.0
-    channel_delay_ms: NonNegative = 0
+    channel_delay_ms: Delay = 0
     drop_rate: Probability = 0.0
 
 
@@ -82,9 +87,9 @@ class PolicyConfig:
     enabled: bool = True
     threshold: NonNegativeFloat = 3.0
     half_life_ms: AtLeastOne = 10_000
-    observation_window_ms: NonNegative = 5_000
+    observation_window_ms: Delay = 5_000
     recurrence_limit: NonNegative = 3     # same-target recoveries ...
-    recurrence_period_ms: NonNegative = 600_000  # ... within this window escalate to a human
+    recurrence_period_ms: Delay = 600_000 # ... within this window escalate to a human
     # murb: start the ladder at group level; restart: jump to process restart
     recovery_mode: Literal["murb", "restart"] = "murb"
 
@@ -124,7 +129,7 @@ class ScriptedRecovery:
 @dataclass
 class Scenario:
     """Everything one world is built from: seed, duration, sections and events."""
-    duration_ms: NonNegative = 60_000
+    duration_ms: Annotated[int, Range(0, MAX_DURATION_MS)] = 60_000
     seed: int = 1
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)

@@ -16,11 +16,11 @@ from bisect import bisect_left, bisect_right
 
 from .cluster import six_nines_budget
 from .config import FaultConfig, Scenario, ScriptedRecovery
-from .faultlib import (ERR_SESSION, FAULT_CLASSES, MURB_GROUP, MURB_WEB, OK, OUTCOME_CODE,
-                       RECOVERY_LEVELS, SITE_COMPONENT, SITE_PROCESS, FaultError, cure_profile)
+from .faultlib import (ERR_SESSION, FAULT_CLASSES, OK, OUTCOME_CODE, RECOVERY_LEVELS,
+                       SITE_COMPONENT, SITE_PROCESS, FaultError, cure_profile)
 from .runtime import Registry, load_catalog
 from .workload import BAD, latency_stats
-from .world import World
+from .world import World, scripted_scope
 
 TAW_HEADER = "second,good_requests,bad_requests,good_actions,bad_actions"
 LATENCY_HEADER = "request_id,op,issued_ms,latency_ms,outcome"
@@ -151,42 +151,31 @@ def _check_events(scenario: Scenario, events: list[tuple[int, str, object]]) -> 
     """Reject a fault class, mode, level, node or target the world could not
     act on, and a microreboot level the world would not record, so a bad
     event fails here rather than when the simulation reaches it."""
-    registry = None
+    registry = Registry(*load_catalog(scenario.catalog_path)) if events else None
     for lineno, section, event in events:
         where = f"line {lineno}: [{section}]"
-        murb = None                                      # a scripted microreboot's level
-        if isinstance(event, FaultConfig):
-            try:
+        try:
+            if isinstance(event, FaultConfig):
                 cure_profile(event.fault_class, event.mode)
-            except FaultError as exc:
-                raise ScenarioError(f"{where} {exc}") from None
-            site = FAULT_CLASSES[event.fault_class].site
-            if site == SITE_PROCESS and event.target:
-                raise ScenarioError(f"{where} {event.fault_class} takes no target")
-            names_component = site == SITE_COMPONENT     # else a session key or nothing
-        else:
-            level = RECOVERY_LEVELS.get(event.level)
-            if level is None or level.rank is None:      # a human is not a scripted action
-                raise ScenarioError(f"{where} unknown level {event.level!r}")
-            # an empty microreboot target means the web component
-            names_component = level.microreboot and event.target != ""
-            murb = level if level.microreboot else None
-        if not 0 <= event.node < scenario.cluster.nodes:
-            raise ScenarioError(f"{where} node {event.node} outside the cluster "
-                                f"of {scenario.cluster.nodes}")
-        if names_component or murb:
-            if registry is None:
-                registry = Registry(*load_catalog(scenario.catalog_path))
+                site = FAULT_CLASSES[event.fault_class].site
+                if site == SITE_PROCESS and event.target:
+                    raise ScenarioError(f"{where} {event.fault_class} takes no target")
+                names_component = site == SITE_COMPONENT     # else a session key or nothing
+            else:
+                level = RECOVERY_LEVELS.get(event.level)
+                if level is None or level.rank is None:      # a human is not a scripted action
+                    raise ScenarioError(f"{where} unknown level {event.level!r}")
+                # an empty microreboot target means the web component
+                names_component = level.microreboot and event.target != ""
+            if not 0 <= event.node < scenario.cluster.nodes:
+                raise ScenarioError(f"{where} node {event.node} outside the cluster "
+                                    f"of {scenario.cluster.nodes}")
             if names_component and event.target not in registry.specs:
                 raise ScenarioError(f"{where} unknown target component {event.target!r}")
-        if murb:
-            # World.murb records the web rung for a group that holds the web component
-            target = event.target or registry.web_component
-            holds_web = registry.web_component in registry.groups[target].members
-            recorded = MURB_WEB if holds_web else MURB_GROUP
-            if murb is not recorded:
-                raise ScenarioError(f"{where} a microreboot of {target}'s group is level "
-                                    f"{recorded.name}, not {murb.name}")
+            if isinstance(event, ScriptedRecovery):
+                scripted_scope(registry, event)              # the world's own check
+        except FaultError as exc:
+            raise ScenarioError(f"{where} {exc}") from None
 
 
 def load_scenario(path: str) -> Scenario:
@@ -305,16 +294,14 @@ def export_summary(world: World) -> dict:
         "manual_repair_flagged": e.manual_repair_flagged,
     } for e in world.rm.episodes]
 
-    rejuvenation = []
-    for svc in world.rejuvenators:
-        rejuvenation.append({
-            "node": svc.node,
-            "completed_passes": svc.completed_passes,
-            "candidates": svc.candidates[:5],
-            "released_top": sorted(svc.released_by_component.items(),
-                                   key=lambda kv: (-kv[1], kv[0]))[:5],
-            "passes": svc.pass_log,
-        })
+    rejuvenation = [{
+        "node": svc.node,
+        "completed_passes": svc.completed_passes,
+        "candidates": svc.candidates[:5],
+        "released_top": sorted(svc.released_by_component.items(),
+                               key=lambda kv: (-kv[1], kv[0]))[:5],
+        "passes": svc.pass_log,
+    } for svc in world.rejuvenators]
 
     per_incident = [i["failed_requests"] for i in incidents if i["failed_requests"] > 0]
     throughput = totals["completed_requests"] / duration_s if duration_s else 0.0

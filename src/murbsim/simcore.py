@@ -13,14 +13,14 @@ import random
 import struct
 from _random import Random as _Generator      # random.Random's C base; seeds alike
 from array import array
-from itertools import chain, repeat, starmap
+from itertools import repeat, starmap
 from typing import Callable, Iterator
 
 
-# Doubles a DrawStream holds at a time: 512 bytes, against about 2.5 kB for
+# Doubles a leaf stream holds at a time: 512 bytes, against about 2.5 kB for
 # a seeded random.Random.
-_BLOCK = 64
-_PACK_BLOCK = struct.Struct(f"{_BLOCK}d").pack      # the machine's doubles, as array('d')
+BLOCK = 64
+_PACK_BLOCK = struct.Struct(f"{BLOCK}d").pack      # the machine's doubles, as array('d')
 
 # Ints: _dispatch compares against its limits per event, and math.inf is slower.
 _NO_LIMIT = 1 << 62
@@ -145,39 +145,17 @@ class RngRoot:
         """
         return random.Random(self._path_seed(labels))
 
-    def leaf_draws(self, label: str, *leaves: str) -> list[DrawStream]:
-        """The draws of fork(label, leaf) for each leaf, for a caller that only
-        calls random(); `label`'s seed is derived once for all of them."""
+    def leaf_draws(self, label: str, *leaves: str, drawn: int = 0) -> list[Iterator[float]]:
+        """Per leaf, the iterator of draws `drawn` to `drawn + BLOCK` of fork(label,
+        leaf).random(), run in C; `label`'s seed is derived once for all leaves."""
         seed = _derive_seed(self.seed, label.encode())
-        return [DrawStream(_derive_seed(seed, leaf.encode())) for leaf in leaves]
+        return [iter(_block(_derive_seed(seed, leaf.encode()), drawn)) for leaf in leaves]
 
 
 def _block(seed: int, drawn: int) -> array:
-    """Doubles `drawn` to `drawn + _BLOCK` of random.Random(seed).random()."""
+    """Doubles `drawn` to `drawn + BLOCK` of random.Random(seed).random()."""
     rng = _Generator(seed)
     rng.getrandbits(64 * drawn)       # random() takes two 32-bit words per double
-    # _BLOCK calls of rng.random() with no Python loop, copied as raw doubles
-    return array("d", _PACK_BLOCK(*starmap(rng.random, repeat((), _BLOCK))))
-
-
-def _blocks(seed: int, block: array) -> Iterator[array]:
-    drawn = 0
-    while True:
-        yield block
-        drawn += _BLOCK
-        block = _block(seed, drawn)
-
-
-class DrawStream:
-    """The draws of random.Random(seed).random(), held as a block of _BLOCK doubles.
-
-    The stream seeds a generator only to fill a block: the first here, each
-    later one by re-seeding and skipping the doubles already drawn. random()
-    is the C-level next() of a chain over the blocks, so a draw runs no
-    Python frame.
-    """
-
-    __slots__ = ("random",)
-
-    def __init__(self, seed: int):
-        self.random = chain.from_iterable(_blocks(seed, _block(seed, 0))).__next__
+    # BLOCK calls of rng.random() with no Python loop, copied as raw doubles. An
+    # array from bytes over-allocates; its copy holds 512 bytes, a pymalloc size.
+    return array("d", array("d", _PACK_BLOCK(*starmap(rng.random, repeat((), BLOCK)))))

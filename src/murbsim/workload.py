@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 
 from .app import AppCatalog
 from .faultlib import OK, OUTCOME_CODE, OUTCOMES
+from .simcore import BLOCK, RngRoot
 
 GOOD = "good"
 BAD = "bad"
@@ -35,21 +36,21 @@ class TawLedger:
     read when needed.
     """
 
-    # The per-request columns, 23 bytes a request.
+    # The per-request columns, 15 bytes a request; config.py keeps times in int32.
     REQUEST_COLUMNS = ("op_code", "issued_at", "completed_at", "outcome_code", "action_of")
 
     def __init__(self, op_names: Sequence[str]) -> None:
         self.op_names = tuple(op_names)        # the catalog's, in code order
         # one entry per request; app.MAX_OPS keeps every op code within "H"
         self.op_code = array("H")
-        self.issued_at = array("q")
-        self.completed_at = array("q")
+        self.issued_at = array("i")
+        self.completed_at = array("i")
         self.outcome_code = array("B")
         self.action_of = array("I")
         # one entry per action
         self.action_status: list[str] = []
-        self.action_resolved_at = array("q")
-        self.action_size = array("q")
+        self.action_resolved_at = array("i")
+        self.action_size = array("I")
 
     def new_action(self) -> int:
         self.action_status.append(PENDING)
@@ -60,9 +61,9 @@ class TawLedger:
     def new_request(self, action: int, op_code: int, issued_at: int) -> int:
         if self.action_status[action] != PENDING:
             raise RuntimeError(f"action {action} already resolved")
+        self.issued_at.append(issued_at)      # first: an int32 overflow changes nothing
         self.action_size[action] += 1
         self.op_code.append(op_code)
-        self.issued_at.append(issued_at)
         self.completed_at.append(-1)
         self.outcome_code.append(0)
         self.action_of.append(action)
@@ -71,8 +72,8 @@ class TawLedger:
     def record_outcome(self, req: int, outcome: str, completed_at: int,
                        is_commit_point: bool) -> str:
         """Attach a completed request; returns the action's status afterwards."""
-        self.outcome_code[req] = OUTCOME_CODE[outcome]
-        self.completed_at[req] = completed_at
+        # an unknown outcome or an int32 overflow raises before either store
+        self.completed_at[req], self.outcome_code[req] = completed_at, OUTCOME_CODE[outcome]
         action = self.action_of[req]
         status = self.action_status[action]
         if status != PENDING:
@@ -176,24 +177,36 @@ class Client:
     """One emulated user: Markov chain state plus session bookkeeping."""
 
     __slots__ = ("client_id", "chain_state", "logged_in", "session_id",
-                 "session_seq", "rng_transition", "rng_think", "action",
-                 "stopped")
+                 "session_seq", "rng_root", "rng_transition", "rng_think",
+                 "transition_drawn", "think_drawn", "action", "stopped")
 
-    def __init__(self, client_id: int, rng_root):
+    def __init__(self, client_id: int, rng_root: RngRoot):
         self.client_id = client_id
         self.chain_state = "Home"
         self.logged_in = False
         self.session_id = ""
         self.session_seq = 0
+        self.rng_root = rng_root
         self.rng_transition, self.rng_think = rng_root.leaf_draws(
             f"client/{client_id}", "transition", "think")
+        self.transition_drawn = self.think_drawn = 0    # draws before each stream's block
         self.action: int | None = None     # ledger handle of the open action
         self.stopped = False
+
+    def _refill(self, leaf: str) -> float:
+        """The first draw of the `leaf` stream's next block, once one is spent."""
+        drawn = getattr(self, f"{leaf}_drawn") + BLOCK
+        setattr(self, f"{leaf}_drawn", drawn)
+        draws, = self.rng_root.leaf_draws(f"client/{self.client_id}", leaf, drawn=drawn)
+        setattr(self, f"rng_{leaf}", draws)
+        return next(draws)
 
     def next_op_name(self, catalog: AppCatalog) -> str:
         """Sample the next operation; a logged-out client that needs a session
         logs in instead."""
-        name = catalog.matrix.sample(self.chain_state, self.rng_transition)
+        if (u := next(self.rng_transition, None)) is None:
+            u = self._refill("transition")
+        name = catalog.matrix.sample(self.chain_state, u)
         op = catalog.ops[name]
         if not self.logged_in and (op.needs_session or name == "Logout"):
             name = "Login"
@@ -201,8 +214,10 @@ class Client:
         return name
 
     def think_ms(self, mean_ms: int, max_ms: int) -> int:
-        # random.expovariate(1.0 / mean_ms)'s own float expression, drawn inline
-        return min(int(-log(1.0 - self.rng_think.random()) / (1.0 / mean_ms)), max_ms)
+        if (u := next(self.rng_think, None)) is None:
+            u = self._refill("think")
+        # random.expovariate(1.0 / mean_ms)'s own float expression
+        return min(int(-log(1.0 - u) / (1.0 / mean_ms)), max_ms)
 
     def begin_session(self) -> str:
         self.session_seq += 1

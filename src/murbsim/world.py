@@ -10,17 +10,18 @@ after the configured crash+init cost.
 from __future__ import annotations
 
 from functools import partial
+from types import MethodType
 
 from . import runtime
 from .app import (SESSION_CREATE, SESSION_DELETE, SESSION_NONE, SESSION_UPDATE, AppCatalog,
                   OpType, canonical_fingerprint, load_app_catalog)
 from .cluster import LoadBalancer, Node, handle_sentinel
-from .config import Scenario
+from .config import Scenario, ScriptedRecovery
 from .detect import FailureReport, ReportChannel, classify_response
 from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_SESSION, ERR_TTL,
                        ERR_UNAVAILABLE, MURB_GROUP, MURB_WEB, OK, PARK, REBOOT_NODE,
                        RECOVERY_LEVELS, RESTART_PROCESS, SITE_COMPONENT, SITE_PROCESS,
-                       SITE_SESSION, Fault, FaultPlan, Level, RecoveryOp)
+                       SITE_SESSION, Fault, FaultError, FaultPlan, Level, RecoveryOp)
 from .recoverymgr import RecoveryManager, RejuvenationService
 from .runtime import HeapLedger, Registry, load_catalog
 from .simcore import EventLoop, RngRoot
@@ -28,6 +29,25 @@ from .statestore import READ_DISCARDED, READ_MISSING, SessionStore, Transactiona
 from .workload import PENDING, Client, TawLedger
 
 _GC_SWEEP_MS = 10_000
+
+
+def microreboot_level(registry: Registry, members: frozenset[str]) -> Level:
+    """The rung a microreboot of `members` is: the web rung if they hold the web's."""
+    return MURB_WEB if registry.web_component in members else MURB_GROUP
+
+
+def scripted_scope(registry: Registry, sr: ScriptedRecovery) -> tuple[Level, frozenset[str]]:
+    """A scripted recovery's level and members; a microreboot of a group (the web
+    component's if it names none) at a level not its rung is a FaultError."""
+    level = RECOVERY_LEVELS[sr.level]
+    if not level.microreboot:
+        return level, frozenset()
+    target = sr.target or registry.web_component
+    members = registry.groups[target].members
+    if level is not (rung := microreboot_level(registry, members)):
+        raise FaultError(f"a microreboot of {target}'s group is level {rung.name}, "
+                         f"not {level.name}")
+    return level, members
 
 
 class _ReqCtx:
@@ -93,10 +113,7 @@ class World:
             self.rm.ingest_report)
 
         self.ledger = TawLedger([op.name for op in self.catalog.op_list])
-        self.clients: list[Client] = []
-        per_node = scenario.workload.clients_per_node
-        for i in range(per_node * cl.nodes):
-            self.clients.append(Client(i, self.rng))
+        self.clients = [Client(i, self.rng) for i in range(wl.clients_per_node * cl.nodes)]
 
         self.fault_plan = FaultPlan()
         self._fault_rng = self.rng.fork("faults")
@@ -114,18 +131,22 @@ class World:
             if fault.inject_at <= self._duration:   # else the post-run drain would arm it
                 self.loop.schedule(fault.inject_at, partial(self._arm_fault, fault))
         for sr in scenario.scripted_recoveries:
+            scope = scripted_scope(self.nodes[sr.node].registry, sr)     # before any event
             if sr.at_ms <= self._duration:          # else the post-run drain would run it
-                self.loop.schedule(sr.at_ms, partial(self._scripted_recovery, sr))
+                self.loop.schedule(sr.at_ms, partial(self.execute_recovery, sr.node, *scope,
+                                                     None, "scripted"))
 
     # -- lifecycle ---------------------------------------------------------
 
     def run(self) -> None:
         duration = self._duration
-        # one tick callback per client, reused for each of its requests
-        self._ticks = [partial(self._client_tick, client) for client in self.clients]
-        for client, tick in zip(self.clients, self._ticks):
+        # one tick callback per client, reused for each of its requests: a method
+        # binding the client to the world's tick, 64 B against a partial's 260
+        tick = self._client_tick
+        self._ticks = [MethodType(tick, client) for client in self.clients]
+        for client, client_tick in zip(self.clients, self._ticks):
             first = client.think_ms(self._think_mean, self._think_max)
-            self.loop.schedule(min(first, max(duration - 1, 0)), tick)
+            self.loop.schedule(min(first, max(duration - 1, 0)), client_tick)
         if self.scenario.rejuvenation.enabled:
             for service in self.rejuvenators:
                 self._every(self.scenario.rejuvenation.poll_ms, service.tick)
@@ -471,7 +492,7 @@ class World:
         node = self.nodes[node_id]
         crash, init = node.registry.group_cost(members)
         drain = self.scenario.cluster.drain_delay_ms
-        level = MURB_WEB if node.registry.web_component in members else MURB_GROUP
+        level = microreboot_level(node.registry, members)
         op = self._begin(level, node_id, members, self._group_label(node, members),
                          crash + init, reason, on_complete)
         node.registry.bind_sentinel(members)
@@ -535,11 +556,3 @@ class World:
         node.registry.redeploy_all()
         node.up = True
         self._finish(op)
-
-    def _scripted_recovery(self, sr) -> None:
-        level = RECOVERY_LEVELS[sr.level]
-        members: frozenset[str] = frozenset()
-        if level.microreboot:
-            registry = self.nodes[sr.node].registry
-            members = registry.groups[sr.target or registry.web_component].members
-        self.execute_recovery(sr.node, level, members, None, reason="scripted")

@@ -13,7 +13,7 @@ from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
                             StoreConfig, WorkloadConfig)
 from murbsim.faultlib import (ERR_CONNECTION, ERR_SESSION, ERR_TTL, ERR_UNAVAILABLE,
                               MURB_GROUP, OUTCOMES, RECOVERY_LEVELS, RESTART_APPLICATION,
-                              RESTART_PROCESS)
+                              RESTART_PROCESS, FaultError)
 from murbsim.cli import main
 from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, functional_group_timeline,
@@ -131,6 +131,20 @@ level restart_process
         # a non-microreboot level ignores its target, as the world does
         parse_scenario("[recovery]\nat 100\nlevel restart_process\ntarget Nope\n")
 
+    def test_code_built_microreboot_of_another_level_fails_before_the_first_event(self):
+        # without the parser's check, each once ran: the first as murb_web,
+        # the second as murb_group
+        for sr, message in [
+            (ScriptedRecovery(1_000, "murb_group", "WebUI"),
+             "a microreboot of WebUI's group is level murb_web, not murb_group"),
+            (ScriptedRecovery(3_000, "murb_web", "ViewItem"),
+             "a microreboot of ViewItem's group is level murb_group, not murb_web"),
+        ]:
+            scenario = Scenario(duration_ms=5_000, scripted_recoveries=[sr],
+                                workload=WorkloadConfig(clients_per_node=5))
+            with pytest.raises(FaultError, match=f"^{message}$"):
+                World(scenario)
+
     def test_fault_checked_against_table_cluster_and_catalog(self):
         for text, message in [
             ("class gremlins\n", "unknown fault class 'gremlins'"),
@@ -162,6 +176,9 @@ level restart_process
                            "fail_probability 0\n")
         assert (s.cluster.nodes, s.workload.clients_per_node, s.detector.fp_rate) == (1, 0, 1.0)
         assert s.faults[0].fail_probability == 0.0
+        s = parse_scenario("[scenario]\nduration_ms 1073741824\n[workload]\n"
+                           "think_max_ms 33554432\nrequest_ttl_ms 33554432\n")
+        assert (s.duration_ms, s.workload.request_ttl_ms) == (1 << 30, 1 << 25)
         for text, message in [
             ("[workload]\nthink_mean_ms 0\n", "expected a value >= 1, got 0"),
             ("[rejuvenation]\npoll_ms 0\n", "expected a value >= 1, got 0"),
@@ -169,7 +186,12 @@ level restart_process
             ("[detector]\nfn_rate 1.5\n", "expected a value >= 0.0 and <= 1.0, got 1.5"),
             ("[detector]\nfp_rate nan\n", "expected a value >= 0.0 and <= 1.0, got nan"),
             ("[policy]\nthreshold nan\n", "expected a value >= 0.0, got nan"),
-            ("[scenario]\nduration_ms -1\n", "expected a value >= 0, got -1"),
+            ("[scenario]\nduration_ms -1\n", "expected a value >= 0 and <= 1073741824, got -1"),
+            # every time fits the ledger's int32 ms
+            ("[scenario]\nduration_ms 1073741825\n",
+             "expected a value >= 0 and <= 1073741824, got 1073741825"),
+            ("[stores]\nsession_lease_ms 33554433\n",
+             "expected a value >= 0 and <= 33554432, got 33554433"),
             ("[murb]\nat -1\ntarget Item\n", "expected a value >= 0, got -1"),
         ]:
             with pytest.raises(ScenarioError, match=f"^line 2: {re.escape(message)}$"):
@@ -906,6 +928,12 @@ class TestCli:
             # NaN compares False both ways: ran to exit 0, never failing a request
             (FIVE_SECONDS + "[fault]\nat 3000\nclass transient_exception\n"
              "target ViewItem\nfail_probability nan\n", 9),
+            # times past 2**31 - 1 ms, which the ledger's int32 columns cannot
+            # hold: they would raise OverflowError mid-run
+            ("[workload]\nclients_per_node 5\n[scenario]\nduration_ms 2147483648\n", 4),
+            ("[scenario]\nduration_ms 1073741825\n", 2),
+            (FIVE_SECONDS + "[cluster]\nos_boot_ms 33554433\n", 6),
+            (FIVE_SECONDS + "[workload]\nrequest_ttl_ms 4000000000\n", 6),
         ]:
             scenario.write_text(text)
             assert main(["run", "--scenario", str(scenario),
@@ -942,6 +970,9 @@ class TestCli:
         # mid-run with "SimError: schedule at t=598 is in the past", a traceback
         ("ops_path", ("service_ms=2 ", "service_ms=-50 "), "",
          "line 9: service_ms must be >= 0, got -50"),
+        # a CPU service past what an int32 ms time can follow
+        ("ops_path", ("service_ms=2 ", "service_ms=33554433 "), "",
+         "line 9: service_ms must be <= 33554432, got 33554433"),
         # accepted, exit 0; op_list held both Home lines and ops the second,
         # so Home served in 500 ms
         ("ops_path", (r"^(op Home .*service_ms=)2(.*)", r"\g<0>\n\g<1>500\g<2>"), "",
@@ -961,7 +992,7 @@ class TestCli:
          "group EntityGroup members Bid,Category,Item,Region are not the members "
          "of any recovery group"),
     ], ids=["bad_kind", "no_web_fault", "no_web_murb", "bare_row", "repeated_state",
-            "probability", "service_ms", "negative_service_ms", "duplicate_op", "bad_session",
+            "probability", "service_ms", "negative_service_ms", "long_service_ms", "duplicate_op", "bad_session",
             "unknown_group_member", "group_not_a_recovery_group"])
     def test_bad_data_file_exit_code(self, tmp_path, capsys, key, edit, events, message):
         name = {"catalog_path": "catalog.txt", "matrix_path": "transitions.txt",

@@ -67,7 +67,8 @@ node 1
 
 def _worlds():
     """The worlds to run: every fault class, every scripted level, failover,
-    retries with drain, the external store and rejuvenation in both modes."""
+    retries with drain, client streams past their first block, the external
+    store and rejuvenation in both modes."""
     from murbsim.cli import TABLE2_ROWS
     from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig, PolicyConfig,
                                 RejuvenationConfig, Scenario, ScriptedRecovery, StoreConfig,
@@ -105,6 +106,11 @@ def _worlds():
                  policy=PolicyConfig(enabled=False))
     s.scripted_recoveries = [ScriptedRecovery(2_000 + 1_000 * i, "murb_group", "ViewItem")
                              for i in range(10)]
+    yield s
+
+    # clients thinking 20 ms on average draw past the first block of their streams
+    s = scenario(duration_ms=5_000)
+    s.workload = WorkloadConfig(clients_per_node=5, think_mean_ms=20)
     yield s
 
     for mode in ("murb", "restart"):

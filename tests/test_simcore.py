@@ -1,13 +1,17 @@
 import _random
+import collections
 import gc
 import random
+import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, strategies as st
 
 from murbsim import simcore
 from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
-from murbsim.simcore import DrawStream, EventLoop, RngRoot, SimError
+from murbsim.simcore import BLOCK, EventLoop, RngRoot, SimError
+from murbsim.workload import Client
 from murbsim.world import World
 
 
@@ -185,33 +189,66 @@ def test_world_seeds_only_streams_that_draw(monkeypatch):
 
 
 _CLIENT_LEAF = RngRoot(1)._path_seed(("client/7", "think"))
+_MEAN = 2**52       # a think mean at which think_ms keeps nearly all of a draw's bits
+
+
+class _EchoCatalog:
+    """A catalog whose matrix hands back the draw it is given, and whose ops
+    need no session: Client.next_op_name then returns its transition draw."""
+
+    class matrix:
+        sample = staticmethod(lambda state, u: u)
+
+    ops = collections.defaultdict(lambda: types.SimpleNamespace(needs_session=False))
+
+
+def _client_draws(client, reference: dict[str, random.Random], leaves) -> tuple[list, list]:
+    """The client's draws at its two draw sites, one per leaf in `leaves`,
+    and the same draws of the reference generators."""
+    got, want = [], []
+    for leaf in leaves:
+        if leaf == "transition":
+            got.append(client.next_op_name(_EchoCatalog))
+            want.append(reference[leaf].random())
+        else:
+            got.append(client.think_ms(_MEAN, 2**62))
+            # think_ms draws random.expovariate(1 / mean)'s own float
+            want.append(int(reference[leaf].expovariate(1.0 / _MEAN)))
+    return got, want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, _CLIENT_LEAF])
 def test_draw_stream_equals_generator_across_refills(seed):
-    # 300 draws span four refills of the 64-double block
-    stream = DrawStream(seed)
+    # 300 draws span four refills of the 64-double block; each block is
+    # entered where the last left off, as Client._refill enters it
+    draws, drawn, got = iter(simcore._block(seed, 0)), 0, []
+    while len(got) < 300:
+        try:
+            got.append(next(draws))
+        except StopIteration:
+            drawn += BLOCK
+            draws = iter(simcore._block(seed, drawn))
     reference = random.Random(seed)
-    assert [stream.random() for _ in range(300)] == \
-        [reference.random() for _ in range(300)]
+    assert drawn == 4 * BLOCK
+    assert got == [reference.random() for _ in range(300)]
 
 
 def test_client_draw_stream_is_its_forked_leaf():
-    stream = RngRoot(1).leaf_draws("client/7", "think")[0]
+    root = RngRoot(1)
+    blocks = [list(root.leaf_draws("client/7", "think", drawn=drawn)[0])
+              for drawn in range(0, 256, BLOCK)]
+    assert [len(block) for block in blocks] == [BLOCK] * 4
     reference = random.Random(_CLIENT_LEAF)
-    assert [stream.random() for _ in range(200)] == \
-        [reference.random() for _ in range(200)]
+    assert sum(blocks, [])[:200] == [reference.random() for _ in range(200)]
 
 
 def test_interleaved_draw_streams_share_no_state():
-    a, b = DrawStream(RngRoot(5)._path_seed(("a",))), DrawStream(RngRoot(5)._path_seed(("b",)))
-    ref_a, ref_b = RngRoot(5).fork("a"), RngRoot(5).fork("b")
-    draws, want = [], []
-    for i in range(400):
-        # uneven interleaving, so the two streams refill at different calls
-        stream, ref = (a, ref_a) if i % 3 else (b, ref_b)
-        draws.append(stream.random())
-        want.append(ref.random())
+    client = Client(3, RngRoot(5))
+    reference = {leaf: RngRoot(5).fork("client/3", leaf) for leaf in ("transition", "think")}
+    # uneven interleaving, so the two streams refill at different calls
+    leaves = ["transition" if i % 3 else "think" for i in range(400)]
+    draws, want = _client_draws(client, reference, leaves)
+    assert (client.transition_drawn, client.think_drawn) == (4 * BLOCK, 2 * BLOCK)
     assert draws == want
 
 
@@ -219,13 +256,12 @@ def test_world_client_streams_are_their_forked_leaves():
     world = World(Scenario(seed=11, cluster=ClusterConfig(nodes=1),
                            workload=WorkloadConfig(clients_per_node=5)))
     for client in world.clients[:3]:
-        for label, stream in (("transition", client.rng_transition),
-                              ("think", client.rng_think)):
+        for label in ("transition", "think"):
             leaf = RngRoot(11)._path_seed((f"client/{client.client_id}", label))
-            reference = random.Random(leaf)
+            reference = {label: random.Random(leaf)}
             # 200 draws span four blocks of 64
-            assert [stream.random() for _ in range(200)] == \
-                [reference.random() for _ in range(200)], (client.client_id, label)
+            got, want = _client_draws(client, reference, [label] * 200)
+            assert got == want, (client.client_id, label)
 
 
 def _live_generators() -> int:
@@ -258,6 +294,22 @@ def test_world_holds_no_generator_per_client():
 
     # the world's own four: lb, detector, channel, faults
     assert held(10) == held(200) == held(200, run=True) == _live_generators() + 4
+
+
+def test_world_bytes_per_client_are_bounded():
+    def traced(clients):
+        scenario = Scenario(seed=3, cluster=ClusterConfig(nodes=1),
+                            workload=WorkloadConfig(clients_per_node=clients))
+        tracemalloc.start()
+        try:
+            world = World(scenario)  # noqa: F841 (held while measured)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    # two blocks of 64 doubles, their two iterators and the Client measured
+    # 1,456 B a client
+    assert (traced(400) - traced(200)) / 200 <= 1_456 * 1.05
 
 
 def test_adding_client_stream_does_not_perturb_others():

@@ -66,7 +66,7 @@ class TestClientChain:
         state = "Home"
         n = 1_000_000
         for _ in range(n):
-            state = catalog.matrix.sample(state, rng)
+            state = catalog.matrix.sample(state, rng.random())
             counts[state] += 1
         pi = stationary_distribution(catalog.matrix)
         observed = [counts[s] for s in catalog.matrix.states]
@@ -174,17 +174,33 @@ class TestLedger:
                 list(ledger.completed_at), list(ledger.outcomes()),
                 ledger.action_status[action]) == ([action], ["Op"], [10], [-1], [""], "pending")
 
+    def test_a_time_past_int32_raises_rather_than_wraps(self):
+        # the parser bounds every scenario's times; this is the backstop for
+        # a Scenario built in code
+        ledger = TawLedger(("Op",))
+        action = ledger.new_action()
+        with pytest.raises(OverflowError):
+            ledger.new_request(action, 0, 2**31)
+        req = ledger.new_request(action, 0, 2**31 - 1)
+        with pytest.raises(OverflowError):
+            ledger.record_outcome(req, "ok", 2**31, True)
+        # neither call left a column out of step with the others
+        assert (list(ledger.action_of), list(ledger.op_code), list(ledger.issued_at),
+                list(ledger.completed_at), list(ledger.outcomes()), list(ledger.action_size),
+                ledger.action_status[action]) == ([action], [0], [2**31 - 1], [-1], [""], [1],
+                                                  "pending")
+
     def test_every_per_request_column_is_a_typed_array(self, baseline_run):
-        # a short fault-free world; the parent kept 40 B of 8-byte slots and
-        # str pointers per request, and a list of op names and of outcomes
+        # a short fault-free world; 8-byte slots and str pointers took 40 B a
+        # request, 8-byte times 23 B, and int32 times take 15 B
         ledger = baseline_run.ledger
         n = len(ledger.action_of)
         columns = [getattr(ledger, name) for name in ledger.REQUEST_COLUMNS]
         assert all(type(col) is array and len(col) == n for col in columns)
-        assert sum(col.itemsize for col in columns) <= 24
+        assert sum(col.itemsize for col in columns) == 15
         held = sum(sys.getsizeof(col) for col in columns)
         # on top of that, each array over-allocates by up to 1/16 as it grows
-        assert held <= 24 * n * 17 / 16
+        assert held <= 15 * n * 17 / 16
         assert 1 << 8 * ledger.op_code.itemsize == MAX_OPS
 
     def test_random_trace_matches_replay_oracle(self):
