@@ -4,9 +4,11 @@
 Each of `steady`, `campaign` and `overload` runs once at size full, in this
 process, from the scenario text of perfbench/workloads.py; its output tree is
 digested by perfbench/child.py's `output_sha256`. These are the values that
-`perfbench/run.py` reports, without its repeated timed runs:
+`perfbench/run.py` reports, without its repeated timed runs. The output is
+the format of tests/golden/bench_digests.json, which tests/test_bench_digests.py
+checks:
 
-    python3 scripts/bench_digests.py
+    python3 scripts/bench_digests.py > tests/golden/bench_digests.json
 """
 
 import json
