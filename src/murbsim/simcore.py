@@ -1,26 +1,27 @@
 """Virtual-time kernel: event queue, simulation clock, seeded random streams.
 
 Time is integer milliseconds. All randomness flows from one master seed
-through labeled stream forking, so a child stream's sequence depends only on
-(root seed, label path) and never on draw order elsewhere.
+through labeled streams, so a stream's sequence depends only on (root seed,
+label path) and never on draw order elsewhere.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
-import struct
-from _random import Random as _Generator      # random.Random's C base; seeds alike
+import sys
 from array import array
-from itertools import repeat, starmap
+from hashlib import blake2b, shake_128
 from typing import Callable, Iterator
 
 
-# Doubles a leaf stream holds at a time: 512 bytes, against about 2.5 kB for
-# a seeded random.Random.
-BLOCK = 64
-_PACK_BLOCK = struct.Struct(f"{BLOCK}d").pack      # the machine's doubles, as array('d')
+# Doubles in one block of a counter-mode stream: 128 bytes, one shake_128 output.
+BLOCK = 16
+# A little-endian word whose top 12 bits are 0x3FF (byte 7 0x3F, byte 6's high
+# nibble 0xF) is a double in [1, 2) with the hash's 52 bits as its fraction.
+_TOP_BYTES = b"\x3f" * BLOCK
+_EXPONENT_LOW = bytes(0xF0 | b & 0x0F for b in range(256))    # a translate table
+_BIG_ENDIAN = sys.byteorder == "big"
 
 # Ints: _dispatch compares against its limits per event, and math.inf is slower.
 _NO_LIMIT = 1 << 62
@@ -118,24 +119,21 @@ class EventLoop:
         return dispatched
 
 
-def _derive_seed(seed: int, label: bytes) -> int:
-    digest = hashlib.blake2b(seed.to_bytes(8, "little") + label, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
 class RngRoot:
-    """A seed that labeled streams fork from; it seeds no generator itself."""
+    """A seed that labeled streams come from; it seeds no generator itself."""
 
-    __slots__ = ("seed",)
+    __slots__ = ("_key",)
 
     def __init__(self, seed: int):
-        self.seed = seed & 0xFFFFFFFFFFFFFFFF
+        self._key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
-    def _path_seed(self, labels: tuple[str, ...]) -> int:
-        seed = self.seed
+    def path_key(self, *labels: str) -> bytes:
+        """The seed of the stream at label path `labels`, as 8 little-endian
+        bytes: each label's is the 8-byte blake2b of its parent's and the label."""
+        key = self._key
         for label in labels:
-            seed = _derive_seed(seed, label.encode())
-        return seed
+            key = blake2b(key + label.encode(), digest_size=8).digest()
+        return key
 
     def fork(self, *labels: str) -> random.Random:
         """The generator of the stream at label path `labels` below this seed.
@@ -143,19 +141,19 @@ class RngRoot:
         Only the stream at the end of the path gets a generator, so a caller
         that draws only from leaves never seeds the streams between.
         """
-        return random.Random(self._path_seed(labels))
-
-    def leaf_draws(self, label: str, *leaves: str, drawn: int = 0) -> list[Iterator[float]]:
-        """Per leaf, the iterator of draws `drawn` to `drawn + BLOCK` of fork(label,
-        leaf).random(), run in C; `label`'s seed is derived once for all leaves."""
-        seed = _derive_seed(self.seed, label.encode())
-        return [iter(_block(_derive_seed(seed, leaf.encode()), drawn)) for leaf in leaves]
+        return random.Random(int.from_bytes(self.path_key(*labels), "little"))
 
 
-def _block(seed: int, drawn: int) -> array:
-    """Doubles `drawn` to `drawn + BLOCK` of random.Random(seed).random()."""
-    rng = _Generator(seed)
-    rng.getrandbits(64 * drawn)       # random() takes two 32-bit words per double
-    # BLOCK calls of rng.random() with no Python loop, copied as raw doubles. An
-    # array from bytes over-allocates; its copy holds 512 bytes, a pymalloc size.
-    return array("d", array("d", _PACK_BLOCK(*starmap(rng.random, repeat((), BLOCK)))))
+def block(key: bytes, k: int) -> Iterator[float]:
+    """The iterator of block `k` of the stream whose seed is `key` (path_key):
+    BLOCK doubles in [1, 2) from shake_128(key || k as 8 bytes), one hash
+    whatever `k` (counter mode, Salmon et al., "Parallel Random Numbers: As
+    Easy as 1, 2, 3", SC 2011)."""
+    buf = bytearray(shake_128(key + k.to_bytes(8, "little")).digest(8 * BLOCK))
+    buf[7::8] = _TOP_BYTES
+    buf[6::8] = buf[6::8].translate(_EXPONENT_LOW)
+    # array('d') from bytes over-allocates; its copy holds 128 bytes exactly
+    doubles = array("d", array("d", buf))
+    if _BIG_ENDIAN:
+        doubles.byteswap()
+    return iter(doubles)

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from .app import AppCatalog
 from .faultlib import OK, OUTCOME_CODE, OUTCOMES
-from .simcore import BLOCK, RngRoot
+from .simcore import RngRoot, block
 
 GOOD = "good"
 BAD = "bad"
@@ -177,8 +177,8 @@ class Client:
     """One emulated user: Markov chain state plus session bookkeeping."""
 
     __slots__ = ("client_id", "chain_state", "logged_in", "session_id",
-                 "session_seq", "rng_root", "rng_transition", "rng_think",
-                 "transition_drawn", "think_drawn", "action", "stopped")
+                 "session_seq", "stream_keys", "rng_transition", "rng_think",
+                 "transition_block", "think_block", "action", "stopped")
 
     def __init__(self, client_id: int, rng_root: RngRoot):
         self.client_id = client_id
@@ -186,27 +186,23 @@ class Client:
         self.logged_in = False
         self.session_id = ""
         self.session_seq = 0
-        self.rng_root = rng_root
-        self.rng_transition, self.rng_think = rng_root.leaf_draws(
-            f"client/{client_id}", "transition", "think")
-        self.transition_drawn = self.think_drawn = 0    # draws before each stream's block
+        label = f"client/{client_id}"
+        # its transition and think streams' seeds, 8 bytes each: a refill derives none
+        self.stream_keys = rng_root.path_key(label, "transition") + rng_root.path_key(label, "think")
+        self.rng_transition = block(self.stream_keys[:8], 0)
+        self.rng_think = block(self.stream_keys[8:], 0)
+        self.transition_block = self.think_block = 0    # each stream's block index
         self.action: int | None = None     # ledger handle of the open action
         self.stopped = False
-
-    def _refill(self, leaf: str) -> float:
-        """The first draw of the `leaf` stream's next block, once one is spent."""
-        drawn = getattr(self, f"{leaf}_drawn") + BLOCK
-        setattr(self, f"{leaf}_drawn", drawn)
-        draws, = self.rng_root.leaf_draws(f"client/{self.client_id}", leaf, drawn=drawn)
-        setattr(self, f"rng_{leaf}", draws)
-        return next(draws)
 
     def next_op_name(self, catalog: AppCatalog) -> str:
         """Sample the next operation; a logged-out client that needs a session
         logs in instead."""
         if (u := next(self.rng_transition, None)) is None:
-            u = self._refill("transition")
-        name = catalog.matrix.sample(self.chain_state, u)
+            self.transition_block = k = self.transition_block + 1
+            self.rng_transition = draws = block(self.stream_keys[:8], k)
+            u = next(draws)
+        name = catalog.matrix.sample(self.chain_state, u - 1.0)
         op = catalog.ops[name]
         if not self.logged_in and (op.needs_session or name == "Logout"):
             name = "Login"
@@ -215,9 +211,11 @@ class Client:
 
     def think_ms(self, mean_ms: int, max_ms: int) -> int:
         if (u := next(self.rng_think, None)) is None:
-            u = self._refill("think")
-        # random.expovariate(1.0 / mean_ms)'s own float expression
-        return min(int(-log(1.0 - u) / (1.0 / mean_ms)), max_ms)
+            self.think_block = k = self.think_block + 1
+            self.rng_think = draws = block(self.stream_keys[8:], k)
+            u = next(draws)
+        # random.expovariate(1.0 / mean_ms)'s own float expression at u - 1.0
+        return min(int(-log(2.0 - u) / (1.0 / mean_ms)), max_ms)
 
     def begin_session(self) -> str:
         self.session_seq += 1

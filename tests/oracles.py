@@ -1,6 +1,7 @@
 """Independent replay oracles shared by unit and acceptance tests."""
 
 import hashlib
+import itertools
 import os
 import random
 
@@ -119,6 +120,44 @@ def sorted_merge_timeline(catalog, requests):
                 out.append((start, end))
         timeline[group] = out
     return timeline
+
+
+def path_seed(seed: int, *labels: str) -> int:
+    """The seed of the stream at label path `labels` below `seed`: blake2b
+    with 8-byte digests, chained one label at a time over little-endian seeds."""
+    for label in labels:
+        seed = int.from_bytes(hashlib.blake2b(seed.to_bytes(8, "little") + label.encode(),
+                                              digest_size=8).digest(), "little")
+    return seed
+
+
+def counter_draws(seed: int, *labels: str, first_block: int = 0):
+    """Draws in [1, 2) of the counter-mode stream at label path `labels`
+    below master seed `seed`, from block `first_block` on, from the stream's
+    definition alone.
+
+    Block k is the 128-byte shake_128 of the path's seed and k, each as 8
+    little-endian bytes; draw n of the block is its n-th little-endian word's
+    low 52 bits as the fraction of a number in [1, 2).
+    """
+    seed = path_seed(seed, *labels)
+    for k in itertools.count(first_block):
+        block = hashlib.shake_128(seed.to_bytes(8, "little") + k.to_bytes(8, "little")).digest(128)
+        for n in range(0, 128, 8):
+            yield 1 + (int.from_bytes(block[n:n + 8], "little") & (2**52 - 1)) * 2**-52
+
+
+class CounterStream(random.Random):
+    """A random.Random whose random() is the next counter_draws(seed, *labels)
+    draw less 1.0, so that its `expovariate` is the reference for
+    `Client.think_ms` and its random() for `Client.next_op_name`."""
+
+    def __init__(self, seed: int, *labels: str, first_block: int = 0):
+        self._draws = counter_draws(seed, *labels, first_block=first_block)
+        super().__init__(0)
+
+    def random(self) -> float:
+        return next(self._draws) - 1.0
 
 
 def sample_think_ms(rng, mean_ms: int, max_ms: int) -> int:

@@ -18,7 +18,7 @@ from murbsim.cli import main
 from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, functional_group_timeline,
                              parse_scenario, run_scenario, write_outputs)
-from murbsim.workload import TawLedger
+from murbsim.workload import Client, TawLedger
 from murbsim.world import World
 
 from oracles import sorted_merge_timeline
@@ -416,7 +416,7 @@ def episode_lines(path):
 
 class TestRecoveryOps:
     def test_result_stays_on_the_op_it_judged(self, tmp_path):
-        # The ladder asks for restart_application at 32,281 ms. A scripted one
+        # The ladder asks for restart_application at 32,674 ms. A scripted one
         # due at that very ms runs alone: the episode's request joins it, so
         # the node is restarted once and the verdict goes on the op that ran.
         def restarts(path):
@@ -426,16 +426,16 @@ class TestRecoveryOps:
 
         levels = ["murb_group", "murb_web", "restart_application", "restart_process",
                   "reboot_node"]
-        totals = (6_847, 3_829)
+        totals = (6_866, 3_903)
         summary = run_scenario(db_row_scenario(), str(tmp_path / "a"))
-        assert restarts(tmp_path / "a") == [("32281", "episode", "persisted", "7699")]
+        assert restarts(tmp_path / "a") == [("32674", "episode", "persisted", "7699")]
         assert [e["levels"] for e in summary["episodes"]] == [levels]
         assert (summary["totals"]["completed_requests"],
                 summary["totals"]["bad_requests"]) == totals
         s = db_row_scenario()
-        s.scripted_recoveries = [ScriptedRecovery(32_281, "restart_application")]
+        s.scripted_recoveries = [ScriptedRecovery(32_674, "restart_application")]
         summary = run_scenario(s, str(tmp_path / "b"))
-        assert restarts(tmp_path / "b") == [("32281", "scripted", "persisted", "7699")]
+        assert restarts(tmp_path / "b") == [("32674", "scripted", "persisted", "7699")]
         assert [e["levels"] for e in summary["episodes"]] == [levels]
         assert (summary["totals"]["completed_requests"],
                 summary["totals"]["bad_requests"]) == totals
@@ -568,11 +568,21 @@ class TestRecoveryOps:
 
 class TestMaskingAndSessions:
     def test_idempotent_request_retried_through_sentinel(self):
+        # A ViewItem issued 100 ms into the 446-ms ViewItem microreboot hits
+        # the sentinel and is retried. The test issues it from a client of its
+        # own, logged in beforehand: whether the world's clients issue one in
+        # the window is up to their streams.
         s = Scenario(duration_ms=80_000, seed=8, policy=quiet_policy())
         s.cluster = ClusterConfig(retries=True)
         s.workload = WorkloadConfig(clients_per_node=300)
         s.scripted_recoveries = [murb(40_000, "ViewItem")]
-        w = run_world(s)
+        w = World(s)
+        client = Client(len(w.clients), w.rng)
+        client.stopped = True          # it issues only the test's requests
+        for at, op_name in ((30_000, "Login"), (40_100, "ViewItem")):
+            w.loop.schedule(at, lambda op_name=op_name: w._route_and_admit(
+                w._issue(client, op_name)))
+        w.run()
         retried = [completed - issued for op_name, issued, completed, outcome
                    in request_rows(w.ledger)
                    if op_name == "ViewItem" and 40_000 <= issued < 40_446 and outcome == "ok"]
@@ -626,7 +636,6 @@ class TestMaskingAndSessions:
         s.faults = [FaultConfig(5_000, "corrupt_registry_entry", "ViewItem", "wrong")]
         w = World(s)
         w.loop.run_until(6_000)
-        from murbsim.workload import Client
         client = Client(0, w.rng)
         run_single_request(w, client, "Login")
         outcome, _ = run_single_request(w, client, "ViewItem")
@@ -695,9 +704,9 @@ class TestMaskingAndSessions:
         summary = export_summary(run_world(s))
         incidents = [(i["inject_ms"], i["fault_class"], i["sessions_at_inject"])
                      for i in summary["incidents"]]
-        assert incidents == [(40_000, "transient_exception", 91),
-                             (40_000, "transient_exception", 86),
-                             (50_000, "bad_env", 81),
+        assert incidents == [(40_000, "transient_exception", 89),
+                             (40_000, "transient_exception", 83),
+                             (50_000, "bad_env", 83),
                              (70_000, "corrupt_db_row", -1)]
         assert (summary["tainted_rows"], summary["manual_repair_needed"]) == (0, False)
         # A scripted recovery after the run is not run by the post-run drain either.

@@ -137,10 +137,12 @@ class TestLadder:
         assert [(e.anchor, e.levels, e.terminal_level, e.cured) for e in w.rm.episodes] == [
             ("Item", ["murb_group"], "murb_group", True),
             ("User", [], "escalate_human", False)]
-        assert w.rm.episodes[1].started_at == 51_632
+        assert w.rm.episodes[1].started_at == 51_808
         assert [(op.level.name, op.target, op.reason) for op in w.recoveries] == [
             ("murb_group", "EntityGroup", "episode"),
             ("escalate_human", "operator", "handed_off")]
+        # the hand-off is the second episode's first op, at its very start
+        assert w.recoveries[1].started_at == w.rm.episodes[1].started_at
         assert [f.active for f in w.fault_plan.faults.values()] == [False, True]
 
 

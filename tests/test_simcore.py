@@ -1,6 +1,8 @@
 import _random
 import collections
 import gc
+import hashlib
+import itertools
 import random
 import tracemalloc
 import types
@@ -13,6 +15,8 @@ from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
 from murbsim.simcore import BLOCK, EventLoop, RngRoot, SimError
 from murbsim.workload import Client
 from murbsim.world import World
+
+from oracles import CounterStream, counter_draws, path_seed
 
 
 def test_schedule_at_now_dispatches_first():
@@ -161,8 +165,8 @@ def test_fork_deterministic_and_label_sensitive():
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
 def test_fork_label_path_equals_nested_forks(seed):
     root = RngRoot(seed)
-    chained = simcore._derive_seed(simcore._derive_seed(root.seed, b"a"), b"b")
-    assert root._path_seed(("a", "b")) == chained
+    chained = path_seed(path_seed(seed, "a"), "b")
+    assert root.path_key("a", "b") == chained.to_bytes(8, "little")
     path, nested = root.fork("a", "b"), random.Random(chained)
     assert [path.random() for _ in range(20)] == [nested.random() for _ in range(20)]
 
@@ -175,21 +179,50 @@ def test_world_seeds_only_streams_that_draw(monkeypatch):
         seeded.append(args)
         return real_seed(self, *args, **kwargs)
 
-    class CountingGenerator(_random.Random):      # what a client's stream seeds
-        def __init__(self, seed):
-            seeded.append(seed)
-            super().__init__(seed)
-
     monkeypatch.setattr(random.Random, "seed", counting_seed)
-    monkeypatch.setattr(simcore, "_Generator", CountingGenerator)
     World(Scenario(seed=3, cluster=ClusterConfig(nodes=1),
                    workload=WorkloadConfig(clients_per_node=10)))
-    # two per client (transition, think); lb, detector, channel, faults
-    assert len(seeded) == 2 * 10 + 4
+    # lb, detector, channel, faults; a client's streams seed no generator
+    assert len(seeded) == 4
 
 
-_CLIENT_LEAF = RngRoot(1)._path_seed(("client/7", "think"))
+_CLIENT_LEAF = path_seed(1, "client/7", "think")
 _MEAN = 2**52       # a think mean at which think_ms keeps nearly all of a draw's bits
+
+
+def _block(seed: int, k: int, *labels: str) -> list[float]:
+    """Block k of the stream at label path `labels` below `seed`."""
+    return list(simcore.block(RngRoot(seed).path_key(*labels), k))
+
+
+def test_client_draw_stream_is_its_forked_leaf():
+    # 20 blocks in order: block k holds the oracle's draws 16k to 16k + 15 of
+    # the stream at (client/7, think), whose seed is fork()'s for that path
+    got = [u for k in range(20) for u in _block(1, k, "client/7", "think")]
+    assert len(got) == 20 * BLOCK
+    assert got == list(itertools.islice(counter_draws(1, "client/7", "think"), 20 * BLOCK))
+    assert all(1.0 <= u < 2.0 for u in got)
+
+
+def test_first_draws_are_pinned():
+    # literal bits, so the byte order of a block stays fixed on every host
+    assert [u.hex() for u in _block(1, 0, "client/0", "think")[:3]] \
+        == ["0x1.c610a6002bac3p+0", "0x1.95be5600d0e0bp+0", "0x1.9659e01ca4272p+0"]
+
+
+def test_block_depends_only_on_seed_label_path_and_index():
+    # any block, asked for in any order, is the same
+    ks = [7, 0, 10**6, 3, 2**63]
+    assert [_block(99, k, "client/3", "think") for k in ks] == \
+        [_block(99, k, "client/3", "think") for k in reversed(ks)][::-1]
+    reference = _block(99, 5, "client/3", "think")
+    for other in [_block(98, 5, "client/3", "think"),
+                  _block(99, 4, "client/3", "think"),
+                  _block(99, 5, "client/3", "transition"),
+                  _block(99, 5, "client/4", "think"),
+                  _block(99, 5, "client/3/think"),
+                  _block(99, 5, "client/3")]:
+        assert other != reference
 
 
 class _EchoCatalog:
@@ -202,9 +235,9 @@ class _EchoCatalog:
     ops = collections.defaultdict(lambda: types.SimpleNamespace(needs_session=False))
 
 
-def _client_draws(client, reference: dict[str, random.Random], leaves) -> tuple[list, list]:
+def _client_draws(client, reference: dict[str, CounterStream], leaves) -> tuple[list, list]:
     """The client's draws at its two draw sites, one per leaf in `leaves`,
-    and the same draws of the reference generators."""
+    and the same draws of the reference streams."""
     got, want = [], []
     for leaf in leaves:
         if leaf == "transition":
@@ -219,36 +252,22 @@ def _client_draws(client, reference: dict[str, random.Random], leaves) -> tuple[
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, _CLIENT_LEAF])
 def test_draw_stream_equals_generator_across_refills(seed):
-    # 300 draws span four refills of the 64-double block; each block is
-    # entered where the last left off, as Client._refill enters it
-    draws, drawn, got = iter(simcore._block(seed, 0)), 0, []
-    while len(got) < 300:
-        try:
-            got.append(next(draws))
-        except StopIteration:
-            drawn += BLOCK
-            draws = iter(simcore._block(seed, drawn))
-    reference = random.Random(seed)
-    assert drawn == 4 * BLOCK
-    assert got == [reference.random() for _ in range(300)]
-
-
-def test_client_draw_stream_is_its_forked_leaf():
-    root = RngRoot(1)
-    blocks = [list(root.leaf_draws("client/7", "think", drawn=drawn)[0])
-              for drawn in range(0, 256, BLOCK)]
-    assert [len(block) for block in blocks] == [BLOCK] * 4
-    reference = random.Random(_CLIENT_LEAF)
-    assert sum(blocks, [])[:200] == [reference.random() for _ in range(200)]
+    # 300 draws a stream span 18 refills of the 16-double block
+    client = Client(7, RngRoot(seed))
+    for leaf in ("transition", "think"):
+        reference = {leaf: CounterStream(seed, "client/7", leaf)}
+        got, want = _client_draws(client, reference, [leaf] * 300)
+        assert got == want, leaf
+    assert (client.transition_block, client.think_block) == (300 // BLOCK, 300 // BLOCK)
 
 
 def test_interleaved_draw_streams_share_no_state():
     client = Client(3, RngRoot(5))
-    reference = {leaf: RngRoot(5).fork("client/3", leaf) for leaf in ("transition", "think")}
+    reference = {leaf: CounterStream(5, "client/3", leaf) for leaf in ("transition", "think")}
     # uneven interleaving, so the two streams refill at different calls
     leaves = ["transition" if i % 3 else "think" for i in range(400)]
     draws, want = _client_draws(client, reference, leaves)
-    assert (client.transition_drawn, client.think_drawn) == (4 * BLOCK, 2 * BLOCK)
+    assert (client.transition_block, client.think_block) == (266 // BLOCK, 134 // BLOCK)
     assert draws == want
 
 
@@ -257,11 +276,35 @@ def test_world_client_streams_are_their_forked_leaves():
                            workload=WorkloadConfig(clients_per_node=5)))
     for client in world.clients[:3]:
         for label in ("transition", "think"):
-            leaf = RngRoot(11)._path_seed((f"client/{client.client_id}", label))
-            reference = {label: random.Random(leaf)}
-            # 200 draws span four blocks of 64
-            got, want = _client_draws(client, reference, [label] * 200)
+            reference = {label: CounterStream(11, f"client/{client.client_id}", label)}
+            # 50 draws span four blocks of 16
+            got, want = _client_draws(client, reference, [label] * 50)
             assert got == want, (client.client_id, label)
+
+
+@pytest.mark.parametrize("start", [0, 10**6, 2**40])
+def test_each_refill_is_one_hash_of_one_block(monkeypatch, start):
+    # the work of a refill does not grow with the draws a stream has made
+    calls = []
+
+    class CountingShake:
+        def __init__(self, data):
+            calls.append([len(data), None])
+            self._hash = hashlib.shake_128(data)
+
+        def digest(self, n):
+            calls[-1][1] = n
+            return self._hash.digest(n)
+
+    client = Client(0, RngRoot(1))
+    client.think_block = start - 1       # the next refill enters block `start`
+    client.rng_think = iter(())
+    monkeypatch.setattr(simcore, "shake_128", CountingShake)
+    got = [client.think_ms(_MEAN, 2**62) for _ in range(10 * BLOCK)]
+    assert calls == [[16, 8 * BLOCK]] * 10
+    assert client.think_block == start + 9
+    reference = CounterStream(1, "client/0", "think", first_block=start)
+    assert got == [int(reference.expovariate(1.0 / _MEAN)) for _ in range(10 * BLOCK)]
 
 
 def _live_generators() -> int:
@@ -300,6 +343,9 @@ def test_world_bytes_per_client_are_bounded():
     def traced(clients):
         scenario = Scenario(seed=3, cluster=ClusterConfig(nodes=1),
                             workload=WorkloadConfig(clients_per_node=clients))
+        # a full collection empties the free lists, whose reuse tracemalloc
+        # would not see, so every measurement starts from the same state
+        gc.collect()
         tracemalloc.start()
         try:
             world = World(scenario)  # noqa: F841 (held while measured)
@@ -307,9 +353,10 @@ def test_world_bytes_per_client_are_bounded():
         finally:
             tracemalloc.stop()
 
-    # two blocks of 64 doubles, their two iterators and the Client measured
-    # 1,456 B a client
-    assert (traced(400) - traced(200)) / 200 <= 1_456 * 1.05
+    traced(200)         # the first world also builds what all worlds share
+    # two blocks of 16 doubles, their two iterators, the streams' 16 bytes of
+    # seeds and the Client measured 737 B a client
+    assert (traced(400) - traced(200)) / 200 <= 737 * 1.05
 
 
 def test_adding_client_stream_does_not_perturb_others():

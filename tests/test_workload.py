@@ -9,28 +9,28 @@ from murbsim.faultlib import OUTCOMES
 from murbsim.simcore import RngRoot
 from murbsim.workload import Client, TawLedger, latency_stats
 
-from oracles import (drive_ledger, random_trace, replay_classify, sample_think_ms,
-                     stationary_distribution)
+from oracles import (CounterStream, drive_ledger, random_trace, replay_classify,
+                     sample_think_ms, stationary_distribution)
 
 
 class TestThinkTime:
     def test_mean_and_cap(self):
-        rng = RngRoot(3).fork("think")
-        draws = [sample_think_ms(rng, 7_000, 70_000) for _ in range(100_000)]
+        client = Client(4, RngRoot(3))
+        draws = [client.think_ms(7_000, 70_000) for _ in range(100_000)]
         mean = sum(draws) / len(draws)
         assert abs(mean - 7_000) / 7_000 < 0.05
         assert max(draws) <= 70_000
 
     def test_client_draws_match_helper(self):
         client = Client(4, RngRoot(3))
-        reference = RngRoot(3).fork("client/4", "think")
+        reference = CounterStream(3, "client/4", "think")
         assert [client.think_ms(7_000, 70_000) for _ in range(1_000)] == \
             [sample_think_ms(reference, 7_000, 70_000) for _ in range(1_000)]
 
     @pytest.mark.parametrize("mean_ms", [1, 3, 333, 7_000, 12_345, 10**9])
     def test_client_draws_match_expovariate_at_any_mean(self, mean_ms):
         client = Client(4, RngRoot(3))
-        reference = RngRoot(3).fork("client/4", "think")
+        reference = CounterStream(3, "client/4", "think")
         cap = 10**12
         assert [client.think_ms(mean_ms, cap) for _ in range(2_000)] == \
             [sample_think_ms(reference, mean_ms, cap) for _ in range(2_000)]
@@ -199,8 +199,11 @@ class TestLedger:
         assert all(type(col) is array and len(col) == n for col in columns)
         assert sum(col.itemsize for col in columns) == 15
         held = sum(sys.getsizeof(col) for col in columns)
-        # on top of that, each array over-allocates by up to 1/16 as it grows
-        assert held <= 15 * n * 17 / 16
+        # on top of that, CPython grows an appended array to m + (m >> 4) + 7
+        # items (m its new size, from 8 on), so n items hold at most
+        # n + (n >> 4) + 7, above the empty array's header
+        assert held <= sum(sys.getsizeof(array(col.typecode)) + (n + (n >> 4) + 7) * col.itemsize
+                           for col in columns)
         assert 1 << 8 * ledger.op_code.itemsize == MAX_OPS
 
     def test_random_trace_matches_replay_oracle(self):
