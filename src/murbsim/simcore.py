@@ -127,10 +127,11 @@ class RngRoot:
     def __init__(self, seed: int):
         self._key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
-    def path_key(self, *labels: str) -> bytes:
+    def path_key(self, *labels: str, key: bytes | None = None) -> bytes:
         """The seed of the stream at label path `labels`, as 8 little-endian
-        bytes: each label's is the 8-byte blake2b of its parent's and the label."""
-        key = self._key
+        bytes: each label's is the 8-byte blake2b of its parent's and the label.
+        Given `key`, a path_key, the path continues from that stream's seed."""
+        key = key or self._key
         for label in labels:
             key = blake2b(key + label.encode(), digest_size=8).digest()
         return key

@@ -186,9 +186,10 @@ class Client:
         self.logged_in = False
         self.session_id = ""
         self.session_seq = 0
-        label = f"client/{client_id}"
         # its transition and think streams' seeds, 8 bytes each: a refill derives none
-        self.stream_keys = rng_root.path_key(label, "transition") + rng_root.path_key(label, "think")
+        key = rng_root.path_key(f"client/{client_id}")
+        self.stream_keys = (rng_root.path_key("transition", key=key)
+                            + rng_root.path_key("think", key=key))
         self.rng_transition = block(self.stream_keys[:8], 0)
         self.rng_think = block(self.stream_keys[8:], 0)
         self.transition_block = self.think_block = 0    # each stream's block index

@@ -167,6 +167,7 @@ def test_fork_label_path_equals_nested_forks(seed):
     root = RngRoot(seed)
     chained = path_seed(path_seed(seed, "a"), "b")
     assert root.path_key("a", "b") == chained.to_bytes(8, "little")
+    assert root.path_key("b", key=root.path_key("a")) == chained.to_bytes(8, "little")
     path, nested = root.fork("a", "b"), random.Random(chained)
     assert [path.random() for _ in range(20)] == [nested.random() for _ in range(20)]
 
