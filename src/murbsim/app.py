@@ -25,6 +25,8 @@ SESSION_READ = "read"
 SESSION_UPDATE = "update"
 SESSION_DELETE = "delete"
 SESSION_TOUCHES = (SESSION_NONE, SESSION_CREATE, SESSION_READ, SESSION_UPDATE, SESSION_DELETE)
+# Every client starts at HOME; one that needs a session logs in through LOGIN.
+HOME, LOGIN = "Home", "Login"
 
 # The ledger keeps each request's op as an array("H") code.
 MAX_OPS = 1 << 16
@@ -190,6 +192,9 @@ class AppCatalog:
         for o in ops:
             if o.name not in matrix.index:
                 raise OpCatalogError(f"op {o.name} missing from transition matrix")
+        for name in (HOME, LOGIN):
+            if name not in self.ops:
+                raise OpCatalogError(f"no {name} op, which every client needs")
 
     def validate_against(self, component_names: set[str]) -> None:
         for o in self.op_list:

@@ -101,8 +101,7 @@ def _leak_heap(fault, ctx, node, rng):
 
 
 def _leak_unattributed(fault, ctx, node, rng):
-    node.heap.charge("unattributed", fault.bytes_per_invoke,
-                     resource_id=f"leak:{fault.fault_id}", via_runtime=False)
+    node.heap.charge("unattributed", fault.bytes_per_invoke, resource_id=f"leak:{fault.fault_id}")
     return ERR_EXCEPTION if node.heap.free <= 0 else None
 
 

@@ -16,11 +16,10 @@ from bisect import bisect_left, bisect_right
 
 from .cluster import six_nines_budget
 from .config import FaultConfig, Scenario, ScriptedRecovery
-from .faultlib import (ERR_SESSION, FAULT_CLASSES, OK, OUTCOME_CODE, RECOVERY_LEVELS,
-                       SITE_COMPONENT, SITE_PROCESS, FaultError, cure_profile)
+from .faultlib import ERR_SESSION, OK, OUTCOME_CODE, FaultError
 from .runtime import Registry, load_catalog
 from .workload import BAD, latency_stats
-from .world import World, scripted_scope
+from .world import World, check_event
 
 TAW_HEADER = "second,good_requests,bad_requests,good_actions,bad_actions"
 LATENCY_HEADER = "request_id,op,issued_ms,latency_ms,outcome"
@@ -143,39 +142,14 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
         setattr(target, key, _coerce(value, field_types[key], lineno))
     flush_pending()
-    _check_events(scenario, events)
-    return scenario
-
-
-def _check_events(scenario: Scenario, events: list[tuple[int, str, object]]) -> None:
-    """Reject a fault class, mode, level, node or target the world could not
-    act on, and a microreboot level the world would not record, so a bad
-    event fails here rather than when the simulation reaches it."""
+    # the world's own event check, run here so that a bad event fails with its line
     registry = Registry(*load_catalog(scenario.catalog_path)) if events else None
     for lineno, section, event in events:
-        where = f"line {lineno}: [{section}]"
         try:
-            if isinstance(event, FaultConfig):
-                cure_profile(event.fault_class, event.mode)
-                site = FAULT_CLASSES[event.fault_class].site
-                if site == SITE_PROCESS and event.target:
-                    raise ScenarioError(f"{where} {event.fault_class} takes no target")
-                names_component = site == SITE_COMPONENT     # else a session key or nothing
-            else:
-                level = RECOVERY_LEVELS.get(event.level)
-                if level is None or level.rank is None:      # a human is not a scripted action
-                    raise ScenarioError(f"{where} unknown level {event.level!r}")
-                # an empty microreboot target means the web component
-                names_component = level.microreboot and event.target != ""
-            if not 0 <= event.node < scenario.cluster.nodes:
-                raise ScenarioError(f"{where} node {event.node} outside the cluster "
-                                    f"of {scenario.cluster.nodes}")
-            if names_component and event.target not in registry.specs:
-                raise ScenarioError(f"{where} unknown target component {event.target!r}")
-            if isinstance(event, ScriptedRecovery):
-                scripted_scope(registry, event)              # the world's own check
+            check_event(registry, scenario.cluster.nodes, event)
         except FaultError as exc:
-            raise ScenarioError(f"{where} {exc}") from None
+            raise ScenarioError(f"line {lineno}: [{section}] {exc}") from None
+    return scenario
 
 
 def load_scenario(path: str) -> Scenario:

@@ -50,7 +50,6 @@ class LeaseRecord:
     holder: str                      # component name or "unattributed"
     bytes: int
     expires_at: int | None = None    # None: held until released
-    acquired_via_runtime: bool = True
 
 
 class RecoveryGroup(NamedTuple):
@@ -170,13 +169,9 @@ class Registry:
             entry = _NOT_BOUND
         elif mode == "invalid":
             entry = Lookup(WRONG)          # type-checks but points nowhere usable
-        elif mode == "wrong":
+        else:                              # wrong: the event check admits no other mode
             others = [n for n in self.specs if n != name and self.specs[n].kind != KIND_WEB]
             entry = Lookup(WRONG, others[0] if others else None)
-        else:
-            raise ValueError(f"unknown corruption mode {mode}")
-        if name not in self.specs:
-            raise KeyError(name)
         if self.impaired.get(name) is not _STOPPED:
             self.impaired[name] = entry
 
@@ -192,19 +187,18 @@ class HeapLedger:
         self.os_leak_bytes = 0           # outside the process; only a node reboot clears it
 
     def charge(self, holder: str, nbytes: int, *, resource_id: str,
-               expires_at: int | None = None, via_runtime: bool = True) -> LeaseRecord:
+               expires_at: int | None = None) -> LeaseRecord:
         rec = self.leases.get(resource_id)
         if rec is None:
-            rec = LeaseRecord(resource_id, holder, 0, expires_at, via_runtime)
+            rec = LeaseRecord(resource_id, holder, 0, expires_at)
             self.leases[resource_id] = rec
         rec.bytes += nbytes
         return rec
 
     def release_holder(self, holders: frozenset[str] | set[str]) -> dict[str, int]:
-        """Release runtime-acquired leases of the given holders; returns bytes per holder."""
+        """Release the leases of the given holders; returns bytes per holder."""
         released: dict[str, int] = {}
-        for rid in [r for r, rec in self.leases.items()
-                    if rec.holder in holders and rec.acquired_via_runtime]:
+        for rid in [r for r, rec in self.leases.items() if rec.holder in holders]:
             rec = self.leases.pop(rid)
             released[rec.holder] = released.get(rec.holder, 0) + rec.bytes
         return released
@@ -215,10 +209,7 @@ class HeapLedger:
         return sum(self.release_holder(holders).values())
 
     def release_unattributed(self) -> int:
-        total = 0
-        for rid in [r for r, rec in self.leases.items() if rec.holder == "unattributed"]:
-            total += self.leases.pop(rid).bytes
-        return total
+        return sum(self.release_holder(frozenset({"unattributed"})).values())
 
     def reap(self, now: int) -> list[LeaseRecord]:
         """Release every lease whose expiry has passed."""

@@ -14,7 +14,7 @@ from collections import Counter
 from math import log
 from typing import Iterator, Sequence
 
-from .app import AppCatalog
+from .app import HOME, LOGIN, AppCatalog
 from .faultlib import OK, OUTCOME_CODE, OUTCOMES
 from .simcore import RngRoot, block
 
@@ -182,7 +182,7 @@ class Client:
 
     def __init__(self, client_id: int, rng_root: RngRoot):
         self.client_id = client_id
-        self.chain_state = "Home"
+        self.chain_state = HOME
         self.logged_in = False
         self.session_id = ""
         self.session_seq = 0
@@ -205,8 +205,8 @@ class Client:
             u = next(draws)
         name = catalog.matrix.sample(self.chain_state, u - 1.0)
         op = catalog.ops[name]
-        if not self.logged_in and (op.needs_session or name == "Logout"):
-            name = "Login"
+        if not self.logged_in and op.needs_session:
+            name = LOGIN
         self.chain_state = name
         return name
 

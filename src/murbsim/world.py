@@ -16,12 +16,13 @@ from . import runtime
 from .app import (SESSION_CREATE, SESSION_DELETE, SESSION_NONE, SESSION_UPDATE, AppCatalog,
                   OpType, canonical_fingerprint, load_app_catalog)
 from .cluster import LoadBalancer, Node, handle_sentinel
-from .config import Scenario, ScriptedRecovery
+from .config import FaultConfig, Scenario, ScriptedRecovery
 from .detect import FailureReport, ReportChannel, classify_response
 from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_SESSION, ERR_TTL,
-                       ERR_UNAVAILABLE, MURB_GROUP, MURB_WEB, OK, PARK, REBOOT_NODE,
-                       RECOVERY_LEVELS, RESTART_PROCESS, SITE_COMPONENT, SITE_PROCESS,
-                       SITE_SESSION, Fault, FaultError, FaultPlan, Level, RecoveryOp)
+                       ERR_UNAVAILABLE, FAULT_CLASSES, MURB_GROUP, MURB_WEB, OK, PARK,
+                       REBOOT_NODE, RECOVERY_LEVELS, RESTART_PROCESS, SITE_COMPONENT,
+                       SITE_PROCESS, SITE_SESSION, Fault, FaultError, FaultPlan, Level,
+                       RecoveryOp, cure_profile)
 from .recoverymgr import RecoveryManager, RejuvenationService
 from .runtime import HeapLedger, Registry, load_catalog
 from .simcore import EventLoop, RngRoot
@@ -36,13 +37,32 @@ def microreboot_level(registry: Registry, members: frozenset[str]) -> Level:
     return MURB_WEB if registry.web_component in members else MURB_GROUP
 
 
-def scripted_scope(registry: Registry, sr: ScriptedRecovery) -> tuple[Level, frozenset[str]]:
-    """A scripted recovery's level and members; a microreboot of a group (the web
-    component's if it names none) at a level not its rung is a FaultError."""
-    level = RECOVERY_LEVELS[sr.level]
+def check_event(registry: Registry, nodes: int,
+                event: FaultConfig | ScriptedRecovery) -> tuple[Level, frozenset[str]] | None:
+    """Raise FaultError for an event a world of `nodes` nodes could not act on:
+    a fault's class, mode, target or node, or a scripted recovery's level,
+    node, target or rung. Returns a scripted recovery's level and members (a
+    microreboot's group, the web component's if it names none)."""
+    if isinstance(event, FaultConfig):
+        cure_profile(event.fault_class, event.mode)
+        site = FAULT_CLASSES[event.fault_class].site
+        if site == SITE_PROCESS and event.target:
+            raise FaultError(f"{event.fault_class} takes no target")
+        names_component = site == SITE_COMPONENT     # else a session key or nothing
+    else:
+        level = RECOVERY_LEVELS.get(event.level)
+        if level is None or level.rank is None:      # a human is not a scripted action
+            raise FaultError(f"unknown level {event.level!r}")
+        names_component = level.microreboot and event.target != ""   # "": the web's
+    if not 0 <= event.node < nodes:
+        raise FaultError(f"node {event.node} outside the cluster of {nodes}")
+    if names_component and event.target not in registry.specs:
+        raise FaultError(f"unknown target component {event.target!r}")
+    if isinstance(event, FaultConfig):
+        return None
     if not level.microreboot:
         return level, frozenset()
-    target = sr.target or registry.web_component
+    target = event.target or registry.web_component
     members = registry.groups[target].members
     if level is not (rung := microreboot_level(registry, members)):
         raise FaultError(f"a microreboot of {target}'s group is level {rung.name}, "
@@ -124,14 +144,18 @@ class World:
         self.rejuvenators = [RejuvenationService(self, scenario.rejuvenation, i)
                              for i in range(cl.nodes)]
 
+        # every event is checked before any is scheduled
+        registry = self.nodes[0].registry if self.nodes else None
+        for fc in scenario.faults:
+            check_event(registry, cl.nodes, fc)
+        scopes = [check_event(registry, cl.nodes, sr) for sr in scenario.scripted_recoveries]
         for fault_id, fc in enumerate(scenario.faults, start=1):
             fault = self.fault_plan.register(Fault(
                 fault_id, fc.fault_class, fc.target, fc.mode, fc.node,
                 fc.inject_at_ms, fc.bytes_per_invoke, fc.fail_probability))
             if fault.inject_at <= self._duration:   # else the post-run drain would arm it
                 self.loop.schedule(fault.inject_at, partial(self._arm_fault, fault))
-        for sr in scenario.scripted_recoveries:
-            scope = scripted_scope(self.nodes[sr.node].registry, sr)     # before any event
+        for sr, scope in zip(scenario.scripted_recoveries, scopes):
             if sr.at_ms <= self._duration:          # else the post-run drain would run it
                 self.loop.schedule(sr.at_ms, partial(self.execute_recovery, sr.node, *scope,
                                                      None, "scripted"))

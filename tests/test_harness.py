@@ -5,19 +5,20 @@ from importlib import resources
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from murbsim.app import MAX_OPS, load_app_catalog
 from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
                             PolicyConfig, Scenario, ScriptedRecovery,
                             StoreConfig, WorkloadConfig)
 from murbsim.faultlib import (ERR_CONNECTION, ERR_SESSION, ERR_TTL, ERR_UNAVAILABLE,
-                              MURB_GROUP, OUTCOMES, RECOVERY_LEVELS, RESTART_APPLICATION,
-                              RESTART_PROCESS, FaultError)
+                              FAULT_CLASSES, MURB_GROUP, OUTCOMES, RECOVERY_LEVELS,
+                              RESTART_APPLICATION, RESTART_PROCESS, FaultError)
 from murbsim.cli import main
 from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, functional_group_timeline,
                              parse_scenario, run_scenario, write_outputs)
+from murbsim.runtime import load_catalog
 from murbsim.workload import Client, TawLedger
 from murbsim.world import World
 
@@ -206,6 +207,52 @@ level restart_process
             parse_scenario("nodes 2\n")
 
 
+_COMPONENTS = sorted(spec.name for spec in load_catalog()[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(section=st.sampled_from(["fault", "recovery", "murb"]),
+       fault_class=st.sampled_from([*FAULT_CLASSES, "gremlins"]),
+       mode=st.sampled_from(["", "null", "invalid", "wrong", "bogus"]),
+       target=st.sampled_from([*_COMPONENTS, "", "Nope", "c0-s1"]),   # c0-s1: a session key
+       node=st.integers(-1, 2), nodes=st.integers(1, 2),
+       level=st.sampled_from([*RECOVERY_LEVELS, "reboot"]))
+# each of these three once got past World(...): an IndexError at the inject
+# time, a fault with no effect, and a target accepted silently
+@example("fault", "deadlock", "", "Item", 3, 1, "murb_group")
+@example("fault", "deadlock", "", "Nope", 0, 1, "murb_group")
+@example("fault", "bad_env", "", "Item", 0, 1, "murb_group")
+def test_parser_and_world_reject_the_same_events(section, fault_class, mode, target, node,
+                                                 nodes, level):
+    """A scenario file's event fails to parse with `line N: [section] M`
+    exactly when World(...) on the same event built in code raises
+    FaultError(M); an event that parses is the one built in code."""
+    assume(section != "murb" or target)              # [murb] requires a target
+    if section == "fault":
+        fields = {"class": fault_class, "mode": mode}
+        event = FaultConfig(100, fault_class, target, mode, node)
+    else:
+        fields = {} if section == "murb" else {"level": level}
+        event = ScriptedRecovery(100, "murb_group" if section == "murb" else level, target, node)
+    fields.update(target=target, node=node)
+    text = (f"[cluster]\nnodes {nodes}\n[workload]\nclients_per_node 0\n[{section}]\nat 100\n"
+            + "".join(f"{key} {value}\n" for key, value in fields.items() if value != ""))
+    scenario = Scenario(cluster=ClusterConfig(nodes=nodes),
+                        workload=WorkloadConfig(clients_per_node=0))
+    getattr(scenario, "faults" if section == "fault" else "scripted_recoveries").append(event)
+    try:
+        parsed, parse_error = parse_scenario(text), None
+    except ScenarioError as exc:
+        parsed, parse_error = None, str(exc)
+    try:
+        World(scenario)
+        world_error = None
+    except FaultError as exc:
+        world_error = f"line 5: [{section}] {exc}"
+    assert parse_error == world_error
+    assert parsed in (None, scenario)
+
+
 class TestMicrorebootMachinery:
     def test_browse_categories_window_exactly_411(self):
         s = Scenario(duration_ms=30_000, seed=1, policy=quiet_policy())
@@ -383,7 +430,7 @@ class TestFullRestart:
             w = World(s)
             heap = w.nodes[0].heap
             heap.charge("ViewItem", 1_000, resource_id="leak:a")
-            heap.charge("unattributed", 2_000, resource_id="leak:b", via_runtime=False)
+            heap.charge("unattributed", 2_000, resource_id="leak:b")
             w.nodes[0].in_process_store.write("sess", b"x", now=0)
             if variant == "restart":
                 w.execute_recovery(0, RESTART_PROCESS, frozenset(), None)
@@ -1015,6 +1062,24 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"{data}: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()       # failed before the first event
+
+    @pytest.mark.parametrize("op", ["Home", "Login"])
+    def test_catalog_without_a_client_op_exit_code(self, tmp_path, capsys, op):
+        # renamed in the ops and the matrix alike, the pair loaded, and the
+        # first client tick died with a KeyError traceback, exit 1
+        paths = {}
+        for key, name in (("ops_path", "ops.txt"), ("matrix_path", "transitions.txt")):
+            bundled = resources.files("murbsim.data").joinpath(name).read_text("utf-8")
+            paths[key] = tmp_path / name
+            paths[key].write_text(re.sub(rf"\b{op}\b", f"{op}Page", bundled))
+        scenario = tmp_path / "bad.txt"
+        scenario.write_text(FIVE_SECONDS + "[scenario]\n"
+                            + "".join(f"{key} {path}\n" for key, path in paths.items()))
+        assert main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{paths['ops_path']}: no {op} op, which every client needs\n" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_too_many_ops_exit_code(self, tmp_path, capsys):
         # more ops than the ledger's op codes can name; 65,536 parse

@@ -190,7 +190,7 @@ class TestHeapLedger:
 
     def test_unattributed_survives_component_release(self, registry):
         heap = HeapLedger(10_000_000, registry)
-        heap.charge("unattributed", 900, resource_id="leak:1", via_runtime=False)
+        heap.charge("unattributed", 900, resource_id="leak:1")
         heap.release_holder(frozenset(registry.specs))
         assert heap.capacity - heap.free - heap.footprint_total == 900
         assert heap.release_unattributed() == 900

@@ -8,6 +8,7 @@ import pathlib
 import re
 
 from murbsim import faultlib
+from murbsim.app import load_app_catalog
 from murbsim.faultlib import (FAULT_CLASSES, LEVELS, OUTCOME_CODE, OUTCOMES,
                               RECOVERY_LEVELS)
 from murbsim.cli import TABLE2_ROWS
@@ -16,6 +17,7 @@ from murbsim.workload import TawLedger
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "murbsim"
 NAMES = frozenset(FAULT_CLASSES) | frozenset(RECOVERY_LEVELS)
+OP_NAMES = frozenset(load_app_catalog().ops)      # the bundled catalog's
 _COMPARISONS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
 
 
@@ -27,16 +29,17 @@ def _literals(node: ast.AST) -> set[str]:
     return set()
 
 
-def taxonomy_comparisons(source: str) -> list[tuple[int, str]]:
+def taxonomy_comparisons(source: str, names: frozenset[str] = NAMES) -> list[tuple[int, str]]:
     """(line, names) of each ==, !=, in or not in comparison that has the
-    string literal of a fault class or level name as an operand."""
+    string literal of one of `names`, by default a fault class or level name,
+    as an operand."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare) and any(
                 isinstance(op, _COMPARISONS) for op in node.ops):
-            names = set().union(*(_literals(x) for x in (node.left, *node.comparators)))
-            if names & NAMES:
-                found.append((node.lineno, ", ".join(sorted(names & NAMES))))
+            hit = names & set().union(*(_literals(x) for x in (node.left, *node.comparators)))
+            if hit:
+                found.append((node.lineno, ", ".join(sorted(hit))))
     return found
 
 
@@ -57,9 +60,20 @@ def test_no_class_or_level_string_comparisons_outside_faultlib():
     assert hits == []
 
 
+def test_no_op_name_comparisons_outside_app():
+    # The simulator reads what an op does from its catalog fields (its session
+    # touch, its commit point); a comparison with a bundled op's name would not
+    # follow a catalog that gives those fields to another op.
+    hits = [f"{path.name}:{line}: {names}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "app.py"
+            for line, names in taxonomy_comparisons(path.read_text(encoding="utf-8"),
+                                                    OP_NAMES)]
+    assert hits == []
+
+
 def test_control_plane_passes_level_records():
-    # Level names are read where a scenario comes in (harness); the world and
-    # the recovery manager hand the records themselves to each other.
+    # A level name is read once, where an event is checked (world.check_event);
+    # the world and the recovery manager hand the records themselves to each other.
     hits = [f"{name}:{node.lineno}: {node.value}"
             for name in ("world.py", "recoverymgr.py")
             for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8")))
