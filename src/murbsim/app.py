@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .config import MAX_DELAY_MS
 from .runtime import _parse_kv, data_file
@@ -112,6 +113,8 @@ def parse_ops(text: str) -> list[OpType]:
             raise OpCatalogError(f"line {lineno}: unknown fgroup {op.functional_group!r}")
         if op.session_touch not in SESSION_TOUCHES:
             raise OpCatalogError(f"line {lineno}: unknown session {op.session_touch!r}")
+        if "" in op.path:
+            raise OpCatalogError(f"line {lineno}: empty component name in path {kv['path']!r}")
         ops.append(op)
     if len(ops) > MAX_OPS:
         raise OpCatalogError(f"{len(ops)} ops; a catalog holds at most {MAX_OPS}")
@@ -121,17 +124,14 @@ def parse_ops(text: str) -> list[OpType]:
 class TransitionMatrix:
     def __init__(self, states: list[str], rows: dict[str, list[float]]):
         self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
         self.rows = rows
-        # Cumulative tables for O(log n) sampling.
-        self.cumulative: dict[str, list[float]] = {}
-        for s, probs in rows.items():
-            acc, cum = 0.0, []
-            for p in probs:
-                acc += p
-                cum.append(acc)
-            cum[-1] = 1.0
-            self.cumulative[s] = cum
+        self.columns: list[OpType] = []          # set by bind: each state's op
+        self.cumulative: list[list[float]] = []  # each op's running row sums, by op code
+
+    def bind(self, ops: dict[str, OpType]) -> None:
+        """Sample `ops`, a catalog's by name in code order, in place of state names."""
+        self.columns = [ops[s] for s in self.states]
+        self.cumulative = [[*accumulate(self.rows[name])][:-1] + [1.0] for name in ops]
 
     def check_stochastic(self) -> None:
         for s, probs in self.rows.items():
@@ -139,9 +139,9 @@ class TransitionMatrix:
             if not abs(total - 1.0) <= 1e-6 or not all(p >= 0 for p in probs):   # NaN fails
                 raise OpCatalogError(f"matrix row {s} is not a probability distribution")
 
-    def sample(self, state: str, u: float) -> str:
+    def sample(self, op: OpType, u: float) -> OpType:
         # The last cumulative entry is 1.0, so the index is always in range.
-        return self.states[bisect_left(self.cumulative[state], u)]
+        return self.columns[bisect_left(self.cumulative[op.code], u)]
 
 
 def parse_matrix(text: str) -> TransitionMatrix:
@@ -190,19 +190,19 @@ class AppCatalog:
             if s not in self.ops:
                 raise OpCatalogError(f"matrix state {s} not in op catalog")
         for o in ops:
-            if o.name not in matrix.index:
+            if o.name not in matrix.rows:
                 raise OpCatalogError(f"op {o.name} missing from transition matrix")
         for name in (HOME, LOGIN):
             if name not in self.ops:
                 raise OpCatalogError(f"no {name} op, which every client needs")
+        self.home, self.login = self.ops[HOME], self.ops[LOGIN]
+        matrix.bind(self.ops)
 
     def validate_against(self, component_names: set[str]) -> None:
         for o in self.op_list:
             for comp in o.path:
                 if comp not in component_names:
                     raise OpCatalogError(f"op {o.name} path references unknown component {comp}")
-            if not o.path:
-                raise OpCatalogError(f"op {o.name} has an empty path")
 
 
 def load_app_catalog(ops_path: str = "", matrix_path: str = "") -> AppCatalog:

@@ -95,7 +95,7 @@ class Node:
         self.workers_busy = 0
         self.worker_queue: deque = deque()
         self.cpu = CpuQueue(loop, cpu_slots)
-        self.inflight: dict = {}          # request -> path frozenset
+        self.inflight: dict = {}          # request -> its op's path
         self.parked: dict = {}            # request -> component name
         self.pumping = False              # re-entrancy guard for the worker queue
 

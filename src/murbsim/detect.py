@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .app import OpType
 from .config import DetectorConfig
 from .faultlib import ERR_CONNECTION, ERR_EXCEPTION, ERR_SESSION, ERR_TTL, ERR_UNAVAILABLE
 
@@ -30,10 +31,9 @@ _ERROR_TO_FAILURE = {
 
 
 class FailureReport(NamedTuple):
-    op_name: str
+    op: OpType
     failure_class: str
     observed_at: int
-    client_id: int
     node_id: int
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
+from .runtime import UNATTRIBUTED
+
 # Request outcomes; every other module uses these names.
 OK = "ok"
 ERR_CONNECTION = "error:connection"
@@ -101,7 +103,7 @@ def _leak_heap(fault, ctx, node, rng):
 
 
 def _leak_unattributed(fault, ctx, node, rng):
-    node.heap.charge("unattributed", fault.bytes_per_invoke, resource_id=f"leak:{fault.fault_id}")
+    node.heap.charge(UNATTRIBUTED, fault.bytes_per_invoke, resource_id=f"leak:{fault.fault_id}")
     return ERR_EXCEPTION if node.heap.free <= 0 else None
 
 

@@ -87,8 +87,7 @@ class RecoveryManager:
 
     def ingest_report(self, report: FailureReport) -> None:
         now = self.world.loop.now
-        op = self.world.catalog.ops.get(report.op_name)
-        if op is None or report.node_id < 0:     # node -1: the balancer had no node for it
+        if report.node_id < 0:     # node -1: the balancer had no node for it
             self.ignored_reports += 1
             return
         if report.failure_class == FAULTY_APP_CHECK:
@@ -97,7 +96,7 @@ class RecoveryManager:
             self.session_loss_reports += 1
             return
         board = self.boards[report.node_id]
-        board.bump(op.path, now)
+        board.bump(report.op.path, now)
         board.report_times.append(report.observed_at)
         if self.policy.enabled:
             self.maybe_act(report.node_id)

@@ -18,6 +18,7 @@ from typing import NamedTuple
 KIND_ENTITY = "entity"
 KIND_STATELESS = "stateless"
 KIND_WEB = "web"
+UNATTRIBUTED = "unattributed"    # the holder of a leak outside every component
 
 # Binding states for the name service.
 BOUND = "bound"
@@ -47,7 +48,7 @@ class ComponentSpec(NamedTuple):
 class LeaseRecord:
     """Heap bytes charged to a holder under one resource id."""
     resource_id: str
-    holder: str                      # component name or "unattributed"
+    holder: str                      # component name or UNATTRIBUTED
     bytes: int
     expires_at: int | None = None    # None: held until released
 
@@ -209,7 +210,7 @@ class HeapLedger:
         return sum(self.release_holder(holders).values())
 
     def release_unattributed(self) -> int:
-        return sum(self.release_holder(frozenset({"unattributed"})).values())
+        return sum(self.release_holder(frozenset({UNATTRIBUTED})).values())
 
     def reap(self, now: int) -> list[LeaseRecord]:
         """Release every lease whose expiry has passed."""
@@ -258,6 +259,9 @@ def parse_catalog(text: str) -> tuple[list[ComponentSpec], list[GroupOverride]]:
         kv = _parse_kv(tokens[2:], lineno)
         try:
             if record == "component":
+                if name == UNATTRIBUTED:
+                    raise CatalogError(f"line {lineno}: {name!r} names the holder of "
+                                       f"leaks outside every component")
                 deps = kv["depends"]
                 depends = frozenset() if deps == "-" else frozenset(deps.split(","))
                 spec = ComponentSpec(

@@ -14,7 +14,7 @@ from collections import Counter
 from math import log
 from typing import Iterator, Sequence
 
-from .app import HOME, LOGIN, AppCatalog
+from .app import AppCatalog, OpType
 from .faultlib import OK, OUTCOME_CODE, OUTCOMES
 from .simcore import RngRoot, block
 
@@ -176,15 +176,14 @@ def latency_stats(ledger: TawLedger) -> dict[str, float]:
 class Client:
     """One emulated user: Markov chain state plus session bookkeeping."""
 
-    __slots__ = ("client_id", "chain_state", "logged_in", "session_id",
+    __slots__ = ("client_id", "chain_state", "session_id",
                  "session_seq", "stream_keys", "rng_transition", "rng_think",
                  "transition_block", "think_block", "action", "stopped")
 
-    def __init__(self, client_id: int, rng_root: RngRoot):
+    def __init__(self, client_id: int, rng_root: RngRoot, home: OpType):
         self.client_id = client_id
-        self.chain_state = HOME
-        self.logged_in = False
-        self.session_id = ""
+        self.chain_state = home
+        self.session_id = ""               # logged in exactly when not empty
         self.session_seq = 0
         # its transition and think streams' seeds, 8 bytes each: a refill derives none
         key = rng_root.path_key(f"client/{client_id}")
@@ -196,19 +195,18 @@ class Client:
         self.action: int | None = None     # ledger handle of the open action
         self.stopped = False
 
-    def next_op_name(self, catalog: AppCatalog) -> str:
+    def next_op_name(self, catalog: AppCatalog) -> OpType:
         """Sample the next operation; a logged-out client that needs a session
         logs in instead."""
         if (u := next(self.rng_transition, None)) is None:
             self.transition_block = k = self.transition_block + 1
             self.rng_transition = draws = block(self.stream_keys[:8], k)
             u = next(draws)
-        name = catalog.matrix.sample(self.chain_state, u - 1.0)
-        op = catalog.ops[name]
-        if not self.logged_in and op.needs_session:
-            name = LOGIN
-        self.chain_state = name
-        return name
+        op = catalog.matrix.sample(self.chain_state, u - 1.0)
+        if not self.session_id and op.needs_session:
+            op = catalog.login
+        self.chain_state = op
+        return op
 
     def think_ms(self, mean_ms: int, max_ms: int) -> int:
         if (u := next(self.rng_think, None)) is None:
@@ -221,9 +219,7 @@ class Client:
     def begin_session(self) -> str:
         self.session_seq += 1
         self.session_id = f"c{self.client_id}-s{self.session_seq}"
-        self.logged_in = True
         return self.session_id
 
     def end_session(self) -> None:
-        self.logged_in = False
         self.session_id = ""

@@ -122,7 +122,6 @@ class World:
         # the session store serving each node
         self._session_stores = [self.external_store if self._external_sessions
                                 else node.in_process_store for node in self.nodes]
-        self._path_sets = [frozenset(op.path) for op in self.catalog.op_list]   # by op code
 
         self.detector = scenario.detector
         self._detector_rng = self.rng.fork("detector")
@@ -133,7 +132,8 @@ class World:
             self.rm.ingest_report)
 
         self.ledger = TawLedger([op.name for op in self.catalog.op_list])
-        self.clients = [Client(i, self.rng) for i in range(wl.clients_per_node * cl.nodes)]
+        self.clients = [Client(i, self.rng, self.catalog.home)
+                        for i in range(wl.clients_per_node * cl.nodes)]
 
         self.fault_plan = FaultPlan()
         self._fault_rng = self.rng.fork("faults")
@@ -205,19 +205,18 @@ class World:
             return
         self._route_and_admit(self._issue(client, client.next_op_name(self.catalog)))
 
-    def _issue(self, client: Client, op_name: str) -> _ReqCtx:
+    def _issue(self, client: Client, op: OpType) -> _ReqCtx:
         """Enter a request in the ledger, in the client's open action."""
         ledger = self.ledger
         action = client.action
         if action is None or ledger.action_status[action] != PENDING:
             action = client.action = ledger.new_action()
         now = self.loop.now
-        op = self.catalog.ops[op_name]
         return _ReqCtx(ledger.new_request(action, op.code, now), now, op, client)
 
     def _route_and_admit(self, ctx: _ReqCtx) -> None:
         client = ctx.client
-        node_id = self.lb.route(client.session_id if client.logged_in else None)
+        node_id = self.lb.route(client.session_id)
         if node_id is None:
             self._complete(ctx, ERR_CONNECTION)
             return
@@ -273,7 +272,7 @@ class World:
         hooks = self._fault_hooks[ctx.node_id]
         if hooks["any"] and not self._apply_fault_hooks(ctx, node, hooks):
             return
-        node.inflight[ctx] = self._path_sets[op.code]
+        node.inflight[ctx] = op.path
         node.cpu.submit(op.service_ms_mean, partial(self._cpu_done, ctx))
 
     def _sentinel_hit(self, ctx: _ReqCtx, node: Node, comp: str) -> None:
@@ -333,7 +332,7 @@ class World:
             client = ctx.client
             store_ms = store.access_latency_ms
             if touch == SESSION_DELETE:
-                if client.logged_in:
+                if client.session_id:
                     store.delete(client.session_id)
             elif touch != SESSION_CREATE:   # read or update
                 status, payload = store.read(client.session_id, self.loop.now)
@@ -401,7 +400,7 @@ class World:
                 payload = canonical_fingerprint(op.name, session).encode()
                 self._session_stores[ctx.node_id].write(session, payload, now)
                 self.lb.establish(session, ctx.node_id)
-            elif op.session_touch == SESSION_DELETE and client.logged_in:
+            elif op.session_touch == SESSION_DELETE and client.session_id:
                 self.lb.forget(client.session_id)
                 client.end_session()
         elif outcome == ERR_SESSION:
@@ -418,9 +417,8 @@ class World:
             failure_class = classify_response(detector, outcome, ctx.divergent,
                                               self._detector_rng)
             if failure_class is not None:
-                report = FailureReport(op.name, failure_class, now, client.client_id,
-                                       ctx.node_id)
-                self.channel.report(report, detector.t_det_ms)
+                self.channel.report(FailureReport(op, failure_class, now, ctx.node_id),
+                                    detector.t_det_ms)
 
         if not client.stopped:
             if now >= self._duration:
@@ -532,7 +530,7 @@ class World:
 
     def _abort(self, node: Node, members: frozenset[str], outcome: str) -> None:
         """Cut off the requests in service or hung on any of `members`."""
-        for ctx in [c for c, paths in node.inflight.items() if paths & members]:
+        for ctx in [c for c, path in node.inflight.items() if not members.isdisjoint(path)]:
             self._complete(ctx, outcome)
         for ctx in [c for c, comp in node.parked.items() if comp in members]:
             self._complete(ctx, outcome)

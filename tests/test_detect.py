@@ -1,6 +1,9 @@
+from murbsim.app import load_app_catalog
 from murbsim.config import DetectorConfig
 from murbsim.detect import FailureReport, ReportChannel, classify_response
 from murbsim.simcore import EventLoop, RngRoot
+
+VIEW_ITEM = load_app_catalog().ops["ViewItem"]
 
 
 class TestFastDetector:
@@ -85,8 +88,7 @@ class TestReportChannel:
         seen = []
         ch = ReportChannel(loop, RngRoot(1).fork(), delay_ms=0, drop_rate=0.0,
                            sink=seen.append)
-        ch.report(FailureReport("ViewItem", "keyword", observed_at=0,
-                                client_id=1, node_id=0))
+        ch.report(FailureReport(VIEW_ITEM, "keyword", observed_at=0, node_id=0))
         loop.run_until(0)
         assert len(seen) == 1
 
@@ -95,8 +97,8 @@ class TestReportChannel:
         seen = []
         ch = ReportChannel(loop, RngRoot(1).fork(), delay_ms=40, drop_rate=0.0,
                            sink=lambda r: seen.append(loop.now))
-        ch.report(FailureReport("ViewItem", "keyword", observed_at=100,
-                                client_id=1, node_id=0), t_det_ms=7)
+        ch.report(FailureReport(VIEW_ITEM, "keyword", observed_at=100, node_id=0),
+                  t_det_ms=7)
         loop.run_until(1_000)
         assert seen == [147]      # observed + t_det + channel delay
 
@@ -105,8 +107,8 @@ class TestReportChannel:
         seen = []
         ch = ReportChannel(loop, RngRoot(1).fork(), delay_ms=0, drop_rate=1.0,
                            sink=seen.append)
-        for i in range(20):
-            ch.report(FailureReport("ViewItem", "keyword", 0, i, 0))
+        for _ in range(20):
+            ch.report(FailureReport(VIEW_ITEM, "keyword", 0, 0))
         loop.run_until(10)
         assert seen == []
 
@@ -116,8 +118,8 @@ class TestReportChannel:
         rng = RngRoot(77).fork("channel")
         ch = ReportChannel(loop, rng, delay_ms=0, drop_rate=0.1,
                            sink=delivered.append)
-        for i in range(1_000):
-            ch.report(FailureReport("ViewItem", "keyword", 0, i, 0))
+        for _ in range(1_000):
+            ch.report(FailureReport(VIEW_ITEM, "keyword", 0, 0))
         loop.run_until(10)
         # oracle: replay the identical stream and count survivors independently
         replay = RngRoot(77).fork("channel")

@@ -42,7 +42,7 @@ def murb(at_ms, target):
 
 def run_single_request(world, client, op_name):
     """Drive one operation to completion; returns its outcome and its ledger handle."""
-    ctx = world._issue(client, op_name)
+    ctx = world._issue(client, world.catalog.ops[op_name])
     client.stopped = True          # suppress the follow-up think event
     world._route_and_admit(ctx)
     guard = 0
@@ -624,11 +624,11 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=300)
         s.scripted_recoveries = [murb(40_000, "ViewItem")]
         w = World(s)
-        client = Client(len(w.clients), w.rng)
+        client = Client(len(w.clients), w.rng, w.catalog.home)
         client.stopped = True          # it issues only the test's requests
         for at, op_name in ((30_000, "Login"), (40_100, "ViewItem")):
             w.loop.schedule(at, lambda op_name=op_name: w._route_and_admit(
-                w._issue(client, op_name)))
+                w._issue(client, w.catalog.ops[op_name])))
         w.run()
         retried = [completed - issued for op_name, issued, completed, outcome
                    in request_rows(w.ledger)
@@ -683,7 +683,7 @@ class TestMaskingAndSessions:
         s.faults = [FaultConfig(5_000, "corrupt_registry_entry", "ViewItem", "wrong")]
         w = World(s)
         w.loop.run_until(6_000)
-        client = Client(0, w.rng)
+        client = Client(0, w.rng, w.catalog.home)
         run_single_request(w, client, "Login")
         outcome, _ = run_single_request(w, client, "ViewItem")
         assert outcome == "ok"        # looks valid, but the content is wrong
@@ -695,7 +695,7 @@ class TestMaskingAndSessions:
         w.channel.sink = seen.append
         outcome, _ = run_single_request(w, client, "ViewItem")
         assert outcome == "ok"
-        assert [(r.op_name, r.failure_class) for r in seen] == [("ViewItem", "divergence")]
+        assert [(r.op.name, r.failure_class) for r in seen] == [("ViewItem", "divergence")]
 
     def test_leak_accounting_exact(self):
         s = Scenario(duration_ms=90_000, seed=7, policy=quiet_policy())
@@ -1047,9 +1047,17 @@ class TestCli:
          "[recovery]\nat 1000\nlevel murb_group\ntarget Item\n",
          "group EntityGroup members Bid,Category,Item,Region are not the members "
          "of any recovery group"),
+        # accepted, exit 0; the component shared the holder of the intra-process
+        # leak, so its group's microreboot released a leak that needs a process restart
+        ("catalog_path", (r"^component AboutMe .*", r"\g<0>\ncomponent unattributed "
+                          "kind=stateless depends=- crash_ms=9 init_ms=542 footprint=4000000"),
+         "", "line 10: 'unattributed' names the holder of leaks outside every component"),
+        # exit 2, but with neither file nor line: "op Home path references unknown component "
+        ("ops_path", (" path=WebUI ", " path= "), "",
+         "line 9: empty component name in path ''"),
     ], ids=["bad_kind", "no_web_fault", "no_web_murb", "bare_row", "repeated_state",
             "probability", "service_ms", "negative_service_ms", "long_service_ms", "duplicate_op", "bad_session",
-            "unknown_group_member", "group_not_a_recovery_group"])
+            "unknown_group_member", "group_not_a_recovery_group", "reserved_holder", "empty_path"])
     def test_bad_data_file_exit_code(self, tmp_path, capsys, key, edit, events, message):
         name = {"catalog_path": "catalog.txt", "matrix_path": "transitions.txt",
                 "ops_path": "ops.txt"}[key]

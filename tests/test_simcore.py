@@ -1,5 +1,4 @@
 import _random
-import collections
 import gc
 import hashlib
 import itertools
@@ -11,12 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from murbsim import simcore
+from murbsim.app import load_app_catalog
 from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
 from murbsim.simcore import BLOCK, EventLoop, RngRoot, SimError
 from murbsim.workload import Client
 from murbsim.world import World
 
 from oracles import CounterStream, counter_draws, path_seed
+
+HOME = load_app_catalog().home       # every client's first chain state
 
 
 def test_schedule_at_now_dispatches_first():
@@ -227,13 +229,11 @@ def test_block_depends_only_on_seed_label_path_and_index():
 
 
 class _EchoCatalog:
-    """A catalog whose matrix hands back the draw it is given, and whose ops
-    need no session: Client.next_op_name then returns its transition draw."""
+    """A catalog whose matrix hands back an op that carries the draw it is
+    given and needs no session: Client.next_op_name then returns that op."""
 
     class matrix:
-        sample = staticmethod(lambda state, u: u)
-
-    ops = collections.defaultdict(lambda: types.SimpleNamespace(needs_session=False))
+        sample = staticmethod(lambda op, u: types.SimpleNamespace(needs_session=False, draw=u))
 
 
 def _client_draws(client, reference: dict[str, CounterStream], leaves) -> tuple[list, list]:
@@ -242,7 +242,7 @@ def _client_draws(client, reference: dict[str, CounterStream], leaves) -> tuple[
     got, want = [], []
     for leaf in leaves:
         if leaf == "transition":
-            got.append(client.next_op_name(_EchoCatalog))
+            got.append(client.next_op_name(_EchoCatalog).draw)
             want.append(reference[leaf].random())
         else:
             got.append(client.think_ms(_MEAN, 2**62))
@@ -254,7 +254,7 @@ def _client_draws(client, reference: dict[str, CounterStream], leaves) -> tuple[
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, _CLIENT_LEAF])
 def test_draw_stream_equals_generator_across_refills(seed):
     # 300 draws a stream span 18 refills of the 16-double block
-    client = Client(7, RngRoot(seed))
+    client = Client(7, RngRoot(seed), HOME)
     for leaf in ("transition", "think"):
         reference = {leaf: CounterStream(seed, "client/7", leaf)}
         got, want = _client_draws(client, reference, [leaf] * 300)
@@ -263,7 +263,7 @@ def test_draw_stream_equals_generator_across_refills(seed):
 
 
 def test_interleaved_draw_streams_share_no_state():
-    client = Client(3, RngRoot(5))
+    client = Client(3, RngRoot(5), HOME)
     reference = {leaf: CounterStream(5, "client/3", leaf) for leaf in ("transition", "think")}
     # uneven interleaving, so the two streams refill at different calls
     leaves = ["transition" if i % 3 else "think" for i in range(400)]
@@ -297,7 +297,7 @@ def test_each_refill_is_one_hash_of_one_block(monkeypatch, start):
             calls[-1][1] = n
             return self._hash.digest(n)
 
-    client = Client(0, RngRoot(1))
+    client = Client(0, RngRoot(1), HOME)
     client.think_block = start - 1       # the next refill enters block `start`
     client.rng_think = iter(())
     monkeypatch.setattr(simcore, "shake_128", CountingShake)
@@ -356,8 +356,8 @@ def test_world_bytes_per_client_are_bounded():
 
     traced(200)         # the first world also builds what all worlds share
     # two blocks of 16 doubles, their two iterators, the streams' 16 bytes of
-    # seeds and the Client measured 737 B a client
-    assert (traced(400) - traced(200)) / 200 <= 737 * 1.05
+    # seeds and the Client measured 729 B a client
+    assert (traced(400) - traced(200)) / 200 <= 729 * 1.05
 
 
 def test_adding_client_stream_does_not_perturb_others():

@@ -71,6 +71,26 @@ def test_no_op_name_comparisons_outside_app():
     assert hits == []
 
 
+def op_lookups(source: str) -> list[int]:
+    """The line of each subscript of, or `.get` call on, an `ops` attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and getattr(node.value, "attr", "") == "ops"
+            or isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "get"
+            and getattr(node.func.value, "attr", "") == "ops"]
+
+
+def test_no_op_lookup_by_name_outside_app():
+    # An op travels as its OpType from the transition matrix through the
+    # client, the request and the failure report to the recovery manager;
+    # names are read only where text is parsed or written.
+    assert op_lookups('op = catalog.ops[name]\nop = world.catalog.ops.get(name)\n'
+                      'x = ledger.ops()\ny = ops[name]\n') == [1, 2]
+    hits = [f"{path.name}:{line}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "app.py"
+            for line in op_lookups(path.read_text(encoding="utf-8"))]
+    assert hits == []
+
+
 def test_control_plane_passes_level_records():
     # A level name is read once, where an event is checked (world.check_event);
     # the world and the recovery manager hand the records themselves to each other.

@@ -12,24 +12,26 @@ from murbsim.workload import Client, TawLedger, latency_stats
 from oracles import (CounterStream, drive_ledger, random_trace, replay_classify,
                      sample_think_ms, stationary_distribution)
 
+HOME = load_app_catalog().home
+
 
 class TestThinkTime:
     def test_mean_and_cap(self):
-        client = Client(4, RngRoot(3))
+        client = Client(4, RngRoot(3), HOME)
         draws = [client.think_ms(7_000, 70_000) for _ in range(100_000)]
         mean = sum(draws) / len(draws)
         assert abs(mean - 7_000) / 7_000 < 0.05
         assert max(draws) <= 70_000
 
     def test_client_draws_match_helper(self):
-        client = Client(4, RngRoot(3))
+        client = Client(4, RngRoot(3), HOME)
         reference = CounterStream(3, "client/4", "think")
         assert [client.think_ms(7_000, 70_000) for _ in range(1_000)] == \
             [sample_think_ms(reference, 7_000, 70_000) for _ in range(1_000)]
 
     @pytest.mark.parametrize("mean_ms", [1, 3, 333, 7_000, 12_345, 10**9])
     def test_client_draws_match_expovariate_at_any_mean(self, mean_ms):
-        client = Client(4, RngRoot(3))
+        client = Client(4, RngRoot(3), HOME)
         reference = CounterStream(3, "client/4", "think")
         cap = 10**12
         assert [client.think_ms(mean_ms, cap) for _ in range(2_000)] == \
@@ -39,19 +41,19 @@ class TestThinkTime:
 class TestClientChain:
     def test_logout_leads_to_new_login(self):
         catalog = load_app_catalog()
-        client = Client(0, RngRoot(5))
-        client.logged_in = True
-        client.chain_state = "Logout"
-        assert client.next_op_name(catalog) == "Login"
+        client = Client(0, RngRoot(5), catalog.home)
+        client.begin_session()
+        client.chain_state = catalog.ops["Logout"]
+        assert client.next_op_name(catalog) is catalog.login
 
     def test_logged_out_client_forced_to_login(self):
         catalog = load_app_catalog()
-        client = Client(0, RngRoot(6))
+        client = Client(0, RngRoot(6), catalog.home)
         seen = set()
         for _ in range(50):
-            client.logged_in = False
-            client.chain_state = "Home"
-            seen.add(client.next_op_name(catalog))
+            client.end_session()
+            client.chain_state = catalog.home
+            seen.add(client.next_op_name(catalog).name)
         # sessioned samples are replaced by Login; only anonymous ops remain
         assert seen <= {"Login", "Home", "BrowseMenu", "SellMenu", "RegisterMenu",
                         "Help", "SiteMap", "RegisterNewUser", "Logout"}
@@ -63,11 +65,11 @@ class TestClientChain:
         catalog = load_app_catalog()
         rng = RngRoot(9).fork("transition")
         counts = {s: 0 for s in catalog.matrix.states}
-        state = "Home"
+        op = catalog.home
         n = 1_000_000
         for _ in range(n):
-            state = catalog.matrix.sample(state, rng.random())
-            counts[state] += 1
+            op = catalog.matrix.sample(op, rng.random())
+            counts[op.name] += 1
         pi = stationary_distribution(catalog.matrix)
         observed = [counts[s] for s in catalog.matrix.states]
         expected = [pi[s] * n for s in catalog.matrix.states]
