@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Print the memory each benchmark world holds at seed 1, in traced MB, as JSON.
 
+`import_mb` is the traced bytes still held after a fresh process, which has
+imported the standard modules perfbench/child.py imports, imports harness,
+simcore and world: what loading the simulator costs each benchmark world.
+
 Each of `steady`, `campaign` and `overload` is parsed from the scenario text
 of perfbench/workloads.py at size full, then built, run and exported in this
 process under tracemalloc. Per workload it prints:
@@ -21,11 +25,12 @@ process under tracemalloc. Per workload it prints:
 
 Unlike the benchmark's `peak_rss_mb`, which moves with where the allocator
 places objects, these counts are exact and the same under any
-PYTHONHASHSEED.
+PYTHONHASHSEED (`import_mb` to within a kB).
 """
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -40,6 +45,23 @@ from workloads import WORKLOADS, scenario_text  # noqa: E402
 
 SEED = 1
 MB = 1e6
+
+IMPORT_CODE = """\
+import argparse, hashlib, json, os, resource, statistics, sys, time, tracemalloc
+sys.path.insert(0, sys.argv[1])
+tracemalloc.start()
+from murbsim import harness
+from murbsim.simcore import EventLoop
+from murbsim.world import World
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def import_bytes() -> int:
+    """The traced bytes the simulator's modules hold once a fresh process imports them."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CODE, os.path.join(ROOT, "src")],
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout)
 
 
 def world_bytes(scenario) -> int:
@@ -83,6 +105,7 @@ def traced_mb(workload: str) -> dict[str, float]:
 
 def main() -> int:
     held = {f"{workload}/seed{SEED}": traced_mb(workload) for workload in WORKLOADS}
+    held["import_mb"] = round(import_bytes() / MB, 3)
     sys.stdout.write(json.dumps(held, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .config import MAX_DELAY_MS
+from .config import MAX_DELAY_MS, Record
 from .runtime import _parse_kv, data_file
 
 CATEGORIES = ("static", "session_init", "read_only", "search",
@@ -37,23 +36,20 @@ class OpCatalogError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OpType:
-    """One user operation: component path, session and database traffic, service time."""
-    name: str
-    category: str
-    path: tuple[str, ...]
-    is_commit_point: bool
-    idempotent: bool
-    session_touch: str
-    tx_writes: bool
-    service_ms_mean: int
-    functional_group: str
-    code: int                    # its index in the catalog; the ledger keeps it
+class OpType(Record):
+    """One user operation: component path, session and database traffic, service time.
 
-    @property
-    def needs_session(self) -> bool:
-        return self.session_touch in (SESSION_READ, SESSION_UPDATE, SESSION_DELETE)
+    A slot class: the world reads an op's fields about nine times a request.
+    """
+
+    _fields = ("name", "category", "path", "is_commit_point", "idempotent", "session_touch",
+               "tx_writes", "service_ms_mean", "functional_group",
+               "code")                   # its index in the catalog; the ledger keeps it
+    __slots__ = (*_fields, "needs_session")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.needs_session = self.session_touch in (SESSION_READ, SESSION_UPDATE, SESSION_DELETE)
 
 
 def canonical_fingerprint(op_name: str, session_key: str) -> str:

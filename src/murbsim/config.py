@@ -1,13 +1,12 @@
-"""Scenario configuration dataclasses and defaults.
+"""Scenario configuration sections and defaults.
 
 Every tunable the simulator honors lives here; scenario files and presets
 only ever fill these structures. A numeric field's type carries its allowed
-range, which the scenario parser checks.
+range, which every assignment checks, from a scenario file or in code. The
+sections and the simulator's records are plain classes on `Record`, which,
+unlike a dataclass, compiles no code and loads no `dataclasses` or `inspect`.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from typing import Annotated, Literal, NamedTuple
 
 
@@ -36,8 +35,67 @@ NonNegativeFloat = Annotated[float, Range(0.0)]
 Probability = Annotated[float, Range(0.0, 1.0)]
 
 
-@dataclass
-class ClusterConfig:
+class Record:
+    """Construction by position or keyword, field equality and a repr, over
+    the field names `_fields` in order. A field left out takes its value in
+    `_defaults`, where a class (a sub-config, `list`) builds one each time."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(cls._fields) or not kwargs.keys() <= set(cls._fields[len(args):]):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
+        kwargs.update(zip(cls._fields, args))
+        for name in cls._fields:
+            if name not in kwargs:
+                if name not in cls._defaults:
+                    raise TypeError(f"{cls.__name__} missing field {name!r}")
+                default = cls._defaults[name]
+                kwargs[name] = default() if isinstance(default, type) else default
+            setattr(self, name, kwargs[name])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    __hash__ = None     # mutable, as a dataclass with eq
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Section(Record):
+    """A config section: its annotated fields in order, `types`, each with its
+    value in the class body as default. Each value set, at construction or
+    later, must lie in its field's Range."""
+
+    types: dict[str, object] = {}       # field name -> annotation
+
+    def __init_subclass__(cls) -> None:
+        cls.types = cls.__annotations__
+        cls._fields = tuple(cls.types)
+        cls._defaults = {name: vars(cls)[name] for name in cls.types if name in vars(cls)}
+
+    @classmethod
+    def check(cls, name: str, value):
+        """`value`, if field `name` may hold it; else ValueError."""
+        allowed = getattr(cls.types.get(name), "__metadata__", None)
+        return allowed[0].check(value) if allowed else value
+
+    def __setattr__(self, name: str, value) -> None:
+        try:
+            self.check(name, value)
+        except ValueError as exc:
+            raise ValueError(f"{type(self).__name__}.{name}: {exc}") from None
+        object.__setattr__(self, name, value)
+
+
+class ClusterConfig(Section):
     """Nodes, their capacities, and the cost of each restart scope."""
     nodes: AtLeastOne = 1
     workers_per_node: AtLeastOne = 200
@@ -52,8 +110,7 @@ class ClusterConfig:
     process_restart_ms: Delay = 19_083
 
 
-@dataclass
-class WorkloadConfig:
+class WorkloadConfig(Section):
     """Closed-loop clients per node, their think time, and the request TTL."""
     clients_per_node: NonNegative = 500
     think_mean_ms: AtLeastOne = 7_000
@@ -61,8 +118,7 @@ class WorkloadConfig:
     request_ttl_ms: Delay = 30_000
 
 
-@dataclass
-class StoreConfig:
+class StoreConfig(Section):
     """Where sessions live, and each store's latency and lease."""
     session_store: Literal["in_process", "external"] = "in_process"
     in_process_latency_ms: Delay = 0
@@ -70,8 +126,7 @@ class StoreConfig:
     session_lease_ms: Delay = 1_800_000
 
 
-@dataclass
-class DetectorConfig:
+class DetectorConfig(Section):
     """The failure detector's kind, delay and error rates, and its report channel."""
     kind: Literal["fast", "comparison"] = "fast"
     t_det_ms: Delay = 0
@@ -81,8 +136,7 @@ class DetectorConfig:
     drop_rate: Probability = 0.0
 
 
-@dataclass
-class PolicyConfig:
+class PolicyConfig(Section):
     """The recovery manager's diagnosis threshold, score decay and escalation."""
     enabled: bool = True
     threshold: NonNegativeFloat = 3.0
@@ -94,8 +148,7 @@ class PolicyConfig:
     recovery_mode: Literal["murb", "restart"] = "murb"
 
 
-@dataclass
-class RejuvenationConfig:
+class RejuvenationConfig(Section):
     """Heap-threshold rejuvenation: when it acts and what it restarts."""
     enabled: bool = False
     mode: Literal["murb", "restart"] = "murb"   # murb: rolling component reboots; restart: whole process
@@ -104,8 +157,7 @@ class RejuvenationConfig:
     sufficient_bytes: NonNegative = 800_000_000
 
 
-@dataclass
-class FaultConfig:
+class FaultConfig(Section):
     """One fault, injected at a fixed time."""
     inject_at_ms: NonNegative
     fault_class: str
@@ -116,8 +168,7 @@ class FaultConfig:
     fail_probability: Probability = 1.0   # classes whose symptom throws
 
 
-@dataclass
-class ScriptedRecovery:
+class ScriptedRecovery(Section):
     """Direct recovery action at a fixed time, bypassing diagnosis."""
 
     at_ms: NonNegative
@@ -126,19 +177,18 @@ class ScriptedRecovery:
     node: int = 0                         # checked against the cluster's size
 
 
-@dataclass
-class Scenario:
+class Scenario(Section):
     """Everything one world is built from: seed, duration, sections and events."""
     duration_ms: Annotated[int, Range(0, MAX_DURATION_MS)] = 60_000
     seed: int = 1
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    stores: StoreConfig = field(default_factory=StoreConfig)
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
-    rejuvenation: RejuvenationConfig = field(default_factory=RejuvenationConfig)
-    faults: list[FaultConfig] = field(default_factory=list)
-    scripted_recoveries: list[ScriptedRecovery] = field(default_factory=list)
+    cluster: ClusterConfig = ClusterConfig
+    workload: WorkloadConfig = WorkloadConfig
+    stores: StoreConfig = StoreConfig
+    detector: DetectorConfig = DetectorConfig
+    policy: PolicyConfig = PolicyConfig
+    rejuvenation: RejuvenationConfig = RejuvenationConfig
+    faults: list[FaultConfig] = list
+    scripted_recoveries: list[ScriptedRecovery] = list
     catalog_path: str = ""                # empty: use the bundled demo catalog
     ops_path: str = ""
     matrix_path: str = ""

@@ -10,9 +10,9 @@ fault's target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
+from .config import Record
 from .runtime import UNATTRIBUTED
 
 # Request outcomes; every other module uses these names.
@@ -216,44 +216,42 @@ def cure_profile(fault_class: str, mode: str = "") -> CureProfile:
     return fc.profiles[mode]
 
 
-@dataclass(eq=False)
-class RecoveryOp:
+class RecoveryOp(Record):
     """One executed recovery action, from its start to the manager's verdict."""
 
-    level: Level
-    node: int
-    members: frozenset[str]       # for a restart, every component of its node
-    target: str                   # group label, node<i>, or operator
-    started_at: int
-    duration_ms: int              # crash + init cost; a microreboot's drain delay comes first
-    reason: str                   # episode | scripted | rejuvenation | direct | handed_off
-    completed_at: int = -1        # -1 until it completes; a hand-off never does
-    result: str = ""              # the recovery manager's verdict: cured | persisted
-    released: dict[str, int] = field(default_factory=dict)  # heap bytes freed, by holder
-    on_complete: list = field(default_factory=list)         # each called with this op
+    __slots__ = _fields = (
+        "level", "node",
+        "members",          # for a restart, every component of its node
+        "target",           # group label, node<i>, or operator
+        "started_at",
+        "duration_ms",      # crash + init cost; a microreboot's drain delay comes first
+        "reason",           # episode | scripted | rejuvenation | direct | handed_off
+        "completed_at",     # -1 until it completes; a hand-off never does
+        "result",           # the recovery manager's verdict: cured | persisted
+        "released",         # heap bytes freed, by holder
+        "on_complete")      # each called with this op
+    _defaults = {"completed_at": -1, "result": "", "released": dict, "on_complete": list}
+    __eq__, __hash__ = object.__eq__, object.__hash__     # each is one action
 
 
-@dataclass(eq=False)
-class Fault:
+class Fault(Record):
     """One injected fault: its scenario settings, ground truth and run state."""
 
-    fault_id: int
-    fault_class: str
-    target: str
-    mode: str
-    node: int
-    inject_at: int
-    bytes_per_invoke: int = 0
-    fail_probability: float = 1.0
-    armed: bool = False           # becomes True at inject_at
-    active: bool = False          # symptoms being generated
-    pinned: bool = False          # holds a CPU slot (infinite loop)
-    sessions_at_inject: int = -1  # sessions homed on its node when armed; -1: never armed
-    recoveries: list[RecoveryOp] = field(default_factory=list)  # completed on its node while active
-    kind: FaultClass = field(init=False, repr=False)
-    profile: CureProfile = field(init=False, repr=False)
+    _fields = (
+        "fault_id", "fault_class", "target", "mode", "node", "inject_at",
+        "bytes_per_invoke", "fail_probability",
+        "armed",                # becomes True at inject_at
+        "active",               # symptoms being generated
+        "pinned",               # holds a CPU slot (infinite loop)
+        "sessions_at_inject",   # sessions homed on its node when armed; -1: never armed
+        "recoveries")           # RecoveryOps completed on its node while active
+    __slots__ = (*_fields, "kind", "profile")
+    _defaults = {"bytes_per_invoke": 0, "fail_probability": 1.0, "armed": False,
+                 "active": False, "pinned": False, "sessions_at_inject": -1, "recoveries": list}
+    __eq__, __hash__ = object.__eq__, object.__hash__     # each is one injection
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.profile = cure_profile(self.fault_class, self.mode)
         self.kind = FAULT_CLASSES[self.fault_class]
 

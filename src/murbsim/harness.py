@@ -7,7 +7,6 @@ group availability gaps), summary.txt / summary.json.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import os
@@ -51,18 +50,18 @@ _EVENT_SECTIONS = {
 
 
 @functools.cache
-def _field_types(cls) -> dict:
-    """The types of a config class's settings, with the ranges config.py
-    attaches; a sub-config or an event list is not a setting."""
-    return {name: t for name, t in typing.get_type_hints(cls, include_extras=True).items()
-            if not dataclasses.is_dataclass(t) and typing.get_origin(t) is not list}
+def _settings(cls) -> tuple[str, ...]:
+    """A config class's settings: its fields but a sub-config or an event
+    list, whose default is the class that builds it."""
+    return tuple(name for name in cls._fields if not isinstance(cls._defaults.get(name), type))
 
 
-def _coerce(value: str, target_type, lineno: int):
+def _coerce(cls, name: str, value: str, lineno: int):
+    """`value` as field `name` of config class `cls`, checked as code's assignment is."""
+    target_type = cls.types[name]
+    if typing.get_origin(target_type) is typing.Annotated:
+        target_type = target_type.__origin__             # its Range: cls.check
     try:
-        if typing.get_origin(target_type) is typing.Annotated:
-            base, allowed = typing.get_args(target_type)      # a config.Range
-            return allowed.check(_coerce(value, base, lineno))
         if target_type is bool:
             if value in ("true", "yes", "1"):
                 return True
@@ -70,14 +69,14 @@ def _coerce(value: str, target_type, lineno: int):
                 return False
             raise ValueError(f"expected boolean, got {value!r}")
         if target_type is int:
-            return int(value)
-        if target_type is float:
-            return float(value)
-        if typing.get_origin(target_type) is typing.Literal:
+            value = int(value)
+        elif target_type is float:
+            value = float(value)
+        elif typing.get_origin(target_type) is typing.Literal:
             allowed = typing.get_args(target_type)
             if value not in allowed:
                 raise ValueError(f"expected {' | '.join(allowed)}, got {value!r}")
-        return value
+        return cls.check(name, value)
     except ValueError as exc:
         raise ScenarioError(f"line {lineno}: {exc}") from None
 
@@ -86,7 +85,7 @@ def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     section = None
     pending: dict[str, object] | None = None     # fields of the open event section
-    pending_keys: dict[str, tuple[str, type]] = {}
+    pending_keys: dict[str, str] = {}            # file key -> field name
     pending_line = 0
     events: list[tuple[int, str, object]] = []   # (line, section, event) per event section
 
@@ -96,7 +95,7 @@ def parse_scenario(text: str) -> Scenario:
             return
         cls, list_name, _, fixed, required = _EVENT_SECTIONS[section]
         for key in required:
-            if pending_keys[key][0] not in pending:
+            if pending_keys[key] not in pending:
                 raise ScenarioError(
                     f"line {pending_line}: [{section}] missing field {key!r}")
         event = cls(**pending, **fixed)
@@ -116,10 +115,8 @@ def parse_scenario(text: str) -> Scenario:
             elif name in _EVENT_SECTIONS:
                 section = name
                 cls, _, renames, fixed, _ = _EVENT_SECTIONS[name]
-                types = _field_types(cls)
                 pending = {}
-                pending_keys = {renames.get(f.name, f.name): (f.name, types[f.name])
-                                for f in dataclasses.fields(cls) if f.name not in fixed}
+                pending_keys = {renames.get(f, f): f for f in cls._fields if f not in fixed}
                 pending_line = lineno
             else:
                 raise ScenarioError(f"line {lineno}: unknown section [{name}]")
@@ -131,16 +128,14 @@ def parse_scenario(text: str) -> Scenario:
         if pending is not None:
             if key not in pending_keys:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
-            field_name, field_type = pending_keys[key]
-            pending[field_name] = _coerce(value, field_type, lineno)
+            pending[pending_keys[key]] = _coerce(cls, pending_keys[key], value, lineno)
             continue
         if section is None:
             raise ScenarioError(f"line {lineno}: key outside any section")
         target = scenario if section == "scenario" else getattr(scenario, section)
-        field_types = _field_types(type(target))
-        if key not in field_types:
+        if key not in _settings(type(target)):
             raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        setattr(target, key, _coerce(value, field_types[key], lineno))
+        setattr(target, key, _coerce(type(target), key, value, lineno))
     flush_pending()
     # the world's own event check, run here so that a bad event fails with its line
     registry = Registry(*load_catalog(scenario.catalog_path)) if events else None

@@ -11,9 +11,8 @@ to a human instead of rebooted again.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
-from .config import PolicyConfig, RejuvenationConfig
+from .config import PolicyConfig, Record, RejuvenationConfig
 from .detect import FAULTY_APP_CHECK, FailureReport
 from .faultlib import ESCALATE_HUMAN, LEVELS, MURB_GROUP, RESTART_PROCESS, Level, RecoveryOp
 from .runtime import KIND_WEB
@@ -51,16 +50,13 @@ class ScoreBoard:
         self.report_times.clear()
 
 
-@dataclass
-class Episode:
+class Episode(Record):
     """One diagnosis on a node, its ladder of actions, and how it ended."""
-    node: int
-    started_at: int
-    anchor: str
-    actions: list[RecoveryOp] = field(default_factory=list)    # added as each completes
-    terminal_level: str = ""
-    cured: bool = False
-    manual_repair_flagged: bool = False
+
+    __slots__ = _fields = ("node", "started_at", "anchor", "actions", "terminal_level", "cured",
+                           "manual_repair_flagged")
+    _defaults = {"actions": list,               # RecoveryOps, added as each completes
+                 "terminal_level": "", "cured": False, "manual_repair_flagged": False}
 
     @property
     def levels(self) -> list[str]:

@@ -10,10 +10,11 @@ driven and lives in world.py; this module owns the state transitions.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
+
+from .config import Record
 
 KIND_ENTITY = "entity"
 KIND_STATELESS = "stateless"
@@ -44,13 +45,12 @@ class ComponentSpec(NamedTuple):
     mem_footprint_bytes: int
 
 
-@dataclass
-class LeaseRecord:
-    """Heap bytes charged to a holder under one resource id."""
-    resource_id: str
-    holder: str                      # component name or UNATTRIBUTED
-    bytes: int
-    expires_at: int | None = None    # None: held until released
+class LeaseRecord(Record):
+    """Heap bytes charged to a holder, a component or UNATTRIBUTED, under one
+    resource id, until `expires_at`; None: held until released."""
+
+    __slots__ = _fields = ("resource_id", "holder", "bytes", "expires_at")
+    _defaults = {"expires_at": None}
 
 
 class RecoveryGroup(NamedTuple):

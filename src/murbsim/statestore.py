@@ -12,7 +12,8 @@ Three stores with different survivability:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+
+from .config import Record
 
 READ_OK = "found"
 READ_MISSING = "missing"
@@ -23,12 +24,16 @@ def checksum(payload: bytes) -> int:
     return zlib.crc32(payload) & 0xFFFFFFFF
 
 
-@dataclass
-class SessionRecord:
+class SessionRecord(Record):
     """A stored session: payload, lease expiry and checksum."""
-    payload: bytes
-    lease_expires_at: int
-    checksum: int
+
+    __slots__ = _fields = ("payload", "lease_expires_at", "checksum")
+
+    def __init__(self, payload: bytes, lease_expires_at: int, checksum: int):
+        # spelled out, not Record's: a world writes a session every few requests
+        self.payload = payload
+        self.lease_expires_at = lease_expires_at
+        self.checksum = checksum
 
 
 class SessionStore:
@@ -86,12 +91,11 @@ class SessionStore:
         self.records.clear()
 
 
-@dataclass
-class TxRecord:
+class TxRecord(Record):
     """A committed row; tainted while it holds wrong-value damage."""
-    row_key: str
-    value: bytes
-    tainted: bool = False
+
+    __slots__ = _fields = ("row_key", "value", "tainted")
+    _defaults = {"tainted": False}
 
 
 TX_COMMITTED = "committed"

@@ -198,6 +198,30 @@ level restart_process
             with pytest.raises(ScenarioError, match=f"^line 2: {re.escape(message)}$"):
                 parse_scenario(text)
 
+    @pytest.mark.parametrize("section, field, value, message", [
+        # without the check each once failed mid-run (ZeroDivisionError,
+        # OverflowError, SimError at the microreboot), in World(...)
+        # (IndexError) or not at all
+        ("workload", "think_mean_ms", 0, "expected a value >= 1, got 0"),
+        ("policy", "half_life_ms", 0, "expected a value >= 1, got 0"),
+        ("", "duration_ms", 2**31, "expected a value >= 0 and <= 1073741824, got 2147483648"),
+        ("cluster", "drain_delay_ms", -5, "expected a value >= 0 and <= 33554432, got -5"),
+        ("detector", "fp_rate", 2.0, "expected a value >= 0.0 and <= 1.0, got 2.0"),
+        ("cluster", "nodes", 0, "expected a value >= 1, got 0"),
+    ])
+    def test_code_built_scenario_is_range_checked(self, section, field, value, message):
+        """A section built or changed in code is held to the ranges the
+        parser applies, and the error names the field."""
+        scenario = Scenario(workload=WorkloadConfig(clients_per_node=20),
+                            scripted_recoveries=[murb(1_000, "Item")])
+        target = getattr(scenario, section) if section else scenario
+        match = f"^{type(target).__name__}.{field}: {re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
+            type(target)(**{field: value})
+        with pytest.raises(ValueError, match=match):
+            setattr(target, field, value)
+        World(scenario).run()    # the failed assignment left the field as it was
+
     def test_missing_fault_field_reports_line(self):
         with pytest.raises(ScenarioError, match="class"):
             parse_scenario("[fault]\nat 100\n")
