@@ -6,7 +6,7 @@ the command line and the process pool stay out of that path. Config sections
 and records are plain classes on `config.Record`, not dataclasses, so a world
 loads none of the modules a dataclass needs (dataclasses, inspect, ast, dis,
 tokenize and more) and compiles no method at import: the traced bytes still
-held after the benchmark child's imports fell from 1.665 to 0.754 MB.
+held once the simulator is imported fell from 1.666 to 0.704 MB (Python 3.11.7).
 """
 
 import ast
@@ -69,7 +69,7 @@ def test_import_bytes_are_bounded():
             "from murbsim.simcore import EventLoop\n"
             "from murbsim.world import World\n"
             "print(tracemalloc.get_traced_memory()[0])\n")
-    # measured 703,700 B on Python 3.11.7, and 1,664,000 B with the config
+    # measured 703,700 B on Python 3.11.7, and 1,666,000 B with the config
     # sections and records as dataclasses
     assert int(_run(code, str(SRC))) <= 703_700 * 1.05
 
