@@ -86,7 +86,6 @@ class Node:
     def __init__(self, node_id: int, loop, registry: Registry, heap: HeapLedger,
                  in_process_store: SessionStore, workers: int, cpu_slots: int):
         self.node_id = node_id
-        self.loop = loop
         self.registry = registry
         self.heap = heap
         self.in_process_store = in_process_store

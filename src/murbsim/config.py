@@ -2,12 +2,13 @@
 
 Every tunable the simulator honors lives here; scenario files and presets
 only ever fill these structures. A numeric field's type carries its allowed
-range, which every assignment checks, from a scenario file or in code. The
-sections and the simulator's records are plain classes on `Record`, which,
-unlike a dataclass, compiles no code and loads no `dataclasses` or `inspect`.
+range and a `Literal` field's its allowed set, which every assignment checks,
+from a scenario file or in code. The sections and the simulator's records
+are plain classes on `Record`, which, unlike a dataclass, compiles no code
+and loads no `dataclasses` or `inspect`.
 """
 
-from typing import Annotated, Literal, NamedTuple
+from typing import Annotated, Literal, NamedTuple, get_args, get_origin
 
 
 class Range(NamedTuple):
@@ -72,7 +73,7 @@ class Record:
 class Section(Record):
     """A config section: its annotated fields in order, `types`, each with its
     value in the class body as default. Each value set, at construction or
-    later, must lie in its field's Range."""
+    later, must lie in its field's Range or allowed set."""
 
     types: dict[str, object] = {}       # field name -> annotation
 
@@ -84,8 +85,12 @@ class Section(Record):
     @classmethod
     def check(cls, name: str, value):
         """`value`, if field `name` may hold it; else ValueError."""
-        allowed = getattr(cls.types.get(name), "__metadata__", None)
-        return allowed[0].check(value) if allowed else value
+        kind = cls.types.get(name)
+        if get_origin(kind) is Annotated:
+            return kind.__metadata__[0].check(value)
+        if get_origin(kind) is Literal and value not in get_args(kind):
+            raise ValueError(f"expected {' | '.join(get_args(kind))}, got {value!r}")
+        return value
 
     def __setattr__(self, name: str, value) -> None:
         try:

@@ -98,12 +98,9 @@ def _throw(fault, ctx, node, rng):
 
 
 def _leak_heap(fault, ctx, node, rng):
-    node.heap.charge(fault.target, fault.bytes_per_invoke, resource_id=f"leak:{fault.fault_id}")
-    return ERR_EXCEPTION if node.heap.free <= 0 else None
-
-
-def _leak_unattributed(fault, ctx, node, rng):
-    node.heap.charge(UNATTRIBUTED, fault.bytes_per_invoke, resource_id=f"leak:{fault.fault_id}")
+    # a process-wide class takes no target: its leak is outside every component
+    node.heap.charge(fault.target or UNATTRIBUTED, fault.bytes_per_invoke,
+                     resource_id=f"leak:{fault.fault_id}")
     return ERR_EXCEPTION if node.heap.free <= 0 else None
 
 
@@ -198,7 +195,7 @@ FAULT_CLASSES = {fc.name: fc for fc in (
     # Checksums catch it on read and the record is discarded; no reboot.
     FaultClass("corrupt_external_session", {"": _SELF, **_modes(_SELF, _SELF)}, None, on_arm=_corrupt_external),
     FaultClass("corrupt_db_row", {"": CureProfile(CURE_MANUAL, True)}, symptom=_stale_row, on_arm=_taint_row),
-    FaultClass("leak_outside_app_intra_process", {"": _PROCESS}, SITE_PROCESS, _leak_unattributed, leaks=True),
+    FaultClass("leak_outside_app_intra_process", {"": _PROCESS}, SITE_PROCESS, _leak_heap, leaks=True),
     FaultClass("leak_outside_process", {"": CureProfile(CURE_NODE, False)}, SITE_PROCESS, _leak_os, leaks=True),
     FaultClass("process_memory_bitflip", {"": CureProfile(CURE_PROCESS, True)}, SITE_PROCESS, _throw),
     FaultClass("bad_env", {"": _PROCESS}, SITE_PROCESS, _throw),

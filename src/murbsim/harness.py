@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import typing
 from bisect import bisect_left, bisect_right
 
 from .cluster import six_nines_budget
@@ -57,25 +56,21 @@ def _settings(cls) -> tuple[str, ...]:
 
 
 def _coerce(cls, name: str, value: str, lineno: int):
-    """`value` as field `name` of config class `cls`, checked as code's assignment is."""
-    target_type = cls.types[name]
-    if typing.get_origin(target_type) is typing.Annotated:
-        target_type = target_type.__origin__             # its Range: cls.check
+    """`value` as field `name` of config class `cls`, read by the field's base
+    type (bool, int, float, else the string) and checked as code's assignment is."""
+    kind = cls.types[name]
+    kind = getattr(kind, "__origin__", kind)     # Annotated[int, Range] reads as int
     try:
-        if target_type is bool:
+        if kind is bool:
             if value in ("true", "yes", "1"):
                 return True
             if value in ("false", "no", "0"):
                 return False
             raise ValueError(f"expected boolean, got {value!r}")
-        if target_type is int:
+        if kind is int:
             value = int(value)
-        elif target_type is float:
+        elif kind is float:
             value = float(value)
-        elif typing.get_origin(target_type) is typing.Literal:
-            allowed = typing.get_args(target_type)
-            if value not in allowed:
-                raise ValueError(f"expected {' | '.join(allowed)}, got {value!r}")
         return cls.check(name, value)
     except ValueError as exc:
         raise ScenarioError(f"line {lineno}: {exc}") from None

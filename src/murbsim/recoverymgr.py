@@ -15,7 +15,6 @@ from bisect import bisect_right
 from .config import PolicyConfig, Record, RejuvenationConfig
 from .detect import FAULTY_APP_CHECK, FailureReport
 from .faultlib import ESCALATE_HUMAN, LEVELS, MURB_GROUP, RESTART_PROCESS, Level, RecoveryOp
-from .runtime import KIND_WEB
 
 
 class ScoreBoard:
@@ -106,8 +105,7 @@ class RecoveryManager:
         for comp, score in board.scores.items():
             if score < board.threshold:
                 continue
-            spec = registry.specs.get(comp)
-            if spec is None or spec.kind == KIND_WEB:
+            if comp == registry.web_component:
                 continue   # the web component sits on every path; it has its own rung
             members = registry.groups[comp].members
             key = (-score, len(members), comp)
@@ -194,8 +192,8 @@ class RejuvenationService:
         self.world = world
         self.config = config
         self.node = node
-        specs = world.nodes[node].registry.specs
-        self.candidates: list[str] = [n for n in specs if specs[n].kind != KIND_WEB]
+        registry = world.nodes[node].registry
+        self.candidates: list[str] = [n for n in registry.specs if n != registry.web_component]
         self.released_by_component: dict[str, int] = {n: 0 for n in self.candidates}
         self.completed_passes = 0
         self.pass_log: list[dict] = []

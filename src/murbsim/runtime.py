@@ -171,7 +171,7 @@ class Registry:
         elif mode == "invalid":
             entry = Lookup(WRONG)          # type-checks but points nowhere usable
         else:                              # wrong: the event check admits no other mode
-            others = [n for n in self.specs if n != name and self.specs[n].kind != KIND_WEB]
+            others = [n for n in self.specs if n not in (name, self.web_component)]
             entry = Lookup(WRONG, others[0] if others else None)
         if self.impaired.get(name) is not _STOPPED:
             self.impaired[name] = entry

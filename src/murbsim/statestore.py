@@ -105,10 +105,9 @@ TX_ABORTED = "aborted"
 class Transaction:
     """Staged writes; nothing is visible until commit."""
 
-    __slots__ = ("owner", "writes", "taint", "state")
+    __slots__ = ("writes", "taint", "state")
 
-    def __init__(self, owner: str):
-        self.owner = owner
+    def __init__(self) -> None:
         self.writes: list[tuple[str, bytes]] = []
         self.taint = False
         self.state = "open"
@@ -120,8 +119,8 @@ class TransactionalStore:
     def __init__(self) -> None:
         self.rows: dict[str, TxRecord] = {}
 
-    def begin(self, owner: str) -> Transaction:
-        return Transaction(owner)
+    def begin(self) -> Transaction:
+        return Transaction()
 
     def commit(self, tx: Transaction) -> str:
         if tx.state != "open":
@@ -136,10 +135,10 @@ class TransactionalStore:
             tx.state = TX_ABORTED
         return tx.state
 
-    def execute(self, writes: list[tuple[str, bytes]], owner: str,
-                *, taint: bool = False, abort: bool = False) -> str:
+    def execute(self, writes: list[tuple[str, bytes]], *, taint: bool = False,
+                abort: bool = False) -> str:
         """One-shot transaction, for direct use and tests."""
-        tx = self.begin(owner)
+        tx = self.begin()
         tx.writes.extend(writes)
         tx.taint = taint
         if abort:

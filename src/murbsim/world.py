@@ -370,8 +370,7 @@ class World:
         if ctx.taint and outcome == OK:
             row = f"{op.name}:{ctx.req + 1}"
             value = canonical_fingerprint(op.name, str(ctx.client.client_id)).encode()
-            owner = op.path[1] if len(op.path) > 1 else op.path[0]
-            self.tx_store.execute([(row, value)], owner=owner, taint=True)
+            self.tx_store.execute([(row, value)], taint=True)
         self._complete(ctx, outcome)
 
     def _complete(self, ctx: _ReqCtx, outcome: str) -> None:

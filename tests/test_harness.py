@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import typing
 from importlib import resources
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from murbsim.app import MAX_OPS, load_app_catalog
 from murbsim.config import (ClusterConfig, DetectorConfig, FaultConfig,
-                            PolicyConfig, Scenario, ScriptedRecovery,
+                            PolicyConfig, Scenario, ScriptedRecovery, Section,
                             StoreConfig, WorkloadConfig)
 from murbsim.faultlib import (ERR_CONNECTION, ERR_SESSION, ERR_TTL, ERR_UNAVAILABLE,
                               FAULT_CLASSES, MURB_GROUP, OUTCOMES, RECOVERY_LEVELS,
@@ -221,6 +222,40 @@ level restart_process
         with pytest.raises(ValueError, match=match):
             setattr(target, field, value)
         World(scenario).run()    # the failed assignment left the field as it was
+
+    def test_code_built_scenario_is_set_checked(self):
+        """A field's allowed set is one check, as its range is: for every
+        `Literal` field of every section, an outside value fails by
+        constructor and by assignment with the field's name, leaves the field
+        as it was, and fails in a scenario file with its line."""
+        # each of these once built and ran a world, the first as an in-process store
+        repros = {("StoreConfig", "session_store"): "externall",
+                  ("DetectorConfig", "kind"): "compare",
+                  ("PolicyConfig", "recovery_mode"): "reboot",
+                  ("RejuvenationConfig", "mode"): "restrat"}
+        file_sections = {cls: name for name, cls in Scenario._defaults.items()
+                         if isinstance(cls, type) and issubclass(cls, Section)}
+        file_sections[Scenario] = "scenario"
+        fields = [(cls, name, typing.get_args(kind))
+                  for cls in Section.__subclasses__() for name, kind in cls.types.items()
+                  if typing.get_origin(kind) is typing.Literal]
+        assert set(repros) <= {(cls.__name__, name) for cls, name, _ in fields}
+        scenario = Scenario()
+        for cls, name, allowed in fields:
+            section = file_sections[cls]
+            target = scenario if cls is Scenario else getattr(scenario, section)
+            for value in {repros.get((cls.__name__, name), "bogus"), "bogus"}:
+                message = re.escape(f"expected {' | '.join(allowed)}, got {value!r}")
+                match = f"^{cls.__name__}.{name}: {message}$"
+                with pytest.raises(ValueError, match=match):
+                    cls(**{name: value})
+                before = getattr(target, name)
+                with pytest.raises(ValueError, match=match):
+                    setattr(target, name, value)
+                assert getattr(target, name) == before
+                with pytest.raises(ScenarioError, match=f"^line 2: {message}$"):
+                    parse_scenario(f"[{section}]\n{name} {value}\n")
+        assert scenario == Scenario()
 
     def test_missing_fault_field_reports_line(self):
         with pytest.raises(ScenarioError, match="class"):

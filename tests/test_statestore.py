@@ -77,20 +77,20 @@ class TestSessionStore:
 class TestTransactionalStore:
     def test_commit_two_rows_visible(self):
         store = TransactionalStore()
-        assert store.execute([("a", b"1"), ("b", b"2")], owner="CommitBid") == "committed"
+        assert store.execute([("a", b"1"), ("b", b"2")]) == "committed"
         assert store.read("a").value == b"1"
         assert store.read("b").value == b"2"
 
     def test_abort_leaves_rows_unchanged(self):
         store = TransactionalStore()
-        store.execute([("a", b"old")], owner="X")
-        assert store.execute([("a", b"new"), ("b", b"2")], owner="X", abort=True) == "aborted"
+        store.execute([("a", b"old")])
+        assert store.execute([("a", b"new"), ("b", b"2")], abort=True) == "aborted"
         assert store.read("a").value == b"old"
         assert store.read("b") is None
 
     def test_tainted_commit_and_repair(self):
         store = TransactionalStore()
-        store.execute([("a", b"v")], owner="X", taint=True)
+        store.execute([("a", b"v")], taint=True)
         assert store.tainted_rows() == ["a"]
         assert store.repair("a")
         assert store.tainted_rows() == []
@@ -110,7 +110,7 @@ class TestTransactionalStore:
 def test_tx_atomicity_property(writes, abort):
     store = TransactionalStore()
     before = {k: r.value for k, r in store.rows.items()}
-    result = store.execute(list(writes), owner="X", abort=abort)
+    result = store.execute(list(writes), abort=abort)
     if abort:
         assert result == "aborted"
         assert {k: r.value for k, r in store.rows.items()} == before

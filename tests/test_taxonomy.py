@@ -102,6 +102,28 @@ def test_control_plane_passes_level_records():
     assert all(LEVELS[lv.rank - 1] is lv for lv in LEVELS if lv.rank is not None)
 
 
+def allowed_set_names(source: str) -> list[int]:
+    """The line of each name, attribute or import of `Literal` or `get_args`."""
+    names = {"Literal", "get_args"}
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.ImportFrom) and names & {a.name for a in node.names}]
+
+
+def test_allowed_sets_are_read_only_in_config():
+    # A field's allowed set is one check, config.Section.check: the parser
+    # reads text by the field's base type and runs that check, as code does.
+    assert allowed_set_names('from typing import Literal, get_args\n'
+                             'k = typing.Literal["a"]\nx = get_args(k)\n'
+                             'y = typing.get_args(k)\nz = "Literal"\n') == [1, 2, 3, 4]
+    hits = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            if path.name != "config.py"
+            for line in allowed_set_names(path.read_text(encoding="utf-8"))]
+    assert hits == []
+    assert allowed_set_names((SRC / "config.py").read_text(encoding="utf-8"))
+
+
 def _calls_by_scope(tree: ast.AST, names: set[str], scope: str = "") -> list[tuple[str, str]]:
     """(enclosing Class.function, method) of each call `x.<name>(...)` for `names`."""
     found = []
