@@ -8,7 +8,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from murbsim.config import Scenario, ScriptedRecovery, WorkloadConfig  # noqa: E402
-from murbsim.world import World  # noqa: E402
+from murbsim.world import World, microreboot_level  # noqa: E402
 
 
 def main() -> int:
@@ -28,8 +28,7 @@ def main() -> int:
         if members in seen:
             continue
         seen.add(members)
-        # the level the world records: the web rung for the web component's group
-        level = "murb_web" if registry.web_component in members else "murb_group"
+        level = microreboot_level(registry, members).name
         s.scripted_recoveries.append(ScriptedRecovery(at, level, name))
         at += 10_000
     s.duration_ms = at + 30_000

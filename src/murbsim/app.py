@@ -13,7 +13,7 @@ from bisect import bisect_left
 from itertools import accumulate
 
 from .config import MAX_DELAY_MS, Record
-from .runtime import _parse_kv, data_file
+from .runtime import ScenarioError, _parse_kv, data_file, records
 
 CATEGORIES = ("static", "session_init", "read_only", "search",
               "session_update", "db_update")
@@ -30,10 +30,6 @@ HOME, LOGIN = "Home", "Login"
 
 # The ledger keeps each request's op as an array("H") code.
 MAX_OPS = 1 << 16
-
-
-class OpCatalogError(Exception):
-    pass
 
 
 class OpType(Record):
@@ -64,56 +60,53 @@ def _flag(value: str, lineno: int) -> bool:
         return True
     if value == "no":
         return False
-    raise OpCatalogError(f"line {lineno}: expected yes/no, got {value!r}")
+    raise ScenarioError(f"line {lineno}: expected yes/no, got {value!r}")
 
 
 def parse_ops(text: str) -> list[OpType]:
     ops: list[OpType] = []
     names: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(text):
         tokens = line.split()
         if tokens[0] != "op" or len(tokens) < 2:
-            raise OpCatalogError(f"line {lineno}: expected 'op <name> ...'")
+            raise ScenarioError(f"line {lineno}: expected 'op <name> ...'")
         if tokens[1] in names:
-            raise OpCatalogError(f"line {lineno}: duplicate op {tokens[1]!r}")
+            raise ScenarioError(f"line {lineno}: duplicate op {tokens[1]!r}")
         names.add(tokens[1])
-        kv = _parse_kv(tokens[2:], lineno, OpCatalogError)
+        category, path, commit, idempotent, session, tx, service_ms, fgroup = _parse_kv(
+            tokens[2:], lineno, ("category", "path", "commit", "idempotent", "session", "tx",
+                                 "service_ms", "fgroup"))
         try:
             op = OpType(
                 name=tokens[1],
-                category=kv["category"],
-                path=tuple(kv["path"].split(",")),
-                is_commit_point=_flag(kv["commit"], lineno),
-                idempotent=_flag(kv["idempotent"], lineno),
-                session_touch=kv["session"],
-                tx_writes=_flag(kv["tx"], lineno),
-                service_ms_mean=int(kv["service_ms"]),
-                functional_group=kv["fgroup"],
+                category=category,
+                path=tuple(path.split(",")),
+                is_commit_point=_flag(commit, lineno),
+                idempotent=_flag(idempotent, lineno),
+                session_touch=session,
+                tx_writes=_flag(tx, lineno),
+                service_ms_mean=int(service_ms),
+                functional_group=fgroup,
                 code=len(ops),
             )
-        except KeyError as exc:
-            raise OpCatalogError(f"line {lineno}: missing field {exc}") from None
         except ValueError:
-            raise OpCatalogError(f"line {lineno}: service_ms must be an integer, "
-                                 f"got {kv['service_ms']!r}") from None
+            raise ScenarioError(f"line {lineno}: service_ms must be an integer, "
+                                f"got {service_ms!r}") from None
         if not 0 <= op.service_ms_mean <= MAX_DELAY_MS:    # a time is int32 ms
             bound = ">= 0" if op.service_ms_mean < 0 else f"<= {MAX_DELAY_MS}"
-            raise OpCatalogError(f"line {lineno}: service_ms must be {bound}, "
-                                 f"got {op.service_ms_mean}")
+            raise ScenarioError(f"line {lineno}: service_ms must be {bound}, "
+                                f"got {op.service_ms_mean}")
         if op.category not in CATEGORIES:
-            raise OpCatalogError(f"line {lineno}: unknown category {op.category!r}")
+            raise ScenarioError(f"line {lineno}: unknown category {op.category!r}")
         if op.functional_group not in FUNCTIONAL_GROUPS:
-            raise OpCatalogError(f"line {lineno}: unknown fgroup {op.functional_group!r}")
+            raise ScenarioError(f"line {lineno}: unknown fgroup {op.functional_group!r}")
         if op.session_touch not in SESSION_TOUCHES:
-            raise OpCatalogError(f"line {lineno}: unknown session {op.session_touch!r}")
+            raise ScenarioError(f"line {lineno}: unknown session {op.session_touch!r}")
         if "" in op.path:
-            raise OpCatalogError(f"line {lineno}: empty component name in path {kv['path']!r}")
+            raise ScenarioError(f"line {lineno}: empty component name in path {path!r}")
         ops.append(op)
     if len(ops) > MAX_OPS:
-        raise OpCatalogError(f"{len(ops)} ops; a catalog holds at most {MAX_OPS}")
+        raise ScenarioError(f"{len(ops)} ops; a catalog holds at most {MAX_OPS}")
     return ops
 
 
@@ -133,7 +126,7 @@ class TransitionMatrix:
         for s, probs in self.rows.items():
             total = sum(probs)
             if not abs(total - 1.0) <= 1e-6 or not all(p >= 0 for p in probs):   # NaN fails
-                raise OpCatalogError(f"matrix row {s} is not a probability distribution")
+                raise ScenarioError(f"matrix row {s} is not a probability distribution")
 
     def sample(self, op: OpType, u: float) -> OpType:
         # The last cumulative entry is 1.0, so the index is always in range.
@@ -143,35 +136,32 @@ class TransitionMatrix:
 def parse_matrix(text: str) -> TransitionMatrix:
     states: list[str] = []
     rows: dict[str, list[float]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(text):
         tokens = line.split()
         if tokens[0] == "states":
             states = tokens[1:]
             if repeated := [s for i, s in enumerate(states) if s in states[:i]]:
-                raise OpCatalogError(f"line {lineno}: state {repeated[0]!r} listed twice")
+                raise ScenarioError(f"line {lineno}: state {repeated[0]!r} listed twice")
         elif tokens[0] == "row":
             if not states:
-                raise OpCatalogError(f"line {lineno}: 'row' before 'states'")
+                raise ScenarioError(f"line {lineno}: 'row' before 'states'")
             if len(tokens) != 2 + len(states):
-                raise OpCatalogError(f"line {lineno}: expected 'row <state>' and "
-                                     f"{len(states)} probabilities")
+                raise ScenarioError(f"line {lineno}: expected 'row <state>' and "
+                                    f"{len(states)} probabilities")
             if tokens[1] not in states:
-                raise OpCatalogError(f"line {lineno}: row for {tokens[1]!r}, "
-                                     f"which is not in 'states'")
+                raise ScenarioError(f"line {lineno}: row for {tokens[1]!r}, "
+                                    f"which is not in 'states'")
             if tokens[1] in rows:
-                raise OpCatalogError(f"line {lineno}: duplicate row {tokens[1]!r}")
+                raise ScenarioError(f"line {lineno}: duplicate row {tokens[1]!r}")
             try:
                 rows[tokens[1]] = [float(t) for t in tokens[2:]]
             except ValueError as exc:
-                raise OpCatalogError(f"line {lineno}: {exc}") from None
+                raise ScenarioError(f"line {lineno}: {exc}") from None
         else:
-            raise OpCatalogError(f"line {lineno}: unknown record {tokens[0]!r}")
+            raise ScenarioError(f"line {lineno}: unknown record {tokens[0]!r}")
     missing = [s for s in states if s not in rows]
     if missing:
-        raise OpCatalogError(f"matrix rows missing for: {', '.join(missing)}")
+        raise ScenarioError(f"matrix rows missing for: {', '.join(missing)}")
     return TransitionMatrix(states, rows)
 
 
@@ -184,13 +174,13 @@ class AppCatalog:
         self.matrix = matrix
         for s in matrix.states:
             if s not in self.ops:
-                raise OpCatalogError(f"matrix state {s} not in op catalog")
+                raise ScenarioError(f"matrix state {s} not in op catalog")
         for o in ops:
             if o.name not in matrix.rows:
-                raise OpCatalogError(f"op {o.name} missing from transition matrix")
+                raise ScenarioError(f"op {o.name} missing from transition matrix")
         for name in (HOME, LOGIN):
             if name not in self.ops:
-                raise OpCatalogError(f"no {name} op, which every client needs")
+                raise ScenarioError(f"no {name} op, which every client needs")
         self.home, self.login = self.ops[HOME], self.ops[LOGIN]
         matrix.bind(self.ops)
 
@@ -198,12 +188,12 @@ class AppCatalog:
         for o in self.op_list:
             for comp in o.path:
                 if comp not in component_names:
-                    raise OpCatalogError(f"op {o.name} path references unknown component {comp}")
+                    raise ScenarioError(f"op {o.name} path references unknown component {comp}")
 
 
 def load_app_catalog(ops_path: str = "", matrix_path: str = "") -> AppCatalog:
-    with data_file(matrix_path, "transitions.txt", OpCatalogError) as text:
+    with data_file(matrix_path, "transitions.txt") as text:
         matrix = parse_matrix(text)
         matrix.check_stochastic()
-    with data_file(ops_path, "ops.txt", OpCatalogError) as text:
+    with data_file(ops_path, "ops.txt") as text:
         return AppCatalog(parse_ops(text), matrix)

@@ -10,14 +10,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .app import OpCatalogError
 from .cluster import six_nines_budget
 from .config import (ClusterConfig, DetectorConfig, FaultConfig, PolicyConfig,
                      RejuvenationConfig, Scenario, ScriptedRecovery, StoreConfig,
                      WorkloadConfig)
 from .harness import ScenarioError, load_scenario, render_summary, run_scenario
 from .recoverymgr import detection_headroom, fp_headroom
-from .runtime import CatalogError, DeployError
 
 
 # -- presets ------------------------------------------------------------------
@@ -414,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.rate is not None:
                 seconds = detection_headroom(args.rate, args.c_micro, args.c_full)
                 sys.stdout.write(f"max detection delay: {seconds:.1f} s\n")
-    except (ScenarioError, CatalogError, DeployError, OpCatalogError) as exc:
+    except ScenarioError as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
         return 2
     except (ValueError, OSError) as exc:

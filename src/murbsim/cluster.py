@@ -11,10 +11,6 @@ from .runtime import HeapLedger, Registry
 from .statestore import SessionStore
 
 
-class ClusterError(Exception):
-    pass
-
-
 class CpuQueue:
     """FIFO service stations; capacity can shrink while a runaway computation
     pins a slot.
@@ -149,8 +145,6 @@ class LoadBalancer:
         self.rehome.pop(session_id, None)
 
     def set_failover(self, node_id: int, active: bool) -> None:
-        if node_id >= len(self.nodes) or node_id < 0:
-            raise ClusterError(f"unknown node {node_id}")
         if active:
             self.failover_set.add(node_id)
         else:
@@ -160,15 +154,10 @@ class LoadBalancer:
                 self.rehome.pop(sid, None)
 
 
-def handle_sentinel(idempotent: bool, retries_enabled: bool, already_retried: bool,
-                    retry_after_ms: int) -> tuple[str, int]:
-    """Edge decision when a request meets a sentinel binding.
-
-    Returns ("retry", delay_ms) or ("fail", 0). At most one retry per request.
-    """
-    if retries_enabled and idempotent and not already_retried:
-        return "retry", retry_after_ms
-    return "fail", 0
+def handle_sentinel(idempotent: bool, retries_enabled: bool, already_retried: bool) -> bool:
+    """Edge decision when a request meets a sentinel binding: True to retry
+    after Retry-After, False to fail. At most one retry per request."""
+    return retries_enabled and idempotent and not already_retried
 
 
 def six_nines_budget(requests_per_year: float, failed_per_incident: float,

@@ -73,7 +73,7 @@ class Record:
 class Section(Record):
     """A config section: its annotated fields in order, `types`, each with its
     value in the class body as default. Each value set, at construction or
-    later, must lie in its field's Range or allowed set."""
+    later, must be of its field's base type and lie in its Range or allowed set."""
 
     types: dict[str, object] = {}       # field name -> annotation
 
@@ -84,11 +84,18 @@ class Section(Record):
 
     @classmethod
     def check(cls, name: str, value):
-        """`value`, if field `name` may hold it; else ValueError."""
+        """`value`, if field `name` may hold it; else ValueError. Of the base
+        types, a float field also takes an int, and only a bool field a bool."""
         kind = cls.types.get(name)
-        if get_origin(kind) is Annotated:
+        origin = get_origin(kind)
+        base = str if origin is Literal else kind.__origin__ if origin is Annotated else kind
+        if base in (bool, int, float, str) and (
+                isinstance(value, bool) is not (base is bool)
+                or not isinstance(value, (int, float) if base is float else base)):
+            raise ValueError(f"expected {base.__name__}, got {value!r}")
+        if origin is Annotated:
             return kind.__metadata__[0].check(value)
-        if get_origin(kind) is Literal and value not in get_args(kind):
+        if origin is Literal and value not in get_args(kind):
             raise ValueError(f"expected {' | '.join(get_args(kind))}, got {value!r}")
         return value
 

@@ -15,17 +15,13 @@ from bisect import bisect_left, bisect_right
 from .cluster import six_nines_budget
 from .config import FaultConfig, Scenario, ScriptedRecovery
 from .faultlib import ERR_SESSION, OK, OUTCOME_CODE, FaultError
-from .runtime import Registry, load_catalog
+from .runtime import Registry, ScenarioError, load_catalog, records
 from .workload import BAD, latency_stats
 from .world import World, check_event
 
 TAW_HEADER = "second,good_requests,bad_requests,good_actions,bad_actions"
 LATENCY_HEADER = "request_id,op,issued_ms,latency_ms,outcome"
 TIMELINE_HEADER = "group,start_ms,end_ms"
-
-
-class ScenarioError(Exception):
-    pass
 
 
 # -- scenario files -----------------------------------------------------------
@@ -36,23 +32,28 @@ _SETTINGS_SECTIONS = ("scenario", "cluster", "workload", "stores", "detector", "
                       "rejuvenation")
 
 # Repeatable sections, each adding one event: (config class, Scenario list,
-# file keys that differ from the field name, fixed fields, required keys).
+# file keys that differ from the field name, fixed fields, required fields).
 # [murb] is shorthand for [recovery] with level murb_group.
 _EVENT_SECTIONS = {
     "fault": (FaultConfig, "faults", {"inject_at_ms": "at", "fault_class": "class"},
-              {}, ("at", "class")),
+              {}, ("inject_at_ms", "fault_class")),
     "recovery": (ScriptedRecovery, "scripted_recoveries", {"at_ms": "at"},
-                 {}, ("at", "level")),
+                 {}, ("at_ms", "level")),
     "murb": (ScriptedRecovery, "scripted_recoveries", {"at_ms": "at"},
-             {"level": "murb_group"}, ("at", "target")),
+             {"level": "murb_group"}, ("at_ms", "target")),
 }
 
 
 @functools.cache
-def _settings(cls) -> tuple[str, ...]:
-    """A config class's settings: its fields but a sub-config or an event
-    list, whose default is the class that builds it."""
-    return tuple(name for name in cls._fields if not isinstance(cls._defaults.get(name), type))
+def _keys(section: str) -> dict[str, str]:
+    """A section's file keys, each to its field: a settings section's are its
+    class's fields but a sub-config or an event list, whose default is the
+    class that builds it."""
+    if section in _EVENT_SECTIONS:
+        cls, _, renames, fixed, _ = _EVENT_SECTIONS[section]
+        return {renames.get(f, f): f for f in cls._fields if f not in fixed}
+    cls = Scenario if section == "scenario" else Scenario._defaults[section]
+    return {f: f for f in cls._fields if not isinstance(cls._defaults.get(f), type)}
 
 
 def _coerce(cls, name: str, value: str, lineno: int):
@@ -79,62 +80,43 @@ def _coerce(cls, name: str, value: str, lineno: int):
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     section = None
-    pending: dict[str, object] | None = None     # fields of the open event section
-    pending_keys: dict[str, str] = {}            # file key -> field name
-    pending_line = 0
-    events: list[tuple[int, str, object]] = []   # (line, section, event) per event section
-
-    def flush_pending() -> None:
-        nonlocal pending
-        if pending is None:
-            return
-        cls, list_name, _, fixed, required = _EVENT_SECTIONS[section]
-        for key in required:
-            if pending_keys[key] not in pending:
-                raise ScenarioError(
-                    f"line {pending_line}: [{section}] missing field {key!r}")
-        event = cls(**pending, **fixed)
-        getattr(scenario, list_name).append(event)
-        events.append((pending_line, section, event))
-        pending = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    events: list[tuple[int, str, dict[str, object]]] = []   # (line, section, fields) each
+    for lineno, line in records(text):
         if line.startswith("[") and line.endswith("]"):
-            flush_pending()
-            name = line[1:-1]
-            if name in _SETTINGS_SECTIONS:
-                section = name
-            elif name in _EVENT_SECTIONS:
-                section = name
-                cls, _, renames, fixed, _ = _EVENT_SECTIONS[name]
-                pending = {}
-                pending_keys = {renames.get(f, f): f for f in cls._fields if f not in fixed}
-                pending_line = lineno
+            section = line[1:-1]
+            if section in _EVENT_SECTIONS:
+                cls, fields = _EVENT_SECTIONS[section][0], {}
+                events.append((lineno, section, fields))
+            elif section in _SETTINGS_SECTIONS:
+                target = scenario if section == "scenario" else getattr(scenario, section)
+                cls = type(target)
             else:
-                raise ScenarioError(f"line {lineno}: unknown section [{name}]")
+                raise ScenarioError(f"line {lineno}: unknown section [{section}]")
             continue
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ScenarioError(f"line {lineno}: expected 'key value'")
-        key, value = parts
-        if pending is not None:
-            if key not in pending_keys:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
-            pending[pending_keys[key]] = _coerce(cls, pending_keys[key], value, lineno)
-            continue
         if section is None:
             raise ScenarioError(f"line {lineno}: key outside any section")
-        target = scenario if section == "scenario" else getattr(scenario, section)
-        if key not in _settings(type(target)):
+        key, value = parts
+        field = _keys(section).get(key)
+        if field is None:
             raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        setattr(target, key, _coerce(type(target), key, value, lineno))
-    flush_pending()
+        value = _coerce(cls, field, value, lineno)
+        if section in _EVENT_SECTIONS:
+            fields[field] = value
+        else:
+            setattr(target, field, value)
     # the world's own event check, run here so that a bad event fails with its line
     registry = Registry(*load_catalog(scenario.catalog_path)) if events else None
-    for lineno, section, event in events:
+    for lineno, section, fields in events:
+        cls, list_name, renames, fixed, required = _EVENT_SECTIONS[section]
+        for field in required:
+            if field not in fields:
+                raise ScenarioError(f"line {lineno}: [{section}] missing field "
+                                    f"{renames.get(field, field)!r}")
+        event = cls(**fields, **fixed)
+        getattr(scenario, list_name).append(event)
         try:
             check_event(registry, scenario.cluster.nodes, event)
         except FaultError as exc:

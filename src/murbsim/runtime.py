@@ -28,12 +28,8 @@ NOT_BOUND = "not_bound"
 WRONG = "wrong"
 
 
-class DeployError(Exception):
-    pass
-
-
-class CatalogError(Exception):
-    pass
+class ScenarioError(Exception):
+    """A scenario or data file, or a deployment built from it, that no world can run."""
 
 
 class ComponentSpec(NamedTuple):
@@ -88,16 +84,16 @@ class Registry:
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
-            raise DeployError(f"duplicate component names: {', '.join(dup)}")
+            raise ScenarioError(f"duplicate component names: {', '.join(dup)}")
         known = set(names)
         for s in specs:
             for dep in sorted(s.depends_on):
                 if dep not in known:
-                    raise DeployError(f"{s.name} depends on unknown component {dep}")
+                    raise ScenarioError(f"{s.name} depends on unknown component {dep}")
         for o in overrides:
             for m in sorted(o.members):
                 if m not in known:
-                    raise DeployError(f"group {o.name} names unknown component {m}")
+                    raise ScenarioError(f"group {o.name} names unknown component {m}")
         self.specs: dict[str, ComponentSpec] = {s.name: s for s in specs}   # catalog order
         # The name service: the lookup of every component that is not BOUND.
         self.impaired: dict[str, Lookup] = {}
@@ -108,10 +104,14 @@ class Registry:
         closures = {g.members for g in self.groups.values()}
         for o in overrides:
             if o.members not in closures:
-                raise DeployError(f"group {o.name} members {','.join(sorted(o.members))} "
-                                  f"are not the members of any recovery group")
+                raise ScenarioError(f"group {o.name} members {','.join(sorted(o.members))} "
+                                    f"are not the members of any recovery group")
         self.overrides = {o.members: o for o in overrides}
-        self.web_component = next((n for n in names if self.specs[n].kind == KIND_WEB), None)
+        web = self.web_component = next((n for n in names if self.specs[n].kind == KIND_WEB), None)
+        # so the web's own group, the web rung's, is the one group that holds it
+        if web is not None and (deps := self.specs[web].depends_on):
+            raise ScenarioError(f"web component {web} depends on {','.join(sorted(deps))}; "
+                                f"it may depend on none")
 
     def _reverse_edges(self) -> dict[str, set[str]]:
         rev: dict[str, set[str]] = {n: set() for n in self.specs}
@@ -133,7 +133,7 @@ class Registry:
 
     def recovery_group(self, anchor: str) -> RecoveryGroup:
         if anchor not in self.groups:
-            raise DeployError(f"unknown component {anchor}")
+            raise ScenarioError(f"unknown component {anchor}")
         return self.groups[anchor]
 
     def group_cost(self, members: frozenset[str]) -> tuple[int, int]:
@@ -235,80 +235,94 @@ class HeapLedger:
         return footprint + leased
 
 
-# --- catalog file handling ---------------------------------------------------
+# --- data files ---------------------------------------------------------------
 
-def _parse_kv(tokens: list[str], lineno: int, error: type = CatalogError) -> dict[str, str]:
+def records(text: str):
+    """(line number, stripped line) of each line of `text` that is neither
+    blank nor a `#` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _parse_kv(tokens: list[str], lineno: int, keys: tuple[str, ...]) -> list[str]:
+    """The values of `tokens`, each `key=value`, in the order of `keys`; the
+    tokens name each of `keys` once and nothing else."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
-            raise error(f"line {lineno}: expected key=value, got {tok!r}")
+            raise ScenarioError(f"line {lineno}: expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
+        if k not in keys:
+            raise ScenarioError(f"line {lineno}: unknown key {k!r}")
+        if k in out:
+            raise ScenarioError(f"line {lineno}: repeated key {k!r}")
         out[k] = v
-    return out
+    for k in keys:
+        if k not in out:
+            raise ScenarioError(f"line {lineno}: missing field {k!r}")
+    return [out[k] for k in keys]
 
 
 def parse_catalog(text: str) -> tuple[list[ComponentSpec], list[GroupOverride]]:
     specs: list[ComponentSpec] = []
     overrides: list[GroupOverride] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(text):
         tokens = line.split()
         record, name = tokens[0], tokens[1] if len(tokens) > 1 else ""
-        kv = _parse_kv(tokens[2:], lineno)
         try:
             if record == "component":
+                deps, kind, crash_ms, init_ms, footprint = _parse_kv(
+                    tokens[2:], lineno, ("depends", "kind", "crash_ms", "init_ms", "footprint"))
                 if name == UNATTRIBUTED:
-                    raise CatalogError(f"line {lineno}: {name!r} names the holder of "
-                                       f"leaks outside every component")
-                deps = kv["depends"]
-                depends = frozenset() if deps == "-" else frozenset(deps.split(","))
+                    raise ScenarioError(f"line {lineno}: {name!r} names the holder of "
+                                        f"leaks outside every component")
                 spec = ComponentSpec(
                     name=name,
-                    kind=kv["kind"],
-                    depends_on=depends,
-                    crash_ms=int(kv["crash_ms"]),
-                    init_ms=int(kv["init_ms"]),
-                    mem_footprint_bytes=int(kv["footprint"]),
+                    kind=kind,
+                    depends_on=frozenset() if deps == "-" else frozenset(deps.split(",")),
+                    crash_ms=int(crash_ms),
+                    init_ms=int(init_ms),
+                    mem_footprint_bytes=int(footprint),
                 )
                 if spec.kind not in (KIND_ENTITY, KIND_STATELESS, KIND_WEB):
-                    raise CatalogError(f"line {lineno}: unknown kind {spec.kind!r}")
+                    raise ScenarioError(f"line {lineno}: unknown kind {spec.kind!r}")
                 if spec.crash_ms < 0 or spec.init_ms <= 0:
-                    raise CatalogError(f"line {lineno}: bad cost model for {name}")
+                    raise ScenarioError(f"line {lineno}: bad cost model for {name}")
                 specs.append(spec)
             elif record == "group":
+                members, crash_ms, init_ms = _parse_kv(
+                    tokens[2:], lineno, ("members", "crash_ms", "init_ms"))
                 overrides.append(GroupOverride(
                     name=name,
-                    members=frozenset(kv["members"].split(",")),
-                    crash_ms=int(kv["crash_ms"]),
-                    init_ms=int(kv["init_ms"]),
+                    members=frozenset(members.split(",")),
+                    crash_ms=int(crash_ms),
+                    init_ms=int(init_ms),
                 ))
             else:
-                raise CatalogError(f"line {lineno}: unknown record {record!r}")
-        except KeyError as exc:
-            raise CatalogError(f"line {lineno}: missing field {exc}") from None
+                raise ScenarioError(f"line {lineno}: unknown record {record!r}")
         except ValueError as exc:
-            raise CatalogError(f"line {lineno}: {exc}") from None
+            raise ScenarioError(f"line {lineno}: {exc}") from None
     webs = sum(s.kind == KIND_WEB for s in specs)   # the ladder's web rung needs one
     if webs != 1:
-        raise CatalogError(f"need exactly one kind=web component, found {webs}")
+        raise ScenarioError(f"need exactly one kind=web component, found {webs}")
     return specs, overrides
 
 
 @contextmanager
-def data_file(path: str, bundled: str, errors: type | tuple[type, ...]):
+def data_file(path: str, bundled: str):
     """Yield the text of the data file at `path`, or of the bundled file named
-    `bundled` if `path` is empty. One of `errors` raised in the block names the file."""
+    `bundled` if `path` is empty. A ScenarioError raised in the block names the file."""
     source = Path(path) if path else resources.files("murbsim.data") / bundled
     try:
         yield source.read_text(encoding="utf-8")
-    except errors as exc:
-        raise type(exc)(f"{path or bundled}: {exc}") from None
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path or bundled}: {exc}") from None
 
 
 def load_catalog(path: str = "") -> tuple[list[ComponentSpec], list[GroupOverride]]:
-    with data_file(path, "catalog.txt", (CatalogError, DeployError)) as text:
+    with data_file(path, "catalog.txt") as text:
         specs, overrides = parse_catalog(text)
         Registry(specs, overrides)       # checks names and dependencies
     return specs, overrides

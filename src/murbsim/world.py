@@ -277,13 +277,11 @@ class World:
 
     def _sentinel_hit(self, ctx: _ReqCtx, node: Node, comp: str) -> None:
         cl = self.scenario.cluster
-        decision, delay = handle_sentinel(
-            ctx.op.idempotent, cl.retries, ctx.retried, cl.retry_after_ms)
-        if decision == "retry":
+        if handle_sentinel(ctx.op.idempotent, cl.retries, ctx.retried):
             ctx.retried = True
             self._release_worker(node)
             ctx.state = "new"
-            self.loop.after(delay, partial(self._route_and_admit, ctx))
+            self.loop.after(cl.retry_after_ms, partial(self._route_and_admit, ctx))
         else:
             self._complete(ctx, ERR_UNAVAILABLE)
 
@@ -477,7 +475,7 @@ class World:
         running = self._running[node_id]
         if running is None:
             if level.microreboot:
-                self.murb(node_id, members, on_complete, reason)
+                self.murb(node_id, level, members, on_complete, reason)
             else:
                 self.full_restart(node_id, level, on_complete, reason)
         elif level.rank <= running.level.rank and members <= running.members:
@@ -508,12 +506,12 @@ class World:
         for cb in op.on_complete:
             cb(op)
 
-    def murb(self, node_id: int, members: frozenset[str], on_complete, reason: str) -> None:
-        """Start a microreboot of `members` on an idle node."""
+    def murb(self, node_id: int, level: Level, members: frozenset[str], on_complete,
+             reason: str) -> None:
+        """Start a microreboot of `members`, at rung `level`, on an idle node."""
         node = self.nodes[node_id]
         crash, init = node.registry.group_cost(members)
         drain = self.scenario.cluster.drain_delay_ms
-        level = microreboot_level(node.registry, members)
         op = self._begin(level, node_id, members, self._group_label(node, members),
                          crash + init, reason, on_complete)
         node.registry.bind_sentinel(members)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from murbsim.app import OpCatalogError, load_app_catalog, parse_matrix, parse_ops
+from murbsim.app import load_app_catalog, parse_matrix, parse_ops
+from murbsim.runtime import ScenarioError
 
 from oracles import stationary_distribution, workload_mix_check
 
@@ -24,13 +25,13 @@ class TestOpCatalog:
         # the boundary, at a small limit; TestCli runs the real one end to end
         monkeypatch.setattr("murbsim.app.MAX_OPS", 3)
         assert len(parse_ops(op_lines(3))) == 3
-        with pytest.raises(OpCatalogError, match="4 ops; a catalog holds at most 3"):
+        with pytest.raises(ScenarioError, match="4 ops; a catalog holds at most 3"):
             parse_ops(op_lines(4))
 
     def test_duplicate_op_rejected(self):
         # accepted once: op_list kept both lines and ops only the second, so
         # the second line's fields served the op
-        with pytest.raises(OpCatalogError, match="line 4: duplicate op 'Op0'"):
+        with pytest.raises(ScenarioError, match="line 4: duplicate op 'Op0'"):
             parse_ops(op_lines(3) + op_lines(1))
 
     def test_op_code_is_its_index_in_the_catalog(self, catalog):
@@ -97,7 +98,7 @@ class TestMatrix:
          "line 1: state 'a' listed twice"),
     ], ids=["unknown_state", "repeated_row", "repeated_state"])
     def test_bad_row_rejected(self, text, message):
-        with pytest.raises(OpCatalogError, match=message):
+        with pytest.raises(ScenarioError, match=message):
             parse_matrix(text)
 
 
@@ -131,9 +132,9 @@ class TestWorkloadMix:
     def test_non_stochastic_matrix_rejected(self):
         text = "states a b\nrow a 0.5 0.4\nrow b 0.5 0.5\n"
         matrix = parse_matrix(text)
-        with pytest.raises(OpCatalogError):
+        with pytest.raises(ScenarioError):
             matrix.check_stochastic()
         # NaN compares False both ways, so it once passed as a probability
         matrix = parse_matrix("states a b\nrow a nan 0.5\nrow b 0.5 0.5\n")
-        with pytest.raises(OpCatalogError):
+        with pytest.raises(ScenarioError):
             matrix.check_stochastic()

@@ -255,6 +255,22 @@ level restart_process
                 assert getattr(target, name) == before
                 with pytest.raises(ScenarioError, match=f"^line 2: {message}$"):
                     parse_scenario(f"[{section}]\n{name} {value}\n")
+        # the base type is checked first: the first two of these once built a
+        # world with the flag on, the third failed only in World(...) with a
+        # TypeError, and the fourth ran with one node
+        for cls, name, value, base in [(ClusterConfig, "failover", "no", "bool"),
+                                       (PolicyConfig, "enabled", "false", "bool"),
+                                       (ClusterConfig, "nodes", 2.5, "int"),
+                                       (ClusterConfig, "nodes", True, "int")]:
+            match = f"^{cls.__name__}.{name}: {re.escape(f'expected {base}, got {value!r}')}$"
+            with pytest.raises(ValueError, match=match):
+                cls(**{name: value})
+            target = getattr(scenario, file_sections[cls])
+            before = getattr(target, name)
+            with pytest.raises(ValueError, match=match):
+                setattr(target, name, value)
+            assert getattr(target, name) is before
+        assert PolicyConfig(threshold=2).threshold == 2     # an int is a float's value
         assert scenario == Scenario()
 
     def test_missing_fault_field_reports_line(self):
@@ -1114,9 +1130,25 @@ class TestCli:
         # exit 2, but with neither file nor line: "op Home path references unknown component "
         ("ops_path", (" path=WebUI ", " path= "), "",
          "line 9: empty component name in path ''"),
+        # each of the next four was accepted, exit 0: the unknown key ignored,
+        # the repeated key's last value taken (Home served in 99,999 ms)
+        ("catalog_path", ("AboutMe kind=stateless", "AboutMe colour=red kind=stateless"), "",
+         "line 9: unknown key 'colour'"),
+        ("catalog_path", (r"^component AboutMe .*", r"\g<0> crash_ms=1"), "",
+         "line 9: repeated key 'crash_ms'"),
+        ("ops_path", ("fgroup=browse_view", "fgroup=browse_view colour=red"), "",
+         "line 9: unknown key 'colour'"),
+        ("ops_path", (r"^op Home .*", r"\g<0> service_ms=99999"), "",
+         "line 9: repeated key 'service_ms'"),
+        # accepted, exit 0; AboutMe's group then held WebUI, and a murb_group
+        # of it ran and was recorded as murb_web
+        ("catalog_path", ("WebUI kind=web depends=-", "WebUI kind=web depends=AboutMe"), "",
+         "web component WebUI depends on AboutMe; it may depend on none"),
     ], ids=["bad_kind", "no_web_fault", "no_web_murb", "bare_row", "repeated_state",
             "probability", "service_ms", "negative_service_ms", "long_service_ms", "duplicate_op", "bad_session",
-            "unknown_group_member", "group_not_a_recovery_group", "reserved_holder", "empty_path"])
+            "unknown_group_member", "group_not_a_recovery_group", "reserved_holder", "empty_path",
+            "catalog_unknown_key", "catalog_repeated_key", "ops_unknown_key", "ops_repeated_key",
+            "web_depends"])
     def test_bad_data_file_exit_code(self, tmp_path, capsys, key, edit, events, message):
         name = {"catalog_path": "catalog.txt", "matrix_path": "transitions.txt",
                 "ops_path": "ops.txt"}[key]

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from murbsim.runtime import (CatalogError, ComponentSpec, DeployError, GroupOverride,
-                             HeapLedger, Registry, load_catalog, parse_catalog)
+from murbsim.runtime import (ComponentSpec, GroupOverride, HeapLedger, Registry,
+                             ScenarioError, load_catalog, parse_catalog)
 
 from oracles import BindingModel
 
@@ -34,19 +34,19 @@ class TestDeploy:
         assert reg.specs == {}
 
     def test_dangling_dependency_named(self):
-        with pytest.raises(DeployError, match="Ghost"):
+        with pytest.raises(ScenarioError, match="Ghost"):
             Registry([spec("A", deps=["Ghost"])], [])
 
     def test_group_override_with_unknown_member_named(self):
         # An override whose members match no recovery group never applies.
         override = GroupOverride("AB", frozenset({"A", "Bee"}), 1, 1)
-        with pytest.raises(DeployError, match="group AB names unknown component Bee"):
+        with pytest.raises(ScenarioError, match="group AB names unknown component Bee"):
             Registry([spec("A"), spec("B", deps=["A"])], [override])
 
     def test_group_override_that_is_no_recovery_group_named(self):
         # B depends on A, so A's recovery group is {A, B}; {A} alone is none.
         override = GroupOverride("A1", frozenset({"A"}), 1, 1)
-        with pytest.raises(DeployError, match="group A1 members A are not the members "
+        with pytest.raises(ScenarioError, match="group A1 members A are not the members "
                                               "of any recovery group"):
             Registry([spec("A"), spec("B", deps=["A"])], [override])
         override = GroupOverride("AB", frozenset({"A", "B"}), 1, 1)
@@ -54,7 +54,7 @@ class TestDeploy:
             frozenset({"A", "B"})) == (1, 1)
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(DeployError, match="A"):
+        with pytest.raises(ScenarioError, match="A"):
             Registry([spec("A"), spec("A")], [])
 
     def test_all_active_and_bound_after_deploy(self, registry):
@@ -69,7 +69,7 @@ class TestRecoveryGroups:
             {"BrowseCategories"}
 
     def test_unknown_anchor(self, registry):
-        with pytest.raises(DeployError):
+        with pytest.raises(ScenarioError):
             registry.recovery_group("Nope")
 
     def test_random_digraphs_match_reverse_reachability(self):
@@ -167,11 +167,11 @@ def test_impaired_set_tracks_lookups(ops):
 
 class TestCatalogParsing:
     def test_parse_errors_carry_line_numbers(self):
-        with pytest.raises(CatalogError, match="line 2"):
+        with pytest.raises(ScenarioError, match="line 2"):
             parse_catalog("# fine\ncomponent X kind=bogus depends=- crash_ms=1 init_ms=1 footprint=1\n")
 
     def test_missing_field(self):
-        with pytest.raises(CatalogError, match="line 1"):
+        with pytest.raises(ScenarioError, match="line 1"):
             parse_catalog("component X kind=web depends=-\n")
 
     def test_bundled_catalog_loads(self):

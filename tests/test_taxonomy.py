@@ -148,6 +148,15 @@ def test_execute_recovery_is_the_only_door():
                      ("world.py", "World.execute_recovery", "full_restart")}
 
 
+def test_records_is_the_only_line_walk():
+    # Every input file's lines come from runtime.records, which skips blank and
+    # comment lines; a second walk would decide again what a line is.
+    calls = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope, _ in _calls_by_scope(
+                 ast.parse(path.read_text(encoding="utf-8")), {"splitlines"})}
+    assert calls == {("runtime.py", "records")}
+
+
 def test_outcomes_are_spelled_only_in_faultlib():
     # Each request outcome is one faultlib name; a copy of its string
     # elsewhere (a detector key, a ledger check) would drift from it unseen.
