@@ -238,11 +238,10 @@ class HeapLedger:
 # --- data files ---------------------------------------------------------------
 
 def records(text: str):
-    """(line number, stripped line) of each line of `text` that is neither
-    blank nor a `#` comment."""
+    """(line number, stripped line) of each line of `text` that is not blank
+    once a `#` and what follows it on the line are dropped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
+        if line := raw.split("#", 1)[0].strip():
             yield lineno, line
 
 

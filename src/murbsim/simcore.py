@@ -12,7 +12,7 @@ import random
 import sys
 from array import array
 from hashlib import blake2b, shake_128
-from typing import Callable, Iterator
+from typing import Callable
 
 
 # Doubles in one block of a counter-mode stream: 128 bytes, one shake_128 output.
@@ -145,16 +145,42 @@ class RngRoot:
         return random.Random(int.from_bytes(self.path_key(*labels), "little"))
 
 
-def block(key: bytes, k: int) -> Iterator[float]:
-    """The iterator of block `k` of the stream whose seed is `key` (path_key):
-    BLOCK doubles in [1, 2) from shake_128(key || k as 8 bytes), one hash
-    whatever `k` (counter mode, Salmon et al., "Parallel Random Numbers: As
-    Easy as 1, 2, 3", SC 2011)."""
+def block(key: bytes, k: int) -> array:
+    """Block `k` of the stream seeded `key` (path_key): BLOCK doubles in [1, 2)
+    from one hash, shake_128(key || k as 8 bytes), whatever `k` (counter mode,
+    Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011)."""
     buf = bytearray(shake_128(key + k.to_bytes(8, "little")).digest(8 * BLOCK))
     buf[7::8] = _TOP_BYTES
     buf[6::8] = buf[6::8].translate(_EXPONENT_LOW)
-    # array('d') from bytes over-allocates; its copy holds 128 bytes exactly
-    doubles = array("d", array("d", buf))
+    doubles = array("d", buf)
     if _BIG_ENDIAN:
         doubles.byteswap()
-    return iter(doubles)
+    return doubles
+
+
+class ClientStreams:
+    """Every client's two counter-mode streams in one table: stream 2i is client
+    i's transition stream, 2i + 1 its think stream. Stream s's seed is
+    `keys[8s:8s + 8]`, its block fills its slots `draws[BLOCK s:BLOCK (s + 1)]`,
+    `used[s]` of them drawn, and `index[s]` is the block it hashes next."""
+
+    __slots__ = ("keys", "draws", "used", "index")
+
+    def __init__(self, rng_root: RngRoot, n_clients: int):
+        clients = [rng_root.path_key(f"client/{i}") for i in range(n_clients)]
+        self.keys = b"".join(rng_root.path_key(leaf, key=key)
+                             for key in clients for leaf in ("transition", "think"))
+        # built by repeat, each column is exact-size; every stream starts spent
+        self.draws = array("d", [0.0]) * (2 * BLOCK * n_clients)
+        self.used = bytearray([BLOCK]) * (2 * n_clients)
+        self.index = array("Q", [0]) * (2 * n_clients)
+
+    def draw(self, s: int) -> float:
+        """The next draw of stream `s`, in [1, 2); a spent block's slots take the next."""
+        at = BLOCK * s
+        if (used := self.used[s]) == BLOCK:
+            self.draws[at:at + BLOCK] = block(self.keys[8 * s:8 * s + 8], self.index[s])
+            self.index[s] += 1
+            used = 0
+        self.used[s] = used + 1
+        return self.draws[at + used]

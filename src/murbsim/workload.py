@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from .app import AppCatalog, OpType
 from .faultlib import OK, OUTCOME_CODE, OUTCOMES
-from .simcore import RngRoot, block
+from .simcore import ClientStreams
 
 GOOD = "good"
 BAD = "bad"
@@ -177,42 +177,28 @@ class Client:
     """One emulated user: Markov chain state plus session bookkeeping."""
 
     __slots__ = ("client_id", "chain_state", "session_id",
-                 "session_seq", "stream_keys", "rng_transition", "rng_think",
-                 "transition_block", "think_block", "action", "stopped")
+                 "session_seq", "streams", "action", "stopped")
 
-    def __init__(self, client_id: int, rng_root: RngRoot, home: OpType):
+    def __init__(self, client_id: int, streams: ClientStreams, home: OpType):
         self.client_id = client_id
         self.chain_state = home
         self.session_id = ""               # logged in exactly when not empty
         self.session_seq = 0
-        # its transition and think streams' seeds, 8 bytes each: a refill derives none
-        key = rng_root.path_key(f"client/{client_id}")
-        self.stream_keys = (rng_root.path_key("transition", key=key)
-                            + rng_root.path_key("think", key=key))
-        self.rng_transition = block(self.stream_keys[:8], 0)
-        self.rng_think = block(self.stream_keys[8:], 0)
-        self.transition_block = self.think_block = 0    # each stream's block index
+        self.streams = streams             # its draws: streams 2 * client_id and 2 * client_id + 1
         self.action: int | None = None     # ledger handle of the open action
         self.stopped = False
 
     def next_op_name(self, catalog: AppCatalog) -> OpType:
         """Sample the next operation; a logged-out client that needs a session
         logs in instead."""
-        if (u := next(self.rng_transition, None)) is None:
-            self.transition_block = k = self.transition_block + 1
-            self.rng_transition = draws = block(self.stream_keys[:8], k)
-            u = next(draws)
-        op = catalog.matrix.sample(self.chain_state, u - 1.0)
+        op = catalog.matrix.sample(self.chain_state, self.streams.draw(2 * self.client_id) - 1.0)
         if not self.session_id and op.needs_session:
             op = catalog.login
         self.chain_state = op
         return op
 
     def think_ms(self, mean_ms: int, max_ms: int) -> int:
-        if (u := next(self.rng_think, None)) is None:
-            self.think_block = k = self.think_block + 1
-            self.rng_think = draws = block(self.stream_keys[8:], k)
-            u = next(draws)
+        u = self.streams.draw(2 * self.client_id + 1)
         # random.expovariate(1.0 / mean_ms)'s own float expression at u - 1.0
         return min(int(-log(2.0 - u) / (1.0 / mean_ms)), max_ms)
 

@@ -25,7 +25,7 @@ from .faultlib import (ERR_CONNECTION, ERR_EXCEPTION, ERR_SESSION, ERR_TTL,
                        RecoveryOp, cure_profile)
 from .recoverymgr import RecoveryManager, RejuvenationService
 from .runtime import HeapLedger, Registry, load_catalog
-from .simcore import EventLoop, RngRoot
+from .simcore import ClientStreams, EventLoop, RngRoot
 from .statestore import READ_DISCARDED, READ_MISSING, SessionStore, TransactionalStore
 from .workload import PENDING, Client, TawLedger
 
@@ -132,8 +132,8 @@ class World:
             self.rm.ingest_report)
 
         self.ledger = TawLedger([op.name for op in self.catalog.op_list])
-        self.clients = [Client(i, self.rng, self.catalog.home)
-                        for i in range(wl.clients_per_node * cl.nodes)]
+        streams = ClientStreams(self.rng, n_clients := wl.clients_per_node * cl.nodes)
+        self.clients = [Client(i, streams, self.catalog.home) for i in range(n_clients)]
 
         self.fault_plan = FaultPlan()
         self._fault_rng = self.rng.fork("faults")
@@ -199,8 +199,7 @@ class World:
     # -- client request flow -------------------------------------------------
 
     def _client_tick(self, client: Client) -> None:
-        now = self.loop.now
-        if client.stopped or now >= self._duration:
+        if client.stopped or self.loop.now >= self._duration:
             client.stopped = True
             return
         self._route_and_admit(self._issue(client, client.next_op_name(self.catalog)))

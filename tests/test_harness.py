@@ -20,6 +20,7 @@ from murbsim.harness import (LATENCY_HEADER, TAW_HEADER, TIMELINE_HEADER,
                              ScenarioError, export_summary, functional_group_timeline,
                              parse_scenario, run_scenario, write_outputs)
 from murbsim.runtime import load_catalog
+from murbsim.simcore import ClientStreams
 from murbsim.workload import Client, TawLedger
 from murbsim.world import World
 
@@ -169,6 +170,15 @@ level restart_process
                        "[fault]\nat 100\nclass corrupt_external_session\ntarget s1\n"
                        "[fault]\nat 100\nclass corrupt_external_session\nmode null\n"
                        "[fault]\nat 100\nclass bad_env\nfail_probability 0.5\n")
+
+    def test_trailing_comment_is_dropped(self):
+        # the tail was read as part of the value: `nodes 2  # two` exited 2, and the
+        # fault targeted a session key that no client holds
+        s = parse_scenario("[cluster]\nnodes 2  # two\n"
+                           "[fault]\nat 100\nclass corrupt_external_session\n"
+                           "target c0-s1   # the first client's session\n")
+        assert s.cluster.nodes == 2
+        assert s.faults[0].target == "c0-s1"
 
     def test_numeric_range_edges_parse(self):
         s = parse_scenario("[scenario]\nduration_ms 0\n[cluster]\nnodes 1\n"
@@ -699,7 +709,8 @@ class TestMaskingAndSessions:
         s.workload = WorkloadConfig(clients_per_node=300)
         s.scripted_recoveries = [murb(40_000, "ViewItem")]
         w = World(s)
-        client = Client(len(w.clients), w.rng, w.catalog.home)
+        client = Client(len(w.clients), ClientStreams(w.rng, len(w.clients) + 1),
+                        w.catalog.home)
         client.stopped = True          # it issues only the test's requests
         for at, op_name in ((30_000, "Login"), (40_100, "ViewItem")):
             w.loop.schedule(at, lambda op_name=op_name: w._route_and_admit(
@@ -758,7 +769,7 @@ class TestMaskingAndSessions:
         s.faults = [FaultConfig(5_000, "corrupt_registry_entry", "ViewItem", "wrong")]
         w = World(s)
         w.loop.run_until(6_000)
-        client = Client(0, w.rng, w.catalog.home)
+        client = Client(0, ClientStreams(w.rng, 1), w.catalog.home)
         run_single_request(w, client, "Login")
         outcome, _ = run_single_request(w, client, "ViewItem")
         assert outcome == "ok"        # looks valid, but the content is wrong
@@ -1161,6 +1172,14 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"{data}: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()       # failed before the first event
+
+    def test_data_file_trailing_comment_is_dropped(self, tmp_path):
+        # the tail's words were read as tokens: "line 9: expected key=value, got '#'"
+        bundled = resources.files("murbsim.data").joinpath("ops.txt").read_text("utf-8")
+        data = tmp_path / "ops.txt"
+        data.write_text(re.sub(r"^op Home .*", r"\g<0>  # the front page", bundled,
+                               count=1, flags=re.M))
+        assert load_app_catalog(ops_path=str(data)).ops["Home"] == load_app_catalog().ops["Home"]
 
     @pytest.mark.parametrize("op", ["Home", "Login"])
     def test_catalog_without_a_client_op_exit_code(self, tmp_path, capsys, op):

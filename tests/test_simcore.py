@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from murbsim import simcore
 from murbsim.app import load_app_catalog
 from murbsim.config import ClusterConfig, Scenario, WorkloadConfig
-from murbsim.simcore import BLOCK, EventLoop, RngRoot, SimError
+from murbsim.simcore import BLOCK, ClientStreams, EventLoop, RngRoot, SimError
 from murbsim.workload import Client
 from murbsim.world import World
 
@@ -253,22 +253,26 @@ def _client_draws(client, reference: dict[str, CounterStream], leaves) -> tuple[
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, _CLIENT_LEAF])
 def test_draw_stream_equals_generator_across_refills(seed):
-    # 300 draws a stream span 18 refills of the 16-double block
-    client = Client(7, RngRoot(seed), HOME)
+    # 300 draws a stream span 19 blocks of 16 doubles, 12 drawn from the last
+    streams = ClientStreams(RngRoot(seed), 8)
+    client = Client(7, streams, HOME)
     for leaf in ("transition", "think"):
         reference = {leaf: CounterStream(seed, "client/7", leaf)}
         got, want = _client_draws(client, reference, [leaf] * 300)
         assert got == want, leaf
-    assert (client.transition_block, client.think_block) == (300 // BLOCK, 300 // BLOCK)
+    assert list(streams.index[14:16]) == [19, 19]       # the block each hashes next
+    assert list(streams.used[14:16]) == [12, 12]
 
 
 def test_interleaved_draw_streams_share_no_state():
-    client = Client(3, RngRoot(5), HOME)
+    streams = ClientStreams(RngRoot(5), 4)
+    client = Client(3, streams, HOME)
     reference = {leaf: CounterStream(5, "client/3", leaf) for leaf in ("transition", "think")}
-    # uneven interleaving, so the two streams refill at different calls
+    # uneven interleaving, so the two streams refill at different calls: 266
+    # transition draws span 17 blocks (10 drawn from the last), 134 think draws 9 (6)
     leaves = ["transition" if i % 3 else "think" for i in range(400)]
     draws, want = _client_draws(client, reference, leaves)
-    assert (client.transition_block, client.think_block) == (266 // BLOCK, 134 // BLOCK)
+    assert (list(streams.index[6:8]), list(streams.used[6:8])) == ([17, 9], [10, 6])
     assert draws == want
 
 
@@ -297,15 +301,40 @@ def test_each_refill_is_one_hash_of_one_block(monkeypatch, start):
             calls[-1][1] = n
             return self._hash.digest(n)
 
-    client = Client(0, RngRoot(1), HOME)
-    client.think_block = start - 1       # the next refill enters block `start`
-    client.rng_think = iter(())
+    streams = ClientStreams(RngRoot(1), 1)
+    client = Client(0, streams, HOME)
+    streams.index[1] = start      # the think stream is spent: its next refill enters block `start`
     monkeypatch.setattr(simcore, "shake_128", CountingShake)
     got = [client.think_ms(_MEAN, 2**62) for _ in range(10 * BLOCK)]
     assert calls == [[16, 8 * BLOCK]] * 10
-    assert client.think_block == start + 9
+    assert streams.index[1] == start + 10
     reference = CounterStream(1, "client/0", "think", first_block=start)
     assert got == [int(reference.expovariate(1.0 / _MEAN)) for _ in range(10 * BLOCK)]
+
+
+@pytest.mark.parametrize("drawn", [0, 5, 7])
+def test_refills_stay_inside_their_own_stream(drawn):
+    # eight streams share one table; the first, a middle and the last one refill
+    streams = ClientStreams(RngRoot(2), 4)
+    for s in range(8):
+        for _ in range(s + 1):        # each stream's first block, partly drawn
+            streams.draw(s)
+
+    def columns(s):
+        return (streams.draws[BLOCK * s:BLOCK * (s + 1)].tobytes(), streams.used[s],
+                streams.index[s], streams.keys[8 * s:8 * s + 8])
+
+    before = [columns(s) for s in range(8)]
+    leaf = "think" if drawn % 2 else "transition"
+    reference = counter_draws(2, f"client/{drawn // 2}", leaf)
+    want = list(itertools.islice(reference, drawn + 1, drawn + 1 + 5 * BLOCK))
+    assert [streams.draw(drawn) for _ in range(5 * BLOCK)] == want       # five refills
+    assert (streams.index[drawn], streams.used[drawn]) == (6, drawn + 1)
+    for s in range(8):
+        if s != drawn:
+            assert columns(s) == before[s], s
+    assert (len(streams.draws), len(streams.used), len(streams.index), len(streams.keys)) \
+        == (8 * BLOCK, 8, 8, 64)
 
 
 def _live_generators() -> int:
@@ -355,9 +384,10 @@ def test_world_bytes_per_client_are_bounded():
             tracemalloc.stop()
 
     traced(200)         # the first world also builds what all worlds share
-    # two blocks of 16 doubles, their two iterators, the streams' 16 bytes of
-    # seeds and the Client measured 729 B a client
-    assert (traced(400) - traced(200)) / 200 <= 729 * 1.05
+    # two streams' 16 doubles, used counts, block indices and seeds in the
+    # world's ClientStreams table (290 B), the Client, its id and its list
+    # slot measured 410 B a client
+    assert (traced(400) - traced(200)) / 200 <= 410 * 1.05
 
 
 def test_adding_client_stream_does_not_perturb_others():

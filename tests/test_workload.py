@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from murbsim.app import MAX_OPS, load_app_catalog
 from murbsim.faultlib import OUTCOMES
-from murbsim.simcore import RngRoot
+from murbsim.simcore import ClientStreams, RngRoot
 from murbsim.workload import Client, TawLedger, latency_stats
 
 from oracles import (CounterStream, drive_ledger, random_trace, replay_classify,
@@ -17,21 +17,21 @@ HOME = load_app_catalog().home
 
 class TestThinkTime:
     def test_mean_and_cap(self):
-        client = Client(4, RngRoot(3), HOME)
+        client = Client(4, ClientStreams(RngRoot(3), 5), HOME)
         draws = [client.think_ms(7_000, 70_000) for _ in range(100_000)]
         mean = sum(draws) / len(draws)
         assert abs(mean - 7_000) / 7_000 < 0.05
         assert max(draws) <= 70_000
 
     def test_client_draws_match_helper(self):
-        client = Client(4, RngRoot(3), HOME)
+        client = Client(4, ClientStreams(RngRoot(3), 5), HOME)
         reference = CounterStream(3, "client/4", "think")
         assert [client.think_ms(7_000, 70_000) for _ in range(1_000)] == \
             [sample_think_ms(reference, 7_000, 70_000) for _ in range(1_000)]
 
     @pytest.mark.parametrize("mean_ms", [1, 3, 333, 7_000, 12_345, 10**9])
     def test_client_draws_match_expovariate_at_any_mean(self, mean_ms):
-        client = Client(4, RngRoot(3), HOME)
+        client = Client(4, ClientStreams(RngRoot(3), 5), HOME)
         reference = CounterStream(3, "client/4", "think")
         cap = 10**12
         assert [client.think_ms(mean_ms, cap) for _ in range(2_000)] == \
@@ -41,14 +41,14 @@ class TestThinkTime:
 class TestClientChain:
     def test_logout_leads_to_new_login(self):
         catalog = load_app_catalog()
-        client = Client(0, RngRoot(5), catalog.home)
+        client = Client(0, ClientStreams(RngRoot(5), 1), catalog.home)
         client.begin_session()
         client.chain_state = catalog.ops["Logout"]
         assert client.next_op_name(catalog) is catalog.login
 
     def test_logged_out_client_forced_to_login(self):
         catalog = load_app_catalog()
-        client = Client(0, RngRoot(6), catalog.home)
+        client = Client(0, ClientStreams(RngRoot(6), 1), catalog.home)
         seen = set()
         for _ in range(50):
             client.end_session()
