@@ -100,7 +100,7 @@ def _throw(fault, ctx, node, rng):
 def _leak_heap(fault, ctx, node, rng):
     # a process-wide class takes no target: its leak is outside every component
     node.heap.charge(fault.target or UNATTRIBUTED, fault.bytes_per_invoke,
-                     resource_id=f"leak:{fault.fault_id}")
+                     resource_id=fault.lease_id)
     return ERR_EXCEPTION if node.heap.free <= 0 else None
 
 
@@ -242,7 +242,7 @@ class Fault(Record):
         "pinned",               # holds a CPU slot (infinite loop)
         "sessions_at_inject",   # sessions homed on its node when armed; -1: never armed
         "recoveries")           # RecoveryOps completed on its node while active
-    __slots__ = (*_fields, "kind", "profile")
+    __slots__ = (*_fields, "kind", "profile", "lease_id")
     _defaults = {"bytes_per_invoke": 0, "fail_probability": 1.0, "armed": False,
                  "active": False, "pinned": False, "sessions_at_inject": -1, "recoveries": list}
     __eq__, __hash__ = object.__eq__, object.__hash__     # each is one injection
@@ -251,6 +251,7 @@ class Fault(Record):
         super().__init__(*args, **kwargs)
         self.profile = cure_profile(self.fault_class, self.mode)
         self.kind = FAULT_CLASSES[self.fault_class]
+        self.lease_id = f"leak:{self.fault_id}"     # the resource id of its heap leak
 
 
 def is_cured(fault: Fault, op: RecoveryOp, prior: Sequence[RecoveryOp] = ()) -> bool:

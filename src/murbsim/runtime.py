@@ -185,6 +185,7 @@ class HeapLedger:
         self.registry = registry
         self.footprint_total = sum(s.mem_footprint_bytes for s in registry.specs.values())
         self.leases: dict[str, LeaseRecord] = {}
+        self.leased = 0                  # sum of the leases' bytes
         self.os_leak_bytes = 0           # outside the process; only a node reboot clears it
 
     def charge(self, holder: str, nbytes: int, *, resource_id: str,
@@ -194,6 +195,7 @@ class HeapLedger:
             rec = LeaseRecord(resource_id, holder, 0, expires_at)
             self.leases[resource_id] = rec
         rec.bytes += nbytes
+        self.leased += nbytes
         return rec
 
     def release_holder(self, holders: frozenset[str] | set[str]) -> dict[str, int]:
@@ -201,6 +203,7 @@ class HeapLedger:
         released: dict[str, int] = {}
         for rid in [r for r, rec in self.leases.items() if rec.holder in holders]:
             rec = self.leases.pop(rid)
+            self.leased -= rec.bytes
             released[rec.holder] = released.get(rec.holder, 0) + rec.bytes
         return released
 
@@ -214,15 +217,14 @@ class HeapLedger:
 
     def reap(self, now: int) -> list[LeaseRecord]:
         """Release every lease whose expiry has passed."""
-        out = []
-        for rid in [r for r, rec in self.leases.items()
-                    if rec.expires_at is not None and rec.expires_at <= now]:
-            out.append(self.leases.pop(rid))
+        out = [self.leases.pop(r) for r, rec in list(self.leases.items())
+               if rec.expires_at is not None and rec.expires_at <= now]
+        self.leased -= sum(rec.bytes for rec in out)
         return out
 
     @property
     def charged(self) -> int:
-        return self.footprint_total + sum(r.bytes for r in self.leases.values())
+        return self.footprint_total + self.leased
 
     @property
     def free(self) -> int:

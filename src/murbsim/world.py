@@ -335,13 +335,12 @@ class World:
                 status, payload = store.read(client.session_id, self.loop.now)
                 if status in (READ_MISSING, READ_DISCARDED):
                     outcome = ERR_SESSION
-                else:
-                    hit = self._inproc_session_symptom(ctx, client.session_id)
-                    if hit is not None:
-                        outcome = hit
-                    elif touch == SESSION_UPDATE:
-                        store_ms += store.access_latency_ms
-                        store.write(client.session_id, payload, self.loop.now)
+                elif not self._external_sessions and (
+                        hit := self._inproc_session_symptom(ctx, client.session_id)):
+                    outcome = hit
+                elif touch == SESSION_UPDATE:
+                    store_ms += store.access_latency_ms
+                    store.write(client.session_id, payload, self.loop.now)
         if store_ms > 0:
             loop = self.loop
             loop.schedule(loop.now + store_ms, partial(self._finalize, ctx, outcome))
@@ -350,7 +349,7 @@ class World:
 
     def _inproc_session_symptom(self, ctx: _ReqCtx, key: str) -> str | None:
         hooks = self._fault_hooks[ctx.node_id]
-        if not hooks["any"] or self._external_sessions:
+        if not hooks["any"]:
             return None
         for symptom, fault in hooks[SITE_SESSION]:
             if fault.target and fault.target != key:
@@ -392,6 +391,8 @@ class World:
 
         if outcome == OK:
             if op.session_touch == SESSION_CREATE:
+                if client.session_id:         # logged in over a live session
+                    self.lb.forget(client.session_id)
                 session = client.begin_session()
                 payload = canonical_fingerprint(op.name, session).encode()
                 self._session_stores[ctx.node_id].write(session, payload, now)

@@ -753,6 +753,17 @@ class TestMaskingAndSessions:
         assert w.rm.episodes and w.rm.episodes[0].terminal_level == "restart_process"
         assert w.ledger.count_outcome(ERR_SESSION) == 0
 
+    def test_relogin_over_live_session_forgets_old_affinity(self):
+        # A client whose Logout fails stays logged in and logs in again over
+        # its live session: the balancer must drop the old session's home.
+        s = Scenario(duration_ms=300_000, seed=5)
+        s.cluster = ClusterConfig(nodes=2)
+        s.workload = WorkloadConfig(clients_per_node=100)
+        s.faults = [FaultConfig(60_000, "transient_exception", "WebUI")]
+        w = run_world(s)
+        held = {c.session_id for c in w.clients if c.session_id}
+        assert set(w.lb.affinity) == held
+
     def test_external_store_latency_delta(self):
         means = {}
         for kind in ("in_process", "external"):

@@ -3,8 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from murbsim.runtime import (ComponentSpec, GroupOverride, HeapLedger, Registry,
-                             ScenarioError, load_catalog, parse_catalog)
+from murbsim.config import (ClusterConfig, FaultConfig, RejuvenationConfig, Scenario,
+                            StoreConfig, WorkloadConfig)
+from murbsim.runtime import (UNATTRIBUTED, ComponentSpec, GroupOverride, HeapLedger,
+                             Registry, ScenarioError, load_catalog, parse_catalog)
+from murbsim.world import World
 
 from oracles import BindingModel
 
@@ -204,3 +207,54 @@ class TestHeapLedger:
         assert heap.attributed_to(members) == baseline + 12_345
         heap.release_holder(members)
         assert heap.attributed_to(members) == baseline
+
+
+_holders = st.sampled_from(["Item", "ViewItem", "WebUI", UNATTRIBUTED])
+_heap_ops = st.one_of(
+    st.tuples(st.just("charge"), _holders, st.integers(0, 10_000),
+              st.sampled_from(["r1", "r2", "r3", "leak:1"]), st.none() | st.integers(0, 100)),
+    st.tuples(st.just("release_holder"), st.frozensets(_holders)),
+    st.tuples(st.just("release_all_app")),
+    st.tuples(st.just("release_unattributed")),
+    st.tuples(st.just("reap"), st.integers(0, 100)),
+)
+
+
+def assert_charged_sums_leases(heap):
+    assert heap.leased == sum(r.bytes for r in heap.leases.values())
+    assert heap.charged == heap.footprint_total + heap.leased
+    assert heap.free == heap.capacity - heap.charged
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_heap_ops, max_size=30))
+def test_charged_is_footprint_plus_lease_bytes(ops):
+    """The running lease total matches the leases after any sequence of
+    charges, releases and reaps."""
+    heap = HeapLedger(10_000_000, Registry(_DEMO_SPECS, _DEMO_OVERRIDES))
+    for name, *args in ops:
+        if name == "charge":
+            holder, nbytes, rid, expires_at = args
+            heap.charge(holder, nbytes, resource_id=rid, expires_at=expires_at)
+        else:
+            getattr(heap, name)(*args)
+        assert_charged_sums_leases(heap)
+
+
+def test_charged_after_leaks_and_rejuvenation():
+    # three leaks fill the 57 MB left above the footprints twice in 90 s:
+    # rolling rejuvenation releases component leases while the leaks go on
+    s = Scenario(duration_ms=90_000, seed=3)
+    s.cluster = ClusterConfig(heap_bytes_per_node=200_000_000)
+    s.workload = WorkloadConfig(clients_per_node=300)
+    s.stores = StoreConfig(session_store="external")
+    s.rejuvenation = RejuvenationConfig(enabled=True, alarm_bytes=20_000_000,
+                                        sufficient_bytes=40_000_000)
+    s.faults = [FaultConfig(0, "app_memory_leak", "Item", bytes_per_invoke=20_000),
+                FaultConfig(0, "app_memory_leak", "ViewItem", bytes_per_invoke=250_000),
+                FaultConfig(0, "leak_outside_app_intra_process", bytes_per_invoke=1_000)]
+    w = World(s)
+    w.run()
+    heap = w.nodes[0].heap
+    assert w.rejuvenators[0].completed_passes == 2 and len(heap.leases) == 3
+    assert_charged_sums_leases(heap)

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 from hypothesis import given, strategies as st
 
@@ -43,6 +44,26 @@ class TestSessionStore:
         status, payload = store.read("k", now=1)
         assert status == READ_OK
         assert payload != b"p"
+
+    def test_write_over_corrupted_record_reads_new_payload(self):
+        store = make_store()
+        for key in ("a", "k", "z"):
+            store.write(key, b"p", now=0)
+        assert store.corrupt("k", "invalid")
+        store.write("k", b"fresh", now=5)
+        assert store.read("k", now=6) == (READ_OK, b"fresh")
+        assert store.records["k"].checksum == zlib.crc32(b"fresh")
+        assert list(store.records) == ["a", "k", "z"]
+
+    def test_write_over_expired_uncollected_record_renews_lease(self):
+        store = make_store(lease=100)
+        for key in ("a", "k", "z"):
+            store.write(key, b"p", now=0)
+        store.write("k", b"later", now=150)      # expired at 100; no gc ran
+        assert store.records["k"].lease_expires_at == 250
+        assert store.records["k"].checksum == zlib.crc32(b"later")
+        assert list(store.records) == ["a", "k", "z"]
+        assert store.read("k", now=200) == (READ_OK, b"later")
 
     def test_gc_counts(self):
         store = make_store(lease=50)
